@@ -333,8 +333,6 @@ def cmd_restore(args) -> int:
         if not db.is_empty() and not args.force:
             raise StoreError(
                 f"database at '{db.root}' is not empty; pass --force to replace it")
-        if args.force:
-            db.clear_all()
         db.restore_text(text, filename=args.input)
         db.checkpoint()
     return EXIT_OK

@@ -16,6 +16,7 @@ Dump grammar (UTF-8 text, whitespace-insensitive between tokens)::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -131,12 +132,17 @@ def require_valid(d: Datum) -> None:
     raise TypeError(f"not a datum value: {d!r}")
 
 
+_UNSTORABLE = re.compile("[\x00-\x1f\x7f\ud800-\udfff]")
+
+
 def _require_printable(s: str) -> None:
-    for ch in s:
-        if ch < " " or ch == "\x7f":
-            raise ValueError(f"control character {ch!r} is not storable text")
-        if "\ud800" <= ch <= "\udfff":
-            raise ValueError(f"surrogate {ch!r} is not storable text")
+    bad = _UNSTORABLE.search(s)
+    if bad is None:
+        return
+    ch = bad.group()
+    if "\ud800" <= ch <= "\udfff":
+        raise ValueError(f"surrogate {ch!r} is not storable text")
+    raise ValueError(f"control character {ch!r} is not storable text")
 
 
 def dumps(d: Datum) -> str:

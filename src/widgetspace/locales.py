@@ -128,11 +128,6 @@ class LocaleTree:
         clone._parents = dict(self._parents)
         return clone
 
-    def adopt(self, other: "LocaleTree") -> None:
-        """Atomically replace this tree's contents with another's."""
-        with self._lock:
-            self._parents = dict(other._parents)
-
 
 def _root_of(parents: dict[str, Optional[str]]) -> Optional[str]:
     for locale, parent in parents.items():

@@ -28,15 +28,17 @@ from __future__ import annotations
 
 import random
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional
 
 from . import accessors, generators
-from .datum import UNINITIALIZED, Datum, Uninitialized, is_uninitialized
-from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_STORAGE_MESSAGE,
-                     ResolutionError, SchemaError, SchemaSyntaxError,
-                     UnknownLocaleError, UnresolvedReferenceError)
+from .datum import UNINITIALIZED, Datum, Uninitialized, is_uninitialized, require_valid
+from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
+                     NO_STORAGE_MESSAGE, ResolutionError, SchemaError, SchemaSyntaxError,
+                     UnknownLocaleError, UnresolvedReferenceError, ValidationError)
 from .locales import LocaleTree
 from .sexpr import (ListNode, SexprError, Token, is_valid_symbol, normalize_symbol,
                     read_forms)
@@ -135,36 +137,52 @@ class LoadReport:
 class WidgetRegistry:
     """The (name, locale) -> WidgetSpec map plus everything needed to use it.
 
-    Reads are lock-free; definition and schema loads publish atomically.
+    The locale tree and the spec map are published together as one
+    ``(tree, specs)`` snapshot that a single assignment replaces. Readers
+    take no lock and read the snapshot once per call, so they never see a
+    tree from one load with specs from another. Writers edit a private
+    copy under the writer lock and publish it only when they succeed.
     """
 
-    def __init__(self, locales: LocaleTree | None = None,
-                 registries: Registries | None = None):
-        self.locales = locales if locales is not None else LocaleTree()
-        self.registries = registries if registries is not None else standard_registries()
-        self._specs: dict[tuple[str, str], WidgetSpec] = {}
+    def __init__(self):
+        self.registries = standard_registries()
+        self._snapshot: tuple[LocaleTree, dict[tuple[str, str], WidgetSpec]] = (
+            LocaleTree(), {})
         self._lock = threading.Lock()
+
+    @property
+    def locales(self) -> LocaleTree:
+        """The locale tree of the published snapshot."""
+        return self._snapshot[0]
+
+    @contextmanager
+    def _staged(self):
+        """A copy of the snapshot to edit; published if the block succeeds."""
+        with self._lock:
+            tree, specs = self._snapshot
+            staged = (tree.copy(), dict(specs))
+            yield staged
+            self._snapshot = staged
 
     # -- definition ------------------------------------------------------
 
     def define_widget(self, spec: WidgetSpec) -> None:
         """Install a spec, replacing any prior spec for the same (name, locale)."""
-        spec = _normalized(spec)
-        self._check_spec(spec, self.locales)
-        with self._lock:
-            specs = dict(self._specs)
-            specs[(spec.name, spec.locale)] = spec
-            self._specs = specs
+        with self._staged() as (tree, specs):
+            self._install(spec, tree, specs)
 
     def spec_at(self, name: str, locale: str) -> Optional[WidgetSpec]:
-        return self._specs.get((normalize_symbol(name), normalize_symbol(locale)))
+        return self._snapshot[1].get((normalize_symbol(name), normalize_symbol(locale)))
 
     def widget_names_at(self, locale: str) -> list[str]:
         """Names with a spec anywhere in the locale's ancestry, sorted."""
-        chain = set(self.locales.ancestry(locale))
-        return sorted({name for (name, loc) in self._specs if loc in chain})
+        tree, specs = self._snapshot
+        chain = set(tree.ancestry(locale))
+        return sorted({name for (name, loc) in specs if loc in chain})
 
-    def _check_spec(self, spec: WidgetSpec, tree: LocaleTree) -> None:
+    def _install(self, spec: WidgetSpec, tree: LocaleTree, specs: dict) -> None:
+        """Check ``spec`` against ``tree`` and the registries, then add it to ``specs``."""
+        spec = _normalized(spec)
         if not is_valid_symbol(spec.name):
             raise InvalidSpecError(f"invalid widget name '{spec.name}'")
         if spec.locale not in tree:
@@ -186,91 +204,38 @@ class WidgetRegistry:
         for medium, formatter in spec.outputs.items():
             if formatter not in self.registries.formatters:
                 raise UnresolvedReferenceError(f"unknown formatter '{formatter}'")
+        specs[(spec.name, spec.locale)] = spec
 
     # -- resolution --------------------------------------------------------
 
     def resolve_formatter(self, name: str, locale: str, medium: str) -> str:
         """The formatter name for (name, locale, medium), nearest locale first."""
-        name = normalize_symbol(name)
-        medium = normalize_symbol(medium)
-        specs = self._specs
-
-        def probe(loc: str):
-            spec = specs.get((name, loc))
-            if spec is None:
-                return None
-            return spec.outputs.get(medium) or spec.outputs.get("default")
-
-        return self.locales.resolve(
-            locale, probe,
-            context={"name": name, "locale": locale, "medium": medium,
-                     "direction": "output"})
+        return _resolve(self._snapshot, _OUTPUTS, name, locale, medium, "output")
 
     def resolve_parser(self, name: str, locale: str, medium: str) -> InputBinding:
         """The (parser, validator) pair for (name, locale, medium)."""
-        name = normalize_symbol(name)
-        medium = normalize_symbol(medium)
-        specs = self._specs
-
-        def probe(loc: str):
-            spec = specs.get((name, loc))
-            if spec is None:
-                return None
-            return spec.inputs.get(medium) or spec.inputs.get("default")
-
-        return self.locales.resolve(
-            locale, probe,
-            context={"name": name, "locale": locale, "medium": medium,
-                     "direction": "input"})
+        return _resolve(self._snapshot, _INPUTS, name, locale, medium, "input")
 
     def resolve_storage(self, name: str, locale: str) -> ResolvedStorage:
         """Accessors from the nearest ancestor spec that declares storage."""
-        name = normalize_symbol(name)
-        specs = self._specs
-
-        def probe(loc: str):
-            spec = specs.get((name, loc))
-            if spec is None or not spec.declares_storage():
-                return None
-            getter, setter = _table_accessors(spec.table, spec.max_index)
-            if spec.getter is not None:
-                getter = self.registries.getters.get(spec.getter)
-            if spec.setter is not None:
-                setter = self.registries.setters.get(spec.setter)
-            return ResolvedStorage(getter, setter, spec.max_index, loc)
-
-        return self.locales.resolve(
-            locale, probe, message=NO_STORAGE_MESSAGE,
-            context={"name": name, "locale": locale, "direction": "storage"})
+        spec = _resolve(self._snapshot, _storage_of, name, locale, None, "storage",
+                        NO_STORAGE_MESSAGE)
+        getter, setter = _table_accessors(spec.table, spec.max_index)
+        if spec.getter is not None:
+            getter = self.registries.getters.get(spec.getter)
+        if spec.setter is not None:
+            setter = self.registries.setters.get(spec.setter)
+        return ResolvedStorage(getter, setter, spec.max_index, spec.locale)
 
     def resolve_heading(self, name: str, locale: str, medium: str) -> Optional[str]:
         """The display heading, or None when no ancestor declares one."""
-        name = normalize_symbol(name)
-        medium = normalize_symbol(medium)
-        specs = self._specs
-
-        def probe(loc: str):
-            spec = specs.get((name, loc))
-            if spec is None:
-                return None
-            return spec.headings.get(medium) or spec.headings.get("default")
-
         try:
-            return self.locales.resolve(locale, probe)
+            return _resolve(self._snapshot, _HEADINGS, name, locale, medium, "heading")
         except ResolutionError:
             return None
 
     def resolve_generator(self, name: str, locale: str) -> str:
-        name = normalize_symbol(name)
-        specs = self._specs
-
-        def probe(loc: str):
-            spec = specs.get((name, loc))
-            return spec.generator if spec is not None else None
-
-        return self.locales.resolve(
-            locale, probe,
-            context={"name": name, "locale": locale, "direction": "generator"})
+        return _resolve(self._snapshot, _GENERATOR, name, locale, None, "generator")
 
     # -- fused operations ---------------------------------------------------
 
@@ -298,7 +263,8 @@ class WidgetRegistry:
         """Validate ``text``, parse it, and store the result at ``coord``.
 
         Validation failure propagates before anything touches the
-        database, so a failed set leaves the store bit-identical.
+        database, so a failed set leaves the store bit-identical. A parsed
+        value the store cannot hold fails the same way, as a ValidationError.
         """
         storage = self.resolve_storage(coord.name, coord.locale)
         _check_index(coord.index, storage.max_index)
@@ -312,6 +278,10 @@ class WidgetRegistry:
                                normalize_symbol(coord.medium))
         self.registries.validators.validate(binding.validator, ctx, text)
         value = self.registries.parsers.get(binding.parser)(text)
+        try:
+            require_valid(value)
+        except ValueError as e:
+            raise ValidationError(text, str(e)) from None
         storage.setter(db, ctx.name, coord.index, ctx.locale, value)
         return value
 
@@ -335,61 +305,98 @@ class WidgetRegistry:
         return self._load_sources(sources, replace)
 
     def _load_sources(self, sources, replace: bool) -> LoadReport:
-        staged = WidgetRegistry(self.locales.copy(), self.registries)
-        staged._specs = dict(self._specs)
         n_locales = 0
         n_widgets = 0
-        for filename, text in sources:
-            try:
-                forms = read_forms(text)
-            except SexprError as e:
-                raise SchemaSyntaxError(str(e), filename=filename,
-                                        line=e.line, col=e.col) from None
-            for form in forms:
-                head = _head_symbol(form, filename)
-                if head == "locale":
-                    _apply_locale_form(form, staged.locales, filename, replace)
-                    n_locales += 1
-                elif head == "widget":
-                    spec = _parse_widget_form(form, filename, staged)
-                    staged._specs[(spec.name, spec.locale)] = spec
-                    n_widgets += 1
-                else:
-                    raise _positioned(SchemaSyntaxError,
-                                      f"unknown form '{head}'", filename, form)
+        with self._staged() as (tree, specs):
+            for filename, text in sources:
+                try:
+                    forms = read_forms(text)
+                except SexprError as e:
+                    raise SchemaSyntaxError(str(e), filename=filename,
+                                            line=e.line, col=e.col) from None
+                for form in forms:
+                    head = _head_symbol(form, filename)
+                    if head == "locale":
+                        _apply_locale_form(form, tree, filename, replace)
+                        n_locales += 1
+                    elif head == "widget":
+                        spec = _parse_widget_form(form, filename, tree, self.registries)
+                        specs[(spec.name, spec.locale)] = spec
+                        n_widgets += 1
+                    else:
+                        raise _positioned(SchemaSyntaxError,
+                                          f"unknown form '{head}'", filename, form)
         warnings = []
-        for (name, locale) in staged._specs:
+        for (name, locale) in specs:
             try:
-                staged.resolve_storage(name, locale)
+                _resolve((tree, specs), _storage_of, name, locale, None, "storage")
             except ResolutionError:
                 warnings.append(
                     f"widget '{name}' at '{locale}' has no storage anywhere in its ancestry")
-        with self._lock:
-            self.locales.adopt(staged.locales)
-            self._specs = staged._specs
         return LoadReport(n_locales, n_widgets, warnings)
 
     # -- state export (schema workspace support) -----------------------------
 
     def export_state(self) -> dict:
         """A JSON-ready snapshot of locales and specs, in definition order."""
-        tree = self.locales
+        tree, specs = self._snapshot
         return {
             "locales": [[loc, tree.parent(loc)] for loc in tree.locales()],
-            "widgets": [_spec_to_obj(spec) for spec in self._specs.values()],
+            "widgets": [_spec_to_obj(spec) for spec in specs.values()],
         }
 
     def import_state(self, state: dict) -> None:
-        """Rebuild from an exported snapshot; references are re-checked."""
+        """Add an exported state, re-checking references; all-or-nothing, like a load."""
         try:
             pairs = list(state["locales"])
             widgets = list(state["widgets"])
         except (KeyError, TypeError) as e:
             raise SchemaError(f"malformed registry state: {e}") from None
-        for child, parent in pairs:
-            self.locales.add(child, parent)
-        for obj in widgets:
-            self.define_widget(_spec_from_obj(obj))
+        with self._staged() as (tree, specs):
+            try:
+                for child, parent in pairs:
+                    tree.add(child, parent)
+            except (ValueError, TypeError, AttributeError) as e:
+                raise SchemaError(f"malformed registry state: {e}") from None
+            for obj in widgets:
+                self._install(_spec_from_obj(obj), tree, specs)
+
+
+_OUTPUTS = attrgetter("outputs")
+_INPUTS = attrgetter("inputs")
+_HEADINGS = attrgetter("headings")
+_GENERATOR = attrgetter("generator")
+
+
+def _storage_of(spec: WidgetSpec) -> Optional[WidgetSpec]:
+    """``spec`` if it declares storage, else None: what a storage walk seeks."""
+    return spec if spec.declares_storage() else None
+
+
+def _resolve(snapshot: tuple[LocaleTree, dict], pick: Callable, name: str, locale: str,
+             medium: Optional[str], direction: str, message: str = NO_HANDLER_MESSAGE):
+    """The nearest non-None ``pick(spec)`` of widget ``name`` up ``locale``'s ancestry.
+
+    With a medium, ``pick`` returns a medium map, and each locale tries the
+    exact medium and then its own ``default`` before its parent is probed.
+    """
+    tree, specs = snapshot
+    name = normalize_symbol(name)
+    context = {"name": name, "locale": locale, "direction": direction}
+    if medium is not None:
+        medium = normalize_symbol(medium)
+        context["medium"] = medium
+
+    def probe(loc: str):
+        spec = specs.get((name, loc))
+        if spec is None:
+            return None
+        value = pick(spec)
+        if medium is None:
+            return value
+        return value.get(medium) or value.get("default")
+
+    return tree.resolve(locale, probe, message=message, context=context)
 
 
 def _check_index(index: int, max_index: int) -> None:
@@ -514,15 +521,15 @@ _WIDGET_KEYWORDS = frozenset((
     "heading", "input", "output"))
 
 
-def _parse_widget_form(form: ListNode, filename: str,
-                       staged: WidgetRegistry) -> WidgetSpec:
+def _parse_widget_form(form: ListNode, filename: str, tree: LocaleTree,
+                       registries: Registries) -> WidgetSpec:
     if len(form.items) < 3:
         raise _positioned(SchemaSyntaxError,
                           "widget form is (widget <name> <locale> clauses...)",
                           filename, form)
     name = _require_symbol(form.items[1], "a widget name", filename)
     locale = _require_symbol(form.items[2], "a locale name", filename)
-    if locale not in staged.locales:
+    if locale not in tree:
         raise _positioned(UnknownLocaleError, f"unknown locale '{locale}'",
                           filename, form.items[2])
 
@@ -559,11 +566,11 @@ def _parse_widget_form(form: ListNode, filename: str,
         elif keyword == "getter":
             fields["getter"] = _check_ref(
                 _require_symbol(value, "a getter name", filename),
-                staged.registries.getters, "getter", filename, value)
+                registries.getters, "getter", filename, value)
         elif keyword == "setter":
             fields["setter"] = _check_ref(
                 _require_symbol(value, "a setter name", filename),
-                staged.registries.setters, "setter", filename, value)
+                registries.setters, "setter", filename, value)
         elif keyword == "doc":
             fields["doc"] = _require_string(value, "documentation text", filename)
         elif keyword == "type":
@@ -571,16 +578,16 @@ def _parse_widget_form(form: ListNode, filename: str,
         elif keyword == "generator":
             fields["generator"] = _check_ref(
                 _require_symbol(value, "a generator name", filename),
-                staged.registries.generators, "generator", filename, value)
+                registries.generators, "generator", filename, value)
         elif keyword == "heading":
             fields["headings"] = _parse_headings(
                 _require_list(value, "heading pairs", filename), filename)
         elif keyword == "input":
             fields["inputs"] = _parse_inputs(
-                _require_list(value, "input entries", filename), filename, staged)
+                _require_list(value, "input entries", filename), filename, registries)
         elif keyword == "output":
             fields["outputs"] = _parse_outputs(
-                _require_list(value, "output entries", filename), filename, staged)
+                _require_list(value, "output entries", filename), filename, registries)
     return WidgetSpec(**fields)
 
 
@@ -609,7 +616,7 @@ def _parse_headings(node: ListNode, filename: str) -> dict:
     return headings
 
 
-def _parse_inputs(node: ListNode, filename: str, staged: WidgetRegistry) -> dict:
+def _parse_inputs(node: ListNode, filename: str, registries: Registries) -> dict:
     inputs: dict = {}
     if not node.items:
         raise _positioned(SchemaSyntaxError, "input clause must not be empty",
@@ -623,9 +630,9 @@ def _parse_inputs(node: ListNode, filename: str, staged: WidgetRegistry) -> dict
                               filename, entry)
         medium = _require_symbol(entry.items[0], "a medium", filename)
         parser = _check_ref(_require_symbol(entry.items[1], "a parser name", filename),
-                            staged.registries.parsers, "parser", filename,
+                            registries.parsers, "parser", filename,
                             entry.items[1])
-        vexpr = _parse_vexpr(entry.items[2], filename, staged.registries.validators)
+        vexpr = _parse_vexpr(entry.items[2], filename, registries.validators)
         if medium in inputs:
             raise _positioned(SchemaSyntaxError,
                               f"duplicate input entry for medium '{medium}'",
@@ -634,7 +641,7 @@ def _parse_inputs(node: ListNode, filename: str, staged: WidgetRegistry) -> dict
     return inputs
 
 
-def _parse_outputs(node: ListNode, filename: str, staged: WidgetRegistry) -> dict:
+def _parse_outputs(node: ListNode, filename: str, registries: Registries) -> dict:
     outputs: dict = {}
     if not node.items:
         raise _positioned(SchemaSyntaxError, "output clause must not be empty",
@@ -649,7 +656,7 @@ def _parse_outputs(node: ListNode, filename: str, staged: WidgetRegistry) -> dic
         medium = _require_symbol(entry.items[0], "a medium", filename)
         formatter = _check_ref(
             _require_symbol(entry.items[1], "a formatter name", filename),
-            staged.registries.formatters, "formatter", filename, entry.items[1])
+            registries.formatters, "formatter", filename, entry.items[1])
         if medium in outputs:
             raise _positioned(SchemaSyntaxError,
                               f"duplicate output entry for medium '{medium}'",

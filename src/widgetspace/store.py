@@ -163,8 +163,14 @@ class Database:
                        for name in self.table_names())
 
     def restore_text(self, text: str, filename: str = "<dump>") -> None:
-        """Load a dump into memory, replacing the named tables wholesale."""
-        for name, entries in _parse_tables(text, filename).items():
+        """Replace the whole database with a dump's tables.
+
+        The dump is parsed completely before any table is dropped, so a
+        corrupt dump leaves the database as it was.
+        """
+        tables = _parse_tables(text, filename)
+        self.clear_all()
+        for name, entries in tables.items():
             t = self._table(name)
             with t.lock:
                 t.entries = entries

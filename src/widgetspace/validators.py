@@ -125,24 +125,23 @@ class ValidatorRegistry:
     def names(self) -> list[str]:
         return sorted(self._entries)
 
-    def _lookup(self, name: str) -> tuple[int, int, BaseImpl]:
+    def _impl(self, expr: Base) -> BaseImpl:
+        """The implementation behind ``expr``, once its name and arity check out."""
         try:
-            return self._entries[name.lower()]
+            lo, hi, impl = self._entries[expr.name.lower()]
         except KeyError:
-            raise UnknownValidatorError(f"unknown validator '{name}'") from None
+            raise UnknownValidatorError(f"unknown validator '{expr.name}'") from None
+        n = len(expr.args)
+        if not lo <= n <= hi:
+            raise InvalidSpecError(
+                f"validator '{expr.name}' takes {_arity_text(lo, hi)}, got {n}")
+        return impl
 
     def check_expr(self, expr: ValidatorExpr) -> None:
         """Load-time check: every base name registered, argument counts in range."""
         if isinstance(expr, Base):
-            lo, hi, _ = self._lookup(expr.name)
-            n = len(expr.args)
-            if not lo <= n <= hi:
-                raise InvalidSpecError(
-                    f"validator '{expr.name}' takes {_arity_text(lo, hi)}, got {n}")
-        elif isinstance(expr, And):
-            for child in expr.children:
-                self.check_expr(child)
-        elif isinstance(expr, Or):
+            self._impl(expr)
+        elif isinstance(expr, (And, Or)):
             for child in expr.children:
                 self.check_expr(child)
         elif isinstance(expr, Not):
@@ -155,15 +154,11 @@ class ValidatorRegistry:
 
         ``And`` stops at the first failing child. ``Or`` succeeds on the
         first passing child and otherwise reports its own message,
-        discarding the children's.
+        discarding the children's. Arity is checked again here because
+        ``register(..., replace=True)`` may change it after a load.
         """
         if isinstance(expr, Base):
-            lo, hi, impl = self._lookup(expr.name)
-            n = len(expr.args)
-            if not lo <= n <= hi:
-                raise InvalidSpecError(
-                    f"validator '{expr.name}' takes {_arity_text(lo, hi)}, got {n}")
-            impl(ctx, expr.args, text)
+            self._impl(expr)(ctx, expr.args, text)
         elif isinstance(expr, And):
             for child in expr.children:
                 self.validate(child, ctx, text)

@@ -118,6 +118,15 @@ class TestLocales:
         assert code == 2
         assert "unreadable" in err
 
+    def test_malformed_locale_pair_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.ws"
+        bad.write_text(json.dumps(
+            {"version": 1, "state": {"locales": [["a"]], "widgets": []}}))
+        code, _, err = run_cli(["locales", "--workspace", str(bad)], cwd=tmp_path)
+        assert code == 2
+        assert "malformed registry state" in err
+        assert "Traceback" not in err
+
     def test_wrong_version_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ws"
         bad.write_text(json.dumps({"version": 99, "state": {}}))
@@ -219,6 +228,21 @@ class TestSetGet:
         run_cli(["set", *ws_args(ws), *db, "--locale", "arkansas",
                  "--field", "sid", "--medium", "ls1100-entry", "bad!"],
                 cwd=tmp_path)
+        assert list((tmp_path / "db").glob("*.tbl")) == []
+
+    def test_unstorable_text_exit_1_without_traceback(self, tmp_path):
+        schema = tmp_path / "notes.scm"
+        schema.write_text("(locale root :parent none)\n"
+                          "(widget note root :table notes\n"
+                          "  :input ((default identity always-ok))\n"
+                          "  :output ((default identity)))\n")
+        ws = tmp_path / "w.ws"
+        run_cli(["schema", "load", str(schema), "--workspace", str(ws)], cwd=tmp_path)
+        code, out, err = run_cli(
+            ["set", *ws_args(ws), "--db", str(tmp_path / "db"), "--locale", "root",
+             "--field", "note", "--medium", "m", "a\tb"], cwd=tmp_path)
+        assert (code, out) == (1, "")
+        assert err == "control character '\\t' is not storable text\n"
         assert list((tmp_path / "db").glob("*.tbl")) == []
 
 
@@ -392,6 +416,19 @@ class TestDumpRestore:
             ["get", *ws_args(ws), *db, "--locale", "arkansas",
              "--field", "sid", "--medium", "transmission"], cwd=tmp_path)
         assert (code, out) == (0, "ab12cd\n")
+
+    def test_restore_force_corrupt_dump_keeps_data(self, ws, tmp_path):
+        db = ["--db", str(tmp_path / "db")]
+        self._populate(ws, tmp_path, db)
+        bad = tmp_path / "bad.widgetdump"
+        bad.write_text("(table demographics)\n(dob\n")
+        code, _, err = run_cli(["restore", *db, "--force", str(bad)], cwd=tmp_path)
+        assert code == 3
+        assert "bad.widgetdump" in err
+        code, out, _ = run_cli(
+            ["get", *ws_args(ws), *db, "--locale", "arkansas",
+             "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        assert (code, out) == (0, "7/4/2010\n")
 
     def test_restore_corrupt_dump_exit_3(self, ws, tmp_path):
         bad = tmp_path / "bad.widgetdump"

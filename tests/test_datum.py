@@ -121,6 +121,24 @@ class TestRequireValid:
         with pytest.raises(ValueError):
             require_valid("a\ud800b")
 
+    @given(st.text(alphabet=st.characters(max_codepoint=0xE000,
+                                          exclude_categories=())))
+    def test_text_check_matches_per_character_rule(self, text):
+        expected = None
+        for ch in text:
+            if ch < " " or ch == "\x7f":
+                expected = f"control character {ch!r} is not storable text"
+                break
+            if "\ud800" <= ch <= "\udfff":
+                expected = f"surrogate {ch!r} is not storable text"
+                break
+        try:
+            require_valid(text)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == expected
+
     def test_rejects_foreign_types(self):
         with pytest.raises(TypeError):
             require_valid(1.5)

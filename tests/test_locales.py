@@ -193,10 +193,3 @@ class TestCopyAdopt:
         c.add("nova-scotia", "common")
         assert "nova-scotia" in c
         assert "nova-scotia" not in t
-
-    def test_adopt_replaces_contents(self):
-        t = sample_tree()
-        other = LocaleTree()
-        other.add("canada")
-        t.adopt(other)
-        assert t.locales() == ["canada"]

@@ -1,6 +1,8 @@
 """Widget registry: definition checks, per-property resolution, fused operations."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -316,6 +318,16 @@ class TestParseAndSet:
         assert seen[0].medium == "m"
         assert not hasattr(seen[0], "index")
 
+    def test_unstorable_text_is_a_validation_error(self, tmp_path):
+        reg = tiny_registry()
+        reg.load_schema("(widget note root :table t"
+                        " :input ((m identity always-ok)))")
+        db = Database(tmp_path / "db")
+        with pytest.raises(ValidationError) as exc:
+            reg.parse_and_set(db, WidgetCoord("note", "leaf", "m"), "a\tb")
+        assert exc.value.value == "a\tb"
+        assert db.is_empty()
+
     def test_setter_side_storage_resolution(self, registry, db):
         # storage comes from common, parser from wisconsin, via one call
         registry.parse_and_set(
@@ -431,3 +443,72 @@ class TestStateRoundTrip:
         reg = WidgetRegistry()
         with pytest.raises(SchemaError):
             reg.import_state({"locales": "nope"})
+
+    @pytest.mark.parametrize("pairs", [[["a"]], [["a", None, "b"]], [5], [[1, None]]])
+    def test_import_malformed_locale_pair(self, pairs):
+        from widgetspace import SchemaError
+        reg = WidgetRegistry()
+        with pytest.raises(SchemaError, match="malformed registry state"):
+            reg.import_state({"locales": pairs, "widgets": []})
+        assert reg.locales.locales() == []
+
+    def test_import_is_all_or_nothing(self, registry):
+        before = registry.export_state()
+        sid = next(obj for obj in before["widgets"] if obj["name"] == "sid")
+        good = dict(sid, locale="extra")
+        bad = dict(good, name="bad", outputs={"default": "no-such-formatter"})
+        state = {"locales": [["extra", "arkansas"]], "widgets": [good, bad]}
+        with pytest.raises(UnresolvedReferenceError):
+            registry.import_state(state)
+        assert registry.export_state() == before
+        assert "extra" not in registry.locales
+
+
+class TestReloadWhileReading:
+    """A load publishes its locales and its specs as one snapshot."""
+
+    BASE = ("(locale root :parent none)"
+            "(widget w root :table t :output ((default identity)))")
+    EXTENSION = ("(locale new :parent root)"
+                 "(widget w new :output ((default string-upcase)))")
+
+    def _answers_during_load(self) -> set:
+        """What a reader resolving w at 'new' saw while the extension loaded."""
+        reg = WidgetRegistry()
+        reg.load_schema(self.BASE)
+        answers, unexpected = set(), []
+        started, done = threading.Event(), threading.Event()
+
+        def read():
+            while not done.is_set():
+                try:
+                    answers.add(reg.resolve_formatter("w", "new", "m"))
+                except UnknownLocaleError:
+                    answers.add(None)
+                except Exception as e:
+                    unexpected.append(e)
+                    return
+                finally:
+                    started.set()
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert started.wait(timeout=10)
+        reg.load_schema(self.EXTENSION)
+        done.set()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert unexpected == []
+        assert answers
+        return answers
+
+    def test_reader_never_sees_new_locales_with_old_specs(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen = set().union(*(self._answers_during_load() for _ in range(300)))
+        finally:
+            sys.setswitchinterval(interval)
+        # Before the load 'new' is unknown (None); after it, 'new' upcases.
+        # Old specs over the new tree would answer root's 'identity'.
+        assert seen <= {None, "string-upcase"}

@@ -364,6 +364,19 @@ class TestDumpRestore:
         assert db.get("t", "old") is UNINITIALIZED
         assert db.get("t", "new") == 2
 
+    def test_replace_drops_other_tables_after_parsing(self, tmp_path):
+        db = Database(tmp_path / "a")
+        db.put("t", "k", 1)
+        db.put("u", "k", 2)
+        db.checkpoint()
+        with pytest.raises(CorruptTableError):
+            db.restore_text("(table t)\n(k\n")
+        assert Database(tmp_path / "a").get("u", "k") == 2
+        db.restore_text("(table t)\n(k 3)\n")
+        db.checkpoint()
+        assert db.table_names() == ["t"]
+        assert Database(tmp_path / "a").get("t", "k") == 3
+
     def test_restored_data_survives_checkpoint(self, tmp_path):
         db = Database(tmp_path / "a")
         db.restore_text("(table t)\n(k 1)\n")

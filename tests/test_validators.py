@@ -231,6 +231,13 @@ class TestRegistry:
         reg.register("numeric", 0, 0, lambda c, a, t: None, replace=True)
         reg.validate(Base("numeric"), CTX, "not digits at all")
 
+    def test_hot_patch_arity_is_checked_at_validate(self, reg):
+        expr = Base("length", (1, 5))
+        reg.check_expr(expr)
+        reg.register("length", 1, 1, lambda c, a, t: None, replace=True)
+        with pytest.raises(InvalidSpecError):
+            reg.validate(expr, CTX, "abc")
+
     def test_invalid_arity_range(self, reg):
         with pytest.raises(ValueError):
             reg.register("broken", 2, 1, lambda c, a, t: None)
