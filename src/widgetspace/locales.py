@@ -23,8 +23,11 @@ T = TypeVar("T")
 class LocaleTree:
     """Parent-pointer tree. Symbols are case-insensitive, stored lowercase.
 
-    Mutations build a fresh parent map and publish it atomically, so
-    concurrent readers always see a complete tree.
+    ``add`` checks everything before it changes anything, so a rejected
+    add leaves the tree as it was. It then sets one key of the parent map
+    in place. Readers take no lock, so a tree that readers share must not
+    be mutated: the registry adds locales to a private staged copy and
+    publishes the copy whole.
     """
 
     def __init__(self):
@@ -43,7 +46,7 @@ class LocaleTree:
         if not child:
             raise InvalidSpecError("locale symbol must be non-empty")
         with self._lock:
-            parents = dict(self._parents)
+            parents = self._parents
             if child in parents and not replace:
                 raise DuplicateLocaleError(f"locale '{child}' is already defined")
             if parent is None:
@@ -66,7 +69,6 @@ class LocaleTree:
                                 f"re-parenting '{child}' under '{parent}' creates a cycle")
                         cur = parents[cur]
             parents[child] = parent
-            self._parents = parents
 
     def __contains__(self, locale: str) -> bool:
         return normalize_symbol(locale) in self._parents

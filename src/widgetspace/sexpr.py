@@ -2,19 +2,41 @@
 
 The datum dump grammar, the table file format, and the schema language
 all share one token alphabet: parens, brackets, double-quoted strings
-with ``\\"`` and ``\\\\`` escapes, integers, and bare atoms. Tokens carry
-both a byte offset (datum diagnostics) and a line/column pair (schema
-diagnostics). ``;`` starts a comment running to end of line.
+with ``\\"`` and ``\\\\`` escapes, integers, and bare atoms. ``;`` starts
+a comment running to end of line.
+
+``tokenize`` is one scan of one compiled pattern, a single match per
+token. Each match skips the whitespace and comments before its token
+and names the token's kind by its group. Tokens carry both a byte offset
+(datum diagnostics) and a line/column pair (schema diagnostics). Tokens
+never span a newline, so the line and column come from counting
+newlines in the skipped text. The byte offset is the character index
+when the text is ASCII; otherwise it advances by the UTF-8 length of the
+text since the previous token. A character that starts no token (a
+malformed string or a lone ``\\``) is diagnosed where it stands.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
-_ATOM_END = set(' \t\r\n()[]";')
 _SYMBOL_RE = re.compile(r"[a-z0-9][a-z0-9_-]*\Z")
+
+_ATOM_CHAR = r'[^ \t\r\n()\[\]";]'
+_STRING_BODY = r'[^"\\\x00-\x1f\x7f]*(?:\\["\\][^"\\\x00-\x1f\x7f]*)*'
+_STRING_BODY_RE = re.compile(_STRING_BODY)
+_UNESCAPE_RE = re.compile(r'\\(["\\])')
+# Every position matches one alternative after the skipped text, so the
+# scan never backtracks into it and consecutive matches tile the text.
+_TOKEN_RE = re.compile(rf"""
+    [ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*
+    (?:(?P<punct>[()\[\]])
+      |(?P<string>"{_STRING_BODY}")
+      |(?P<int>-?[0-9]+)(?!{_ATOM_CHAR})
+      |(?P<atom>[^ \t\r\n()\[\]";\\]{_ATOM_CHAR}*|\\{_ATOM_CHAR}+)
+      |(?P<fault>[\s\S])
+      |(?P<end>\Z))""", re.VERBOSE)
 
 
 class SexprError(Exception):
@@ -27,23 +49,34 @@ class SexprError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # one of ( ) [ ] string int atom
-    value: object
-    offset: int  # byte offset into the UTF-8 encoding of the source
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "offset", "line", "col")
+
+    def __init__(self, kind: str, value: object, offset: int, line: int, col: int):
+        self.kind = kind  # one of ( ) [ ] string int atom
+        self.value = value
+        self.offset = offset  # byte offset into the UTF-8 encoding of the source
+        self.line = line
+        self.col = col
+
+    def __repr__(self):
+        return (f"Token({self.kind!r}, {self.value!r}, {self.offset}, "
+                f"{self.line}, {self.col})")
 
 
-@dataclass(frozen=True)
 class ListNode:
     """A parenthesized form, for grammars read as whole trees."""
 
-    items: tuple
-    offset: int
-    line: int
-    col: int
+    __slots__ = ("items", "offset", "line", "col")
+
+    def __init__(self, items: tuple, offset: int, line: int, col: int):
+        self.items = items
+        self.offset = offset
+        self.line = line
+        self.col = col
+
+    def __repr__(self):
+        return f"ListNode({self.items!r}, {self.offset}, {self.line}, {self.col})"
 
 
 def normalize_symbol(text: str) -> str:
@@ -61,122 +94,98 @@ def is_valid_symbol(text: str) -> bool:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    offset = 0
+    is_ascii = text.isascii()
     line = 1
-    col = 1
-
-    def step(ch: str):
-        nonlocal offset, line, col
-        offset += len(ch.encode("utf-8"))
-        if ch == "\n":
-            line += 1
-            col = 1
+    line_start = 0  # index of the first character of the current line
+    offset = 0
+    counted = 0  # index up to which ``offset`` counts bytes
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        skipped = m.start()
+        if start != skipped:
+            newlines = text.count("\n", skipped, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", skipped, start) + 1
+        if is_ascii:
+            offset = start
         else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            step(ch)
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                step(text[i])
-                i += 1
-            continue
-        start = (offset, line, col)
-        if ch in "()[]":
-            tokens.append(Token(ch, ch, *start))
-            step(ch)
-            i += 1
-            continue
-        if ch == '"':
-            step(ch)
-            i += 1
-            parts: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    step(c)
-                    i += 1
-                    closed = True
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in '"\\':
-                        raise SexprError("invalid escape in string", offset, line, col)
-                    parts.append(text[i + 1])
-                    step(c)
-                    step(text[i + 1])
-                    i += 2
-                    continue
-                if c < " " or c == "\x7f":
-                    raise SexprError("control character in string", offset, line, col)
-                parts.append(c)
-                step(c)
-                i += 1
-            if not closed:
-                raise SexprError("unterminated string", *start)
-            tokens.append(Token("string", "".join(parts), *start))
-            continue
-        # bare atom or integer
-        j = i
-        while j < n and text[j] not in _ATOM_END:
-            j += 1
-        word = text[i:j]
-        if word in ("", "\\"):
-            raise SexprError(f"unexpected character {ch!r}", *start)
-        for c in word:
-            step(c)
-        i = j
-        if _INT_RE.match(word):
-            tokens.append(Token("int", int(word), *start))
+            offset += len(text[counted:start].encode("utf-8"))
+            counted = start
+        col = start - line_start + 1
+        if kind == "punct":
+            kind = value = m.group(kind)
+        elif kind == "atom":
+            value = m.group(kind)
+        elif kind == "string":
+            value = m.group(kind)[1:-1]
+            if "\\" in value:
+                value = _UNESCAPE_RE.sub(r"\1", value)
+        elif kind == "int":
+            value = int(m.group(kind))
+        elif kind == "end":
+            break
         else:
-            tokens.append(Token("atom", word, *start))
+            raise _fault(text, start, offset, line, col)
+        tokens.append(Token(kind, value, offset, line, col))
     return tokens
 
 
+def _fault(text: str, i: int, offset: int, line: int, col: int) -> SexprError:
+    """The error for ``text[i]``, which starts no token, at its position."""
+    ch = text[i]
+    if ch != '"':
+        return SexprError(f"unexpected character {ch!r}", offset, line, col)
+    j = _STRING_BODY_RE.match(text, i + 1).end()
+    if j == len(text):
+        return SexprError("unterminated string", offset, line, col)
+    # strings hold no newline, so text[j] is on the string's line
+    message = "invalid escape in string" if text[j] == "\\" else "control character in string"
+    return SexprError(message, offset + len(text[i:j].encode("utf-8")), line, col + j - i)
+
+
+def _end_position(text: str) -> tuple[int, int, int]:
+    """(offset, line, col) just past the end of ``text``."""
+    return (len(text.encode("utf-8")), text.count("\n") + 1,
+            len(text) - text.rfind("\n"))
+
+
 class TokenStream:
-    def __init__(self, tokens: list[Token], *, end_offset: int = 0,
-                 end_line: int = 1, end_col: int = 1):
+    def __init__(self, tokens: list[Token], text: str):
+        """``tokens`` read from ``text``, which places the end of input."""
         self._tokens = tokens
         self._pos = 0
-        self._end = (end_offset, end_line, end_col)
+        self._text = text
 
     @classmethod
     def from_text(cls, text: str) -> "TokenStream":
-        tokens = tokenize(text)
-        raw = text.encode("utf-8")
-        end_line = text.count("\n") + 1
-        last_nl = text.rfind("\n")
-        end_col = len(text) - last_nl if last_nl >= 0 else len(text) + 1
-        return cls(tokens, end_offset=len(raw), end_line=end_line, end_col=end_col)
+        return cls(tokenize(text), text)
 
     def at_end(self) -> bool:
         return self._pos >= len(self._tokens)
 
     def peek(self) -> Token | None:
-        if self.at_end():
-            return None
-        return self._tokens[self._pos]
+        pos = self._pos
+        return self._tokens[pos] if pos < len(self._tokens) else None
 
     def next(self, expected: str = "a token") -> Token:
-        if self.at_end():
-            raise SexprError(f"unexpected end of input, expected {expected}", *self._end)
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
+        pos = self._pos
+        if pos >= len(self._tokens):
+            raise SexprError(f"unexpected end of input, expected {expected}",
+                             *_end_position(self._text))
+        self._pos = pos + 1
+        return self._tokens[pos]
 
     def expect(self, kind: str, expected: str | None = None) -> Token:
+        pos = self._pos
+        if pos < len(self._tokens) and self._tokens[pos].kind == kind:
+            self._pos = pos + 1
+            return self._tokens[pos]
         what = expected or f"'{kind}'"
         tok = self.next(what)
-        if tok.kind != kind:
-            raise SexprError(f"expected {what}, found {describe(tok)}",
-                             tok.offset, tok.line, tok.col)
-        return tok
+        raise SexprError(f"expected {what}, found {describe(tok)}",
+                         tok.offset, tok.line, tok.col)
 
 
 def describe(tok: Token) -> str:

@@ -21,7 +21,8 @@ from urllib.parse import quote, unquote
 from .datum import UNINITIALIZED, Datum, dumps, is_uninitialized, read_datum, require_valid
 from .errors import (CorruptTableError, IndexOutOfRangeError, StoreError,
                      WrongVariantError)
-from .sexpr import SexprError, TokenStream, is_valid_symbol, normalize_symbol
+from . import sexpr
+from .sexpr import SexprError, Token, TokenStream, is_valid_symbol, normalize_symbol
 
 _SUFFIX = ".tbl"
 
@@ -234,42 +235,37 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
     """Parse one or more concatenated table sections. Line-oriented."""
     tables: dict[str, dict[str, Datum]] = {}
     current: dict[str, Datum] | None = None
-    offset = 0
+    start = 0  # character index of the line's start
     for line in text.split("\n"):
         if line.strip():
             try:
-                name = _parse_header(line)
+                # sexpr.tokenize is looked up at each call so that it can be wrapped
+                tokens = sexpr.tokenize(line)
+                name = _header_name(tokens)
                 if name is not None:
                     if name in tables:
-                        raise CorruptTableError(f"table '{name}' declared twice",
-                                                filename=filename, offset=offset)
-                    current = tables.setdefault(name, {})
+                        raise SexprError(f"table '{name}' declared twice", 0, 1, 1)
+                    current = tables[name] = {}
                 else:
                     if current is None:
-                        raise CorruptTableError("missing (table ...) header",
-                                                filename=filename, offset=offset)
-                    key, value = _parse_pair(line)
+                        raise SexprError("missing (table ...) header", 0, 1, 1)
+                    key, value = _parse_pair(TokenStream(tokens, line))
                     if key in current:
-                        raise CorruptTableError(f"duplicate key '{key}'",
-                                                filename=filename, offset=offset)
+                        raise SexprError(f"duplicate key '{key}'", 0, 1, 1)
                     current[key] = value
             except SexprError as e:
-                raise CorruptTableError(str(e), filename=filename,
-                                        offset=offset + e.offset) from None
-        offset += len(line.encode("utf-8")) + 1
+                offset = len(text[:start].encode("utf-8")) + e.offset
+                raise CorruptTableError(str(e), filename=filename, offset=offset) from None
+        start += len(line) + 1
     return tables
 
 
-def _parse_header(line: str) -> str | None:
-    """The table name iff the line has exactly the shape '(table <symbol>)'.
+def _header_name(toks: list[Token]) -> str | None:
+    """The table name iff the line's tokens have exactly the shape '(table <symbol>)'.
 
     Anything else, including entry pairs whose key happens to be
     'table', falls through to the pair parser.
     """
-    ts = TokenStream.from_text(line)
-    toks = []
-    while not ts.at_end():
-        toks.append(ts.next())
     if (len(toks) == 4 and toks[0].kind == "(" and toks[3].kind == ")"
             and toks[1].kind == "atom" and toks[1].value == "table"
             and toks[2].kind == "atom"):
@@ -279,8 +275,7 @@ def _parse_header(line: str) -> str | None:
     return None
 
 
-def _parse_pair(line: str) -> tuple[str, Datum]:
-    ts = TokenStream.from_text(line)
+def _parse_pair(ts: TokenStream) -> tuple[str, Datum]:
     ts.expect("(")
     key_tok = ts.expect("atom", "a key symbol")
     key = normalize_symbol(str(key_tok.value))

@@ -108,6 +108,23 @@ class TestReparent:
             t.add("common", "colorado", replace=True)
 
 
+@pytest.mark.parametrize("args, kwargs, error", [
+    (("colorado", "common"), {}, DuplicateLocaleError),
+    (("utopia", "atlantis"), {}, UnknownParentError),
+    (("united-states", "park-county-co"), {"replace": True}, LocaleCycleError),
+    (("colorado", "colorado"), {"replace": True}, LocaleCycleError),
+    (("other-root",), {}, InvalidSpecError),
+    (("common", "colorado"), {"replace": True}, InvalidSpecError),
+])
+def test_rejected_add_leaves_tree_unchanged(args, kwargs, error):
+    t = sample_tree()
+    before = {loc: t.parent(loc) for loc in t.locales()}
+    with pytest.raises(error):
+        t.add(*args, **kwargs)
+    assert len(t) == len(before)
+    assert {loc: t.parent(loc) for loc in t.locales()} == before
+
+
 class TestAncestry:
     def test_chain_golden(self):
         t = sample_tree()

@@ -1,0 +1,320 @@
+"""The s-expression scanner against the per-character reader it replaced.
+
+The reference tokenizer and table parser below are the earlier
+implementations, kept verbatim apart from their names. The scanner must
+give the same tokens and positions, and the same errors at the same
+positions, on any input.
+"""
+
+import re
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from widgetspace import CorruptTableError, Database, SchemaSyntaxError, WidgetRegistry
+from widgetspace import sexpr, store
+from widgetspace.datum import Datum, read_datum
+from widgetspace.sexpr import SexprError, describe, is_valid_symbol, normalize_symbol
+
+# -- the reference ---------------------------------------------------------------
+
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+_ATOM_END = set(' \t\r\n()[]";')
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # one of ( ) [ ] string int atom
+    value: object
+    offset: int  # byte offset into the UTF-8 encoding of the source
+    line: int
+    col: int
+
+
+def ref_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    offset = 0
+    line = 1
+    col = 1
+
+    def step(ch: str):
+        nonlocal offset, line, col
+        offset += len(ch.encode("utf-8"))
+        if ch == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            step(ch)
+            i += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                step(text[i])
+                i += 1
+            continue
+        start = (offset, line, col)
+        if ch in "()[]":
+            tokens.append(Token(ch, ch, *start))
+            step(ch)
+            i += 1
+            continue
+        if ch == '"':
+            step(ch)
+            i += 1
+            parts: list[str] = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    step(c)
+                    i += 1
+                    closed = True
+                    break
+                if c == "\\":
+                    if i + 1 >= n or text[i + 1] not in '"\\':
+                        raise SexprError("invalid escape in string", offset, line, col)
+                    parts.append(text[i + 1])
+                    step(c)
+                    step(text[i + 1])
+                    i += 2
+                    continue
+                if c < " " or c == "\x7f":
+                    raise SexprError("control character in string", offset, line, col)
+                parts.append(c)
+                step(c)
+                i += 1
+            if not closed:
+                raise SexprError("unterminated string", *start)
+            tokens.append(Token("string", "".join(parts), *start))
+            continue
+        # bare atom or integer
+        j = i
+        while j < n and text[j] not in _ATOM_END:
+            j += 1
+        word = text[i:j]
+        if word in ("", "\\"):
+            raise SexprError(f"unexpected character {ch!r}", *start)
+        for c in word:
+            step(c)
+        i = j
+        if _INT_RE.match(word):
+            tokens.append(Token("int", int(word), *start))
+        else:
+            tokens.append(Token("atom", word, *start))
+    return tokens
+
+
+class RefTokenStream:
+    def __init__(self, tokens: list[Token], *, end_offset: int = 0,
+                 end_line: int = 1, end_col: int = 1):
+        self._tokens = tokens
+        self._pos = 0
+        self._end = (end_offset, end_line, end_col)
+
+    @classmethod
+    def from_text(cls, text: str) -> "RefTokenStream":
+        tokens = ref_tokenize(text)
+        raw = text.encode("utf-8")
+        end_line = text.count("\n") + 1
+        last_nl = text.rfind("\n")
+        end_col = len(text) - last_nl if last_nl >= 0 else len(text) + 1
+        return cls(tokens, end_offset=len(raw), end_line=end_line, end_col=end_col)
+
+    def at_end(self) -> bool:
+        return self._pos >= len(self._tokens)
+
+    def peek(self) -> Token | None:
+        if self.at_end():
+            return None
+        return self._tokens[self._pos]
+
+    def next(self, expected: str = "a token") -> Token:
+        if self.at_end():
+            raise SexprError(f"unexpected end of input, expected {expected}", *self._end)
+        tok = self._tokens[self._pos]
+        self._pos += 1
+        return tok
+
+    def expect(self, kind: str, expected: str | None = None) -> Token:
+        what = expected or f"'{kind}'"
+        tok = self.next(what)
+        if tok.kind != kind:
+            raise SexprError(f"expected {what}, found {describe(tok)}",
+                             tok.offset, tok.line, tok.col)
+        return tok
+
+
+
+def ref_parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
+    """Parse one or more concatenated table sections. Line-oriented."""
+    tables: dict[str, dict[str, Datum]] = {}
+    current: dict[str, Datum] | None = None
+    offset = 0
+    for line in text.split("\n"):
+        if line.strip():
+            try:
+                name = _ref_parse_header(line)
+                if name is not None:
+                    if name in tables:
+                        raise CorruptTableError(f"table '{name}' declared twice",
+                                                filename=filename, offset=offset)
+                    current = tables.setdefault(name, {})
+                else:
+                    if current is None:
+                        raise CorruptTableError("missing (table ...) header",
+                                                filename=filename, offset=offset)
+                    key, value = _ref_parse_pair(line)
+                    if key in current:
+                        raise CorruptTableError(f"duplicate key '{key}'",
+                                                filename=filename, offset=offset)
+                    current[key] = value
+            except SexprError as e:
+                raise CorruptTableError(str(e), filename=filename,
+                                        offset=offset + e.offset) from None
+        offset += len(line.encode("utf-8")) + 1
+    return tables
+
+
+def _ref_parse_header(line: str) -> str | None:
+    """The table name iff the line has exactly the shape '(table <symbol>)'.
+
+    Anything else, including entry pairs whose key happens to be
+    'table', falls through to the pair parser.
+    """
+    ts = RefTokenStream.from_text(line)
+    toks = []
+    while not ts.at_end():
+        toks.append(ts.next())
+    if (len(toks) == 4 and toks[0].kind == "(" and toks[3].kind == ")"
+            and toks[1].kind == "atom" and toks[1].value == "table"
+            and toks[2].kind == "atom"):
+        name = normalize_symbol(str(toks[2].value))
+        if is_valid_symbol(name):
+            return name
+    return None
+
+
+def _ref_parse_pair(line: str) -> tuple[str, Datum]:
+    ts = RefTokenStream.from_text(line)
+    ts.expect("(")
+    key_tok = ts.expect("atom", "a key symbol")
+    key = normalize_symbol(str(key_tok.value))
+    if not is_valid_symbol(key):
+        raise SexprError(f"invalid key '{key}'", key_tok.offset, key_tok.line, key_tok.col)
+    value = read_datum(ts)
+    ts.expect(")")
+    if not ts.at_end():
+        tok = ts.peek()
+        raise SexprError("trailing content after entry", tok.offset, tok.line, tok.col)
+    return key, value
+
+
+# -- the scanner against the reference ------------------------------------------
+
+FRAGMENTS = ["(", ")", "[", "]", '"', "\\", ";", " ", "\t", "\n", "\r\n", "\r",
+             "a", "k", "-", "0", "7", "42", "-3", "é", "€", "\U0001d11e",
+             "\x00", "\x01", "\x0b", "\x7f", "#uninit", "date", "name", "table",
+             ":x", "\\\\", '\\"', "; note é €", '"é"', '"a\\"b\\\\"', '"x"']
+
+sexpr_text = st.one_of(
+    st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join),
+    st.text(alphabet=st.sampled_from("()[]\";\\ \t\r\n-07aé€\x01\x7f"), max_size=40))
+
+
+def _tokens(tokenize, text):
+    try:
+        return [(t.kind, type(t.value), t.value, t.offset, t.line, t.col)
+                for t in tokenize(text)]
+    except SexprError as e:
+        return ("error", str(e), e.offset, e.line, e.col)
+
+
+@settings(max_examples=1000)
+@given(sexpr_text)
+def test_tokenize_matches_reference(text):
+    assert _tokens(sexpr.tokenize, text) == _tokens(ref_tokenize, text)
+
+
+TABLE_NAMES = ["t", "u", "T", "table", "a-b", "9", "x y", "é"]
+KEYS = ["k", "K", "j", ":k", "table", "a_1", "9", "k-é", "(", '"k"']
+DATA = ["1", "-2", "007", '"é€"', '"a\\"b"', '"\\\\"', "#uninit", "(date 2020 1 2)",
+        "(date 2020 13 2)", "(date 2020 1)", '(name "a" "é" "" "d")', '(name "a")',
+        '[1 [2] "x"]', "[1 2", "#other", "(bogus)", "", '"open', '"bad\\q"', "\\"]
+
+table_line = st.one_of(
+    st.builds("(table {})".format, st.sampled_from(TABLE_NAMES)),
+    st.builds("({} {}){}".format, st.sampled_from(KEYS), st.sampled_from(DATA),
+              st.sampled_from(["", "", " ", " ; é", " x", ")"])),
+    st.sampled_from(["", " ", "\t", "; comment é"]),
+    sexpr_text.map(lambda text: text.replace("\n", " ")),
+)
+table_text = st.lists(table_line, max_size=8).map("\n".join)
+
+
+def _tables(parse, text):
+    try:
+        return parse(text, "t.tbl")
+    except CorruptTableError as e:
+        return ("error", str(e), e.filename, e.offset)
+
+
+@settings(max_examples=600)
+@given(table_text)
+def test_parse_tables_matches_reference(text):
+    assert _tables(store._parse_tables, text) == _tables(ref_parse_tables, text)
+
+
+# -- pinned behaviour -------------------------------------------------------------
+
+def test_cold_load_tokenizes_each_nonblank_line_once(tmp_path, monkeypatch):
+    root = tmp_path / "db"
+    root.mkdir()
+    text = '(table t)\n(a 1)\n\n(b "é")\n   \n(c [1 2])\n'
+    (root / "t.tbl").write_text(text, encoding="utf-8")
+    seen = []
+    tokenize = sexpr.tokenize
+
+    def counting(line):
+        seen.append(line)
+        return tokenize(line)
+
+    monkeypatch.setattr(sexpr, "tokenize", counting)
+    assert Database(root).get("t", "b") == "é"
+    assert seen == ["(table t)", "(a 1)", '(b "é")', "(c [1 2])"]
+
+
+def test_corrupt_table_offset_counts_bytes(tmp_path):
+    root = tmp_path / "db"
+    root.mkdir()
+    # line 3 starts at byte 19 ('é' is two bytes); 'junk' sits 3 bytes into it
+    (root / "t.tbl").write_text('(table t)\n(a "é")\n(b junk)\n', encoding="utf-8")
+    with pytest.raises(CorruptTableError) as exc:
+        Database(root).get("t", "a")
+    assert exc.value.offset == 22
+    assert str(exc.value) == "t.tbl: unknown atom 'junk' (byte 22)"
+
+
+def test_corrupt_table_offset_after_non_ascii_on_the_line(tmp_path):
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "t.tbl").write_text('(table t)\n(k "é€" junk)\n', encoding="utf-8")
+    with pytest.raises(CorruptTableError) as exc:
+        Database(root).get("t", "k")
+    # byte 10 starts the pair line; 'junk' is 8 characters but 11 bytes in
+    assert exc.value.offset == 21
+    assert "expected ')', found 'junk'" in str(exc.value)
+
+
+def test_schema_error_column_counts_characters():
+    with pytest.raises(SchemaSyntaxError) as exc:
+        WidgetRegistry().load_schema('(locale root :parent none)\n("é€" ]', filename="s.scm")
+    assert (exc.value.line, exc.value.col) == (2, 7)
+    assert str(exc.value) == "s.scm:2:7: unbalanced ']'"
