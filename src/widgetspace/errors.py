@@ -45,11 +45,7 @@ class MalformedEncodingError(WidgetSpaceError):
 
 
 class SchemaError(WidgetSpaceError):
-    """Base class for schema, registry, and resolution defects."""
-
-
-class SchemaSyntaxError(SchemaError):
-    """Schema source text violating the grammar."""
+    """Base class for schema, registry, and resolution defects; positioned in schema text."""
 
     def __init__(self, message: str, *, filename: str | None = None,
                  line: int | None = None, col: int | None = None):
@@ -58,6 +54,10 @@ class SchemaSyntaxError(SchemaError):
         self.filename = filename
         self.line = line
         self.col = col
+
+
+class SchemaSyntaxError(SchemaError):
+    """Schema source text violating the grammar."""
 
 
 class UnknownValidatorError(SchemaError):

@@ -44,7 +44,7 @@ from .sexpr import (ListNode, SexprError, Token, is_valid_symbol, normalize_symb
                     read_forms)
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
-                         ValidatorRegistry, default_validator_registry)
+                         ValidatorRegistry, bases, default_validator_registry)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class WidgetRegistry:
     def define_widget(self, spec: WidgetSpec) -> None:
         """Install a spec, replacing any prior spec for the same (name, locale)."""
         with self._staged() as (tree, specs):
-            self._install(spec, tree, specs)
+            self._install(_normalized(spec), tree, specs)
 
     def spec_at(self, name: str, locale: str) -> Optional[WidgetSpec]:
         return self._snapshot[1].get((normalize_symbol(name), normalize_symbol(locale)))
@@ -180,30 +180,58 @@ class WidgetRegistry:
         chain = set(tree.ancestry(locale))
         return sorted({name for (name, loc) in specs if loc in chain})
 
-    def _install(self, spec: WidgetSpec, tree: LocaleTree, specs: dict) -> None:
-        """Check ``spec`` against ``tree`` and the registries, then add it to ``specs``."""
-        spec = _normalized(spec)
-        if not is_valid_symbol(spec.name):
-            raise InvalidSpecError(f"invalid widget name '{spec.name}'")
-        if spec.locale not in tree:
-            raise UnknownLocaleError(f"unknown locale '{spec.locale}'")
-        if not isinstance(spec.max_index, int) or spec.max_index < 1:
-            raise InvalidSpecError(f"max_index must be >= 1, got {spec.max_index!r}")
-        if spec.table is not None and not is_valid_symbol(spec.table):
-            raise InvalidSpecError(f"invalid table name '{spec.table}'")
-        if spec.getter is not None and spec.getter not in self.registries.getters:
-            raise UnresolvedReferenceError(f"unknown getter '{spec.getter}'")
-        if spec.setter is not None and spec.setter not in self.registries.setters:
-            raise UnresolvedReferenceError(f"unknown setter '{spec.setter}'")
-        if spec.generator is not None and spec.generator not in self.registries.generators:
-            raise UnresolvedReferenceError(f"unknown generator '{spec.generator}'")
+    def _install(self, spec: WidgetSpec, tree: LocaleTree, specs: dict,
+                 source: Optional[tuple[str, dict]] = None) -> None:
+        """Check a normalized ``spec`` against ``tree`` and the registries, then add it.
+
+        The one check of a spec's meaning and types, whatever its source. For
+        a spec read from schema text, ``source`` is ``(filename, nodes)`` with
+        the node that spelled each part, and errors are positioned there.
+        """
+        regs = self.registries
+        if not (isinstance(spec.name, str) and is_valid_symbol(spec.name)):
+            raise _placed(InvalidSpecError(f"invalid widget name '{spec.name}'"),
+                          source, "name")
+        if not (isinstance(spec.locale, str) and spec.locale in tree):
+            raise _placed(UnknownLocaleError(f"unknown locale '{spec.locale}'"),
+                          source, "locale")
+        if isinstance(spec.max_index, bool) or not isinstance(spec.max_index, int):
+            raise InvalidSpecError(f"max_index must be an integer, got {spec.max_index!r}")
+        if spec.max_index < 1:
+            raise _placed(InvalidSpecError(f"max_index must be >= 1, got {spec.max_index!r}"),
+                          source, "max_index")
+        if spec.table is not None and not (isinstance(spec.table, str)
+                                           and is_valid_symbol(spec.table)):
+            raise _placed(InvalidSpecError(f"invalid table name '{spec.table}'"),
+                          source, "table")
+        for part, registry in (("getter", regs.getters), ("setter", regs.setters),
+                               ("generator", regs.generators)):
+            ref = getattr(spec, part)
+            if ref is not None and not (isinstance(ref, str) and ref in registry):
+                raise _placed(UnresolvedReferenceError(f"unknown {part} '{ref}'"),
+                              source, part)
+        if spec.datatype is not None:
+            _check_str(spec.datatype, "datatype")
+        if spec.doc is not None:
+            _check_str(spec.doc, "doc")
         for medium, binding in spec.inputs.items():
-            if binding.parser not in self.registries.parsers:
-                raise UnresolvedReferenceError(f"unknown parser '{binding.parser}'")
-            self.registries.validators.check_expr(binding.validator)
+            _check_str(medium, "medium")
+            if not (isinstance(binding.parser, str) and binding.parser in regs.parsers):
+                raise _placed(UnresolvedReferenceError(f"unknown parser '{binding.parser}'"),
+                              source, ("input", medium))
+            for base in bases(binding.validator):
+                try:
+                    regs.validators.check_base(base)
+                except SchemaError as e:
+                    raise _placed(e, source, id(base)) from None
         for medium, formatter in spec.outputs.items():
-            if formatter not in self.registries.formatters:
-                raise UnresolvedReferenceError(f"unknown formatter '{formatter}'")
+            _check_str(medium, "medium")
+            if not (isinstance(formatter, str) and formatter in regs.formatters):
+                raise _placed(UnresolvedReferenceError(f"unknown formatter '{formatter}'"),
+                              source, ("output", medium))
+        for medium, text in spec.headings.items():
+            _check_str(medium, "medium")
+            _check_str(text, "heading text")
         specs[(spec.name, spec.locale)] = spec
 
     # -- resolution --------------------------------------------------------
@@ -320,8 +348,8 @@ class WidgetRegistry:
                         _apply_locale_form(form, tree, filename, replace)
                         n_locales += 1
                     elif head == "widget":
-                        spec = _parse_widget_form(form, filename, tree, self.registries)
-                        specs[(spec.name, spec.locale)] = spec
+                        spec, nodes = _parse_widget_form(form, filename)
+                        self._install(spec, tree, specs, (filename, nodes))
                         n_widgets += 1
                     else:
                         raise _positioned(SchemaSyntaxError,
@@ -347,16 +375,12 @@ class WidgetRegistry:
 
     def import_state(self, state: dict) -> None:
         """Add an exported state, re-checking references; all-or-nothing, like a load."""
-        try:
-            pairs = list(state["locales"])
-            widgets = list(state["widgets"])
-        except (KeyError, TypeError) as e:
-            raise SchemaError(f"malformed registry state: {e}") from None
         with self._staged() as (tree, specs):
             try:
-                for child, parent in pairs:
+                widgets = list(state["widgets"])
+                for child, parent in state["locales"]:
                     tree.add(child, parent)
-            except (ValueError, TypeError, AttributeError) as e:
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise SchemaError(f"malformed registry state: {e}") from None
             for obj in widgets:
                 self._install(_spec_from_obj(obj), tree, specs)
@@ -423,40 +447,50 @@ def _table_accessors(table: Optional[str], max_index: int):
 
 
 def _normalized(spec: WidgetSpec) -> WidgetSpec:
+    """``spec`` with its symbols in canonical spelling; unchanged if one is not a string."""
     def sym(v):
         return normalize_symbol(v) if v is not None else None
 
-    return WidgetSpec(
-        name=normalize_symbol(spec.name),
-        locale=normalize_symbol(spec.locale),
-        max_index=spec.max_index,
-        table=sym(spec.table),
-        getter=sym(spec.getter),
-        setter=sym(spec.setter),
-        inputs={normalize_symbol(m): InputBinding(normalize_symbol(b.parser), b.validator)
-                for m, b in spec.inputs.items()},
-        outputs={normalize_symbol(m): normalize_symbol(f)
-                 for m, f in spec.outputs.items()},
-        headings={normalize_symbol(m): t for m, t in spec.headings.items()},
-        doc=spec.doc,
-        datatype=sym(spec.datatype),
-        generator=sym(spec.generator),
-    )
+    try:
+        return WidgetSpec(
+            name=normalize_symbol(spec.name),
+            locale=normalize_symbol(spec.locale),
+            max_index=spec.max_index,
+            table=sym(spec.table),
+            getter=sym(spec.getter),
+            setter=sym(spec.setter),
+            inputs={normalize_symbol(m): InputBinding(normalize_symbol(b.parser), b.validator)
+                    for m, b in spec.inputs.items()},
+            outputs={normalize_symbol(m): normalize_symbol(f)
+                     for m, f in spec.outputs.items()},
+            headings={normalize_symbol(m): t for m, t in spec.headings.items()},
+            doc=spec.doc,
+            datatype=sym(spec.datatype),
+            generator=sym(spec.generator),
+        )
+    except AttributeError:  # a symbol is not a string, which _install rejects
+        return spec
+
+
+def _check_str(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise InvalidSpecError(f"{what} must be a string, got {value!r}")
+
+
+def _placed(err: SchemaError, source: Optional[tuple[str, dict]], part) -> SchemaError:
+    """``err``, positioned at the node that spelled ``part`` if the spec came from text."""
+    if source is None:
+        return err
+    filename, nodes = source
+    return _positioned(type(err), str(err), filename, nodes[part])
 
 
 # -- schema form parsing ------------------------------------------------------
+# Syntax only: what a parsed spec means is checked by WidgetRegistry._install.
 
 
 def _positioned(cls, message: str, filename: str, node) -> SchemaError:
-    line = getattr(node, "line", None)
-    col = getattr(node, "col", None)
-    if cls is SchemaSyntaxError:
-        return SchemaSyntaxError(message, filename=filename, line=line, col=col)
-    err = cls(f"{filename}:{line}:{col}: {message}")
-    err.filename = filename
-    err.line = line
-    err.col = col
-    return err
+    return cls(message, filename=filename, line=node.line, col=node.col)
 
 
 def _head_symbol(form: ListNode, filename: str) -> str:
@@ -477,17 +511,11 @@ def _require_symbol(node, what: str, filename: str) -> str:
     return normalize_symbol(str(node.value))
 
 
-def _require_string(node, what: str, filename: str) -> str:
-    if not (isinstance(node, Token) and node.kind == "string"):
-        raise _positioned(SchemaSyntaxError, f"expected {what} (a string)",
-                          filename, node)
-    return node.value
-
-
-def _require_int(node, what: str, filename: str) -> int:
-    if not (isinstance(node, Token) and node.kind == "int"):
-        raise _positioned(SchemaSyntaxError, f"expected {what} (an integer)",
-                          filename, node)
+def _require_literal(node, kind: str, what: str, filename: str):
+    """The value of a ``kind`` token, "string" or "int"."""
+    if not (isinstance(node, Token) and node.kind == kind):
+        noun = "a string" if kind == "string" else "an integer"
+        raise _positioned(SchemaSyntaxError, f"expected {what} ({noun})", filename, node)
     return node.value
 
 
@@ -516,26 +544,28 @@ def _apply_locale_form(form: ListNode, tree: LocaleTree, filename: str,
         raise _positioned(type(e), str(e), filename, form) from None
 
 
-_WIDGET_KEYWORDS = frozenset((
-    "index", "table", "getter", "setter", "doc", "type", "generator",
-    "heading", "input", "output"))
+# clause keyword -> the WidgetSpec field it sets
+_CLAUSE_PARTS = {
+    "index": "max_index", "table": "table", "getter": "getter", "setter": "setter",
+    "doc": "doc", "type": "datatype", "generator": "generator",
+    "heading": "headings", "input": "inputs", "output": "outputs"}
 
 
-def _parse_widget_form(form: ListNode, filename: str, tree: LocaleTree,
-                       registries: Registries) -> WidgetSpec:
+def _parse_widget_form(form: ListNode, filename: str) -> tuple[WidgetSpec, dict]:
+    """The spec a widget form spells, and the node that spelled each part of it.
+
+    The parts are keyed as ``_install`` names them: a field name, or
+    ``("input", medium)`` and ``("output", medium)`` for the parser and
+    formatter names, or the ``id()`` of a base validator.
+    """
     if len(form.items) < 3:
         raise _positioned(SchemaSyntaxError,
                           "widget form is (widget <name> <locale> clauses...)",
                           filename, form)
-    name = _require_symbol(form.items[1], "a widget name", filename)
-    locale = _require_symbol(form.items[2], "a locale name", filename)
-    if locale not in tree:
-        raise _positioned(UnknownLocaleError, f"unknown locale '{locale}'",
-                          filename, form.items[2])
-
-    fields: dict = {"name": name, "locale": locale}
-    seen: set[str] = set()
     items = form.items
+    fields: dict = {"name": _require_symbol(items[1], "a widget name", filename),
+                    "locale": _require_symbol(items[2], "a locale name", filename)}
+    nodes: dict = {"name": items[1], "locale": items[2]}
     i = 3
     while i < len(items):
         node = items[i]
@@ -543,63 +573,41 @@ def _parse_widget_form(form: ListNode, filename: str, tree: LocaleTree,
             raise _positioned(SchemaSyntaxError, "expected a clause keyword like ':table'",
                               filename, node)
         keyword = normalize_symbol(str(node.value))
-        if keyword not in _WIDGET_KEYWORDS:
+        part = _CLAUSE_PARTS.get(keyword)
+        if part is None:
             raise _positioned(SchemaSyntaxError, f"unknown clause ':{keyword}'",
                               filename, node)
-        if keyword in seen:
+        if part in nodes:  # each clause read records its value's node
             raise _positioned(SchemaSyntaxError, f"duplicate clause ':{keyword}'",
                               filename, node)
-        seen.add(keyword)
         if i + 1 >= len(items):
             raise _positioned(SchemaSyntaxError, f"clause ':{keyword}' needs a value",
                               filename, node)
-        value = items[i + 1]
+        value = nodes[part] = items[i + 1]
         i += 2
         if keyword == "index":
-            fields["max_index"] = _require_int(value, "an occurrence bound", filename)
-            if fields["max_index"] < 1:
-                raise _positioned(InvalidSpecError,
-                                  f"max_index must be >= 1, got {fields['max_index']}",
-                                  filename, value)
-        elif keyword == "table":
-            fields["table"] = _require_symbol(value, "a table name", filename)
-        elif keyword == "getter":
-            fields["getter"] = _check_ref(
-                _require_symbol(value, "a getter name", filename),
-                registries.getters, "getter", filename, value)
-        elif keyword == "setter":
-            fields["setter"] = _check_ref(
-                _require_symbol(value, "a setter name", filename),
-                registries.setters, "setter", filename, value)
+            fields[part] = _require_literal(value, "int", "an occurrence bound", filename)
         elif keyword == "doc":
-            fields["doc"] = _require_string(value, "documentation text", filename)
-        elif keyword == "type":
-            fields["datatype"] = _require_symbol(value, "a type name", filename)
-        elif keyword == "generator":
-            fields["generator"] = _check_ref(
-                _require_symbol(value, "a generator name", filename),
-                registries.generators, "generator", filename, value)
+            fields[part] = _require_literal(value, "string", "documentation text", filename)
         elif keyword == "heading":
-            fields["headings"] = _parse_headings(
-                _require_list(value, "heading pairs", filename), filename)
+            fields[part] = _parse_headings(value, filename)
         elif keyword == "input":
-            fields["inputs"] = _parse_inputs(
-                _require_list(value, "input entries", filename), filename, registries)
+            fields[part] = _parse_entries(
+                value, "input", "(<medium> <parser> <vexpr>)", filename, nodes,
+                lambda parser, vexpr: InputBinding(
+                    _require_symbol(parser, "a parser name", filename),
+                    _parse_vexpr(vexpr, filename, nodes)))
         elif keyword == "output":
-            fields["outputs"] = _parse_outputs(
-                _require_list(value, "output entries", filename), filename, registries)
-    return WidgetSpec(**fields)
+            fields[part] = _parse_entries(
+                value, "output", "(<medium> <formatter>)", filename, nodes,
+                lambda formatter: _require_symbol(formatter, "a formatter name", filename))
+        else:
+            fields[part] = _require_symbol(value, f"a {keyword} name", filename)
+    return WidgetSpec(**fields), nodes
 
 
-def _check_ref(name: str, registry: NamedRegistry, kind: str, filename: str,
-               node) -> str:
-    if name not in registry:
-        raise _positioned(UnresolvedReferenceError, f"unknown {kind} '{name}'",
-                          filename, node)
-    return name
-
-
-def _parse_headings(node: ListNode, filename: str) -> dict:
+def _parse_headings(node, filename: str) -> dict:
+    node = _require_list(node, "heading pairs", filename)
     if not node.items or len(node.items) % 2 != 0:
         raise _positioned(SchemaSyntaxError,
                           "heading clause wants (<medium> <text> ...) pairs",
@@ -607,7 +615,7 @@ def _parse_headings(node: ListNode, filename: str) -> dict:
     headings: dict = {}
     for j in range(0, len(node.items), 2):
         medium = _require_symbol(node.items[j], "a medium", filename)
-        text = _require_string(node.items[j + 1], "heading text", filename)
+        text = _require_literal(node.items[j + 1], "string", "heading text", filename)
         if medium in headings:
             raise _positioned(SchemaSyntaxError,
                               f"duplicate heading for medium '{medium}'",
@@ -616,64 +624,46 @@ def _parse_headings(node: ListNode, filename: str) -> dict:
     return headings
 
 
-def _parse_inputs(node: ListNode, filename: str, registries: Registries) -> dict:
-    inputs: dict = {}
+def _parse_entries(node, clause: str, shape: str, filename: str, nodes: dict,
+                   build: Callable) -> dict:
+    """The medium map of an ``:input`` or ``:output`` clause, ``((<medium> ...) ...)``.
+
+    Every entry has the slots that ``shape`` spells. ``build`` makes the
+    entry's value from the nodes after the medium; the first of them (the
+    parser or formatter name) is recorded as ``(clause, medium)``.
+    """
+    node = _require_list(node, f"{clause} entries", filename)
     if not node.items:
-        raise _positioned(SchemaSyntaxError, "input clause must not be empty",
+        raise _positioned(SchemaSyntaxError, f"{clause} clause must not be empty",
                           filename, node)
+    arity = shape.count("<")
+    what = f"an {clause} entry {shape}"
+    entries: dict = {}
     for entry in node.items:
-        entry = _require_list(entry, "an input entry (<medium> <parser> <vexpr>)",
-                              filename)
-        if len(entry.items) != 3:
-            raise _positioned(SchemaSyntaxError,
-                              "input entry is (<medium> <parser> <vexpr>)",
+        entry = _require_list(entry, what, filename)
+        if len(entry.items) != arity:
+            raise _positioned(SchemaSyntaxError, f"{clause} entry is {shape}",
                               filename, entry)
         medium = _require_symbol(entry.items[0], "a medium", filename)
-        parser = _check_ref(_require_symbol(entry.items[1], "a parser name", filename),
-                            registries.parsers, "parser", filename,
-                            entry.items[1])
-        vexpr = _parse_vexpr(entry.items[2], filename, registries.validators)
-        if medium in inputs:
+        value = build(*entry.items[1:])
+        if medium in entries:
             raise _positioned(SchemaSyntaxError,
-                              f"duplicate input entry for medium '{medium}'",
+                              f"duplicate {clause} entry for medium '{medium}'",
                               filename, entry)
-        inputs[medium] = InputBinding(parser, vexpr)
-    return inputs
+        entries[medium] = value
+        nodes[(clause, medium)] = entry.items[1]
+    return entries
 
 
-def _parse_outputs(node: ListNode, filename: str, registries: Registries) -> dict:
-    outputs: dict = {}
-    if not node.items:
-        raise _positioned(SchemaSyntaxError, "output clause must not be empty",
-                          filename, node)
-    for entry in node.items:
-        entry = _require_list(entry, "an output entry (<medium> <formatter>)",
-                              filename)
-        if len(entry.items) != 2:
-            raise _positioned(SchemaSyntaxError,
-                              "output entry is (<medium> <formatter>)",
-                              filename, entry)
-        medium = _require_symbol(entry.items[0], "a medium", filename)
-        formatter = _check_ref(
-            _require_symbol(entry.items[1], "a formatter name", filename),
-            registries.formatters, "formatter", filename, entry.items[1])
-        if medium in outputs:
-            raise _positioned(SchemaSyntaxError,
-                              f"duplicate output entry for medium '{medium}'",
-                              filename, entry)
-        outputs[medium] = formatter
-    return outputs
-
-
-def _parse_vexpr(node, filename: str, validators: ValidatorRegistry) -> ValidatorExpr:
-    """Parse and check one validator expression.
+def _parse_vexpr(node, filename: str, nodes: dict) -> ValidatorExpr:
+    """Parse one validator expression, recording the node of each base validator.
 
     Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
-    | (not vexpr msg). Unknown names and bad arities fail here, at load.
+    | (not vexpr msg). Names and arities are checked by ``_install``.
     """
     if _is_atom(node):
         expr = Base(normalize_symbol(str(node.value)))
-        _check_base(expr, validators, filename, node)
+        nodes[id(expr)] = node
         return expr
     node = _require_list(node, "a validator expression", filename)
     if not node.items:
@@ -685,23 +675,22 @@ def _parse_vexpr(node, filename: str, validators: ValidatorRegistry) -> Validato
         if not rest:
             raise _positioned(SchemaSyntaxError, "'and' needs at least one child",
                               filename, node)
-        return And(tuple(_parse_vexpr(child, filename, validators) for child in rest))
+        return And(tuple(_parse_vexpr(child, filename, nodes) for child in rest))
     if head == "or":
         if len(rest) < 2:
             raise _positioned(SchemaSyntaxError,
                               "'or' needs at least one child and a message",
                               filename, node)
-        message = _require_string(rest[-1], "the 'or' failure message", filename)
-        children = tuple(_parse_vexpr(child, filename, validators)
-                         for child in rest[:-1])
+        message = _require_literal(rest[-1], "string", "the 'or' failure message", filename)
+        children = tuple(_parse_vexpr(child, filename, nodes) for child in rest[:-1])
         return Or(children, message)
     if head == "not":
         if len(rest) != 2:
             raise _positioned(SchemaSyntaxError,
                               "'not' wants exactly a child and a message",
                               filename, node)
-        message = _require_string(rest[1], "the 'not' failure message", filename)
-        return Not(_parse_vexpr(rest[0], filename, validators), message)
+        message = _require_literal(rest[1], "string", "the 'not' failure message", filename)
+        return Not(_parse_vexpr(rest[0], filename, nodes), message)
     args = []
     for arg in rest:
         if isinstance(arg, Token) and arg.kind in ("int", "string"):
@@ -711,16 +700,8 @@ def _parse_vexpr(node, filename: str, validators: ValidatorRegistry) -> Validato
                               "validator arguments must be integers or strings",
                               filename, arg)
     expr = Base(head, tuple(args))
-    _check_base(expr, validators, filename, node)
+    nodes[id(expr)] = node
     return expr
-
-
-def _check_base(expr: Base, validators: ValidatorRegistry, filename: str,
-                node) -> None:
-    try:
-        validators.check_expr(expr)
-    except SchemaError as e:
-        raise _positioned(type(e), str(e), filename, node) from None
 
 
 # -- state serialization ------------------------------------------------------
@@ -739,18 +720,16 @@ def _vexpr_to_obj(expr: ValidatorExpr):
 
 
 def _vexpr_from_obj(obj) -> ValidatorExpr:
-    try:
-        tag = obj[0]
-        if tag == "base":
-            return Base(obj[1], tuple(obj[2]))
-        if tag == "and":
-            return And(tuple(_vexpr_from_obj(c) for c in obj[1]))
-        if tag == "or":
-            return Or(tuple(_vexpr_from_obj(c) for c in obj[1]), obj[2])
-        if tag == "not":
-            return Not(_vexpr_from_obj(obj[1]), obj[2])
-    except (IndexError, TypeError, ValueError) as e:
-        raise SchemaError(f"malformed validator expression: {e}") from None
+    """The validator an exported object describes; ``_spec_from_obj`` reports faults."""
+    tag = obj[0]
+    if tag == "base":
+        return Base(obj[1], tuple(obj[2]))
+    if tag == "and":
+        return And(tuple(_vexpr_from_obj(c) for c in obj[1]))
+    if tag == "or":
+        return Or(tuple(_vexpr_from_obj(c) for c in obj[1]), obj[2])
+    if tag == "not":
+        return Not(_vexpr_from_obj(obj[1]), obj[2])
     raise SchemaError(f"malformed validator expression: {obj!r}")
 
 
@@ -773,8 +752,9 @@ def _spec_to_obj(spec: WidgetSpec) -> dict:
 
 
 def _spec_from_obj(obj: dict) -> WidgetSpec:
+    """The normalized spec an exported object describes; ``_install`` checks it."""
     try:
-        return WidgetSpec(
+        spec = WidgetSpec(
             name=obj["name"],
             locale=obj["locale"],
             max_index=obj["max_index"],
@@ -789,5 +769,6 @@ def _spec_from_obj(obj: dict) -> WidgetSpec:
             datatype=obj.get("datatype"),
             generator=obj.get("generator"),
         )
-    except (KeyError, TypeError) as e:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed widget spec: {e}") from None
+    return _normalized(spec)

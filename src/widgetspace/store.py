@@ -237,7 +237,7 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
     current: dict[str, Datum] | None = None
     start = 0  # character index of the line's start
     for line in text.split("\n"):
-        if line.strip():
+        if line.strip(" \t\r\n"):  # the whitespace the tokenizer skips
             try:
                 # sexpr.tokenize is looked up at each call so that it can be wrapped
                 tokens = sexpr.tokenize(line)

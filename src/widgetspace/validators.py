@@ -72,6 +72,19 @@ class Not:
 ValidatorExpr = Union[Base, And, Or, Not]
 
 
+def bases(expr: ValidatorExpr):
+    """The base validators at the leaves of ``expr``, left to right."""
+    if isinstance(expr, Base):
+        yield expr
+    elif isinstance(expr, (And, Or)):
+        for child in expr.children:
+            yield from bases(child)
+    elif isinstance(expr, Not):
+        yield from bases(expr.child)
+    else:
+        raise TypeError(f"not a validator expression: {expr!r}")
+
+
 def expand_template(template: str, *args) -> str:
     """Minimal positional template substitution: ~A and ~D insert the next argument."""
     out: list[str] = []
@@ -137,17 +150,20 @@ class ValidatorRegistry:
                 f"validator '{expr.name}' takes {_arity_text(lo, hi)}, got {n}")
         return impl
 
+    def check_base(self, base: Base) -> None:
+        """Load-time check: a registered name, literal arguments, a count in range."""
+        if not isinstance(base.name, str):
+            raise InvalidSpecError(f"validator name must be a string, got {base.name!r}")
+        for arg in base.args:
+            if isinstance(arg, bool) or not isinstance(arg, (int, str)):
+                raise InvalidSpecError(
+                    f"validator arguments must be integers or strings, got {arg!r}")
+        self._impl(base)
+
     def check_expr(self, expr: ValidatorExpr) -> None:
-        """Load-time check: every base name registered, argument counts in range."""
-        if isinstance(expr, Base):
-            self._impl(expr)
-        elif isinstance(expr, (And, Or)):
-            for child in expr.children:
-                self.check_expr(child)
-        elif isinstance(expr, Not):
-            self.check_expr(expr.child)
-        else:
-            raise TypeError(f"not a validator expression: {expr!r}")
+        """``check_base`` for every base validator in ``expr``."""
+        for base in bases(expr):
+            self.check_base(base)
 
     def validate(self, expr: ValidatorExpr, ctx: ValidatorContext, text: str) -> None:
         """Evaluate ``expr`` against ``text``; raise ValidationError on failure.

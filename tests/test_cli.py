@@ -1,10 +1,16 @@
-"""End-to-end command-line behavior, one subprocess per invocation."""
+"""End-to-end command-line behavior, one subprocess per invocation unless noted."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from widgetspace import fixture_paths
+from widgetspace import SchemaError, WidgetRegistry, cli, fixture_paths
 
 from conftest import run_cli
 
@@ -133,6 +139,97 @@ class TestLocales:
         code, _, err = run_cli(["locales", "--workspace", str(bad)], cwd=tmp_path)
         assert code == 2
         assert "unsupported" in err
+
+
+def _fixture_workspace() -> dict:
+    registry = WidgetRegistry()
+    registry.load_schema_files(fixture_paths())
+    return {"version": 1, "state": registry.export_state()}
+
+
+FIXTURE_WORKSPACE = _fixture_workspace()
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of every value inside it, outermost first."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, path + (i,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return data
+
+
+def _locales_in_process(data) -> tuple[int, str]:
+    """``widgetspace locales`` run in this process on a workspace holding ``data``."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "w.ws"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["locales", "--workspace", str(path)])
+    return code, err.getvalue()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=3)),
+    max_leaves=6)
+
+
+class TestMalformedWorkspace:
+    """A workspace changed by hand exits 0 or 2, never with a traceback.
+
+    These run ``cli.main`` in this process, so that hypothesis can try
+    many workspaces quickly.
+    """
+
+    @pytest.mark.parametrize("part,value", [
+        ("table", 7), ("name", 5), ("outputs", {"m": 3}), ("inputs", {"m": ["identity"]}),
+        ("datatype", 3), ("inputs", {"m": ["identity", ["base", 5, []]]}),
+        ("max_index", True), ("doc", 5), ("headings", {"m": 3}),
+        ("inputs", {"m": ["identity", ["base", "length", [None, 2]]]}),
+        ("inputs", {"m": ["identity", {"base": "numeric"}]}),
+        ("getter", ["x"]), ("locale", 1), ("outputs", ["m", "identity"]),
+    ])
+    def test_bad_widget_part_exit_2(self, part, value):
+        data = _replaced(FIXTURE_WORKSPACE, ("state", "widgets", 0, part), value)
+        code, err = _locales_in_process(data)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        registry = WidgetRegistry()
+        with pytest.raises(SchemaError):
+            registry.import_state(data["state"])
+        assert registry.export_state() == {"locales": [], "widgets": []}
+
+    def test_bad_table_through_the_cli(self, tmp_path):
+        path = tmp_path / "w.ws"
+        path.write_text(json.dumps(
+            _replaced(FIXTURE_WORKSPACE, ("state", "widgets", 0, "table"), "t.x")))
+        code, _, err = run_cli(["locales", "--workspace", str(path)], cwd=tmp_path)
+        assert code == 2
+        assert err == "error: invalid table name 't.x'\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_paths(FIXTURE_WORKSPACE))), value=json_values)
+    def test_any_one_value_replaced(self, path, value):
+        code, err = _locales_in_process(_replaced(FIXTURE_WORKSPACE, path, value))
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: "), err
 
 
 class TestSetGet:

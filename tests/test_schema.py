@@ -1,10 +1,13 @@
 """Schema language: load reports, positioned errors, all-or-nothing commits."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
-    DuplicateLocaleError, InvalidSpecError, ResolutionError, SchemaSyntaxError,
-    UnknownLocaleError, UnknownParentError, UnknownValidatorError,
+    DuplicateLocaleError, InvalidSpecError, ResolutionError, SchemaError,
+    SchemaSyntaxError, UnknownLocaleError, UnknownParentError, UnknownValidatorError,
     UnresolvedReferenceError, WidgetRegistry, fixture_paths,
 )
 
@@ -254,3 +257,66 @@ class TestSurfaceDetails:
             reg.load_schema_files(fixture_paths())
         # and the failed second load changed nothing
         assert len(reg.locales) == 8
+
+
+def _round_trip(registry):
+    """Export ``registry`` through JSON, import it afresh, and export it again."""
+    state = json.loads(json.dumps(registry.export_state()))
+    clone = WidgetRegistry()
+    clone.import_state(state)
+    assert clone.export_state() == state
+
+
+def _clause(keyword, values):
+    return st.sampled_from(values).map(f":{keyword} {{}}".format)
+
+
+widget_clause = st.one_of(
+    _clause("table", ["t", "T", "a_b", "t.x", "9"]),
+    _clause("index", ["1", "3", "0"]),
+    _clause("getter", ["person-name-from-fields", "ghost"]),
+    _clause("setter", ["person-name-to-fields", "ghost.x"]),
+    _clause("generator", ["gen-date-fbi", "ghost"]),
+    _clause("type", ["date", "a.b"]),
+    _clause("doc", ['"Some text."', "undocumented"]),
+    _clause("heading", ['(m "M" default "D")', "(m)"]),
+    _clause("output", ["((m identity) (n format-date-fbi))", "((m ghost))", "()"]),
+    _clause("input", ["((m identity numeric))", "((m parse-ghost numeric))",
+                      '((m identity (or (length 1 3) (not required "absent") "bad")))',
+                      "((m identity (length 3)))", "((m identity ghost))"]),
+)
+widget_form = st.builds(
+    "(widget {} {} {})".format,
+    st.sampled_from(["w", "W", ":v", "x-1", "a.b", "12"]),
+    st.sampled_from(["root", "mid", "ghost"]),
+    st.lists(widget_clause, max_size=4).map(" ".join))
+
+
+class TestWorkspaceRoundTrip:
+    """Whatever schema text loads, its workspace imports; what fails, fails at load."""
+
+    def test_fixtures(self):
+        registry = WidgetRegistry()
+        registry.load_schema_files(fixture_paths())
+        _round_trip(registry)
+
+    @pytest.mark.parametrize("form,message", [
+        ("(widget a.b root :table t)", "s.scm:3:9: invalid widget name 'a.b'"),
+        ("(widget w root :table t.x)", "s.scm:3:23: invalid table name 't.x'"),
+    ])
+    def test_names_that_cannot_round_trip_rejected_at_load(self, form, message):
+        with pytest.raises(InvalidSpecError) as exc:
+            load(PRELUDE + form, filename="s.scm")
+        assert str(exc.value) == message
+        assert (exc.value.filename, exc.value.line) == ("s.scm", 3)
+
+    @settings(max_examples=300)
+    @given(st.lists(widget_form, min_size=1, max_size=3))
+    def test_any_loaded_schema(self, forms):
+        registry = WidgetRegistry()
+        try:
+            registry.load_schema(PRELUDE + "\n".join(forms), filename="s.scm")
+        except SchemaError as e:
+            assert (e.filename, type(e.line), type(e.col)) == ("s.scm", int, int), str(e)
+            return
+        _round_trip(registry)

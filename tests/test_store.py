@@ -282,6 +282,13 @@ class TestFileFormat:
         (root / "t.tbl").write_text("(table t)\n\n(k 1)\n\n")
         assert Database(root).get("t", "k") == 1
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\r", " \t\r "])
+    def test_tokenizer_whitespace_lines_tolerated(self, tmp_path, blank):
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "t.tbl").write_bytes(f"(table t)\n{blank}\n(k 1)\n{blank}".encode())
+        assert Database(root).get("t", "k") == 1
+
 
 class TestCorruption:
     def _db_with(self, tmp_path, content):
@@ -302,6 +309,18 @@ class TestCorruption:
             db.get("t", "k1")
         assert exc.value.offset == 17
         assert exc.value.filename == "t.tbl"
+
+    @pytest.mark.parametrize("line,offset", [
+        ("\x0b", 16), ("\x0c", 16), ("\xa0", 16), ("\x85", 16), (" \x0c\t", 17)])
+    def test_other_whitespace_line_is_corrupt(self, tmp_path, line, offset):
+        # the tokenizer skips only space, tab, CR and LF, so a line of any
+        # other whitespace fails like the same character after an entry
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "t.tbl").write_bytes(f"(table t)\n(k 1)\n{line}\n".encode())
+        with pytest.raises(CorruptTableError) as exc:
+            Database(root).get("t", "k")
+        assert exc.value.offset == offset
 
     def test_duplicate_key(self, tmp_path):
         db = self._db_with(tmp_path, "(table t)\n(k 1)\n(k 2)\n")
