@@ -8,12 +8,13 @@ or lock contention, 4 usage error.
 ``schema load`` compiles sources into a workspace file so later commands
 need no schema arguments. The workspace is a pure cache: deleting it and
 re-loading the same sources reproduces identical behavior. One process
-at a time may touch a database directory, enforced by a lock file.
+at a time may touch a database directory, enforced by an ``flock`` on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .datum import dumps, is_uninitialized
 from .errors import (DatabaseLockedError, MalformedEncodingError, ParseError,
                      ResolutionError, SchemaError, StoreError, ValidationError)
 from .registry import WidgetCoord, WidgetRegistry
-from .store import Database
+from .store import Database, replace_file
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -56,17 +57,23 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except _UsageFault as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print_error(e)
         return EXIT_USAGE
     except ValidationError as e:
         print(str(e), file=sys.stderr)
         return EXIT_VALIDATION
     except (SchemaError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print_error(e)
         return EXIT_SCHEMA
     except (StoreError, MalformedEncodingError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print_error(e)
         return EXIT_IO
+
+
+def _print_error(e: Exception) -> None:
+    """One ``error:`` line: unprintable characters appear as their escapes."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(e))
+    print(f"error: {text}", file=sys.stderr)
 
 
 def entry():
@@ -201,21 +208,15 @@ def _load_workspace(args) -> WidgetRegistry:
 def _locked_db(args):
     root = _db_path(args)
     root.mkdir(parents=True, exist_ok=True)
-    lock = root / "lock"
+    fd = os.open(root, os.O_RDONLY)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DatabaseLockedError(
-            f"database at '{root}' is in use (stale? remove '{lock}')") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise DatabaseLockedError(f"database at '{root}' is in use") from None
         yield Database(root)
     finally:
-        try:
-            lock.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(fd)  # releases the lock
 
 
 # -- command handlers ------------------------------------------------------
@@ -232,9 +233,7 @@ def cmd_schema_load(args) -> int:
         payload = {"version": 1,
                    "summary": {"locales": report.locales, "widgets": report.widgets},
                    "state": registry.export_state()}
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        os.replace(tmp, path)
+        replace_file(path, json.dumps(payload, indent=1))
     return EXIT_OK
 
 
@@ -323,7 +322,7 @@ def cmd_gen(args) -> int:
 def cmd_dump(args) -> int:
     with _locked_db(args) as db:
         text = db.dump_text()
-    Path(args.out).write_text(text, encoding="utf-8")
+    replace_file(args.out, text)
     return EXIT_OK
 
 
@@ -334,5 +333,4 @@ def cmd_restore(args) -> int:
             raise StoreError(
                 f"database at '{db.root}' is not empty; pass --force to replace it")
         db.restore_text(text, filename=args.input)
-        db.checkpoint()
     return EXIT_OK

@@ -4,8 +4,8 @@ A database is a directory; each table is one text file. Reads of absent
 keys return ``UNINITIALIZED`` rather than failing, and a stored
 ``UNINITIALIZED`` is distinguishable from never-written via
 ``contains_key``. Writes stay in memory until ``checkpoint``, which
-flushes each dirty table with a write-temp-then-rename so a crash can
-lose recent writes but never corrupt what a previous checkpoint saved.
+flushes each dirty table through ``replace_file`` so a crash can lose
+recent writes but never corrupt what a previous checkpoint saved.
 
 Table file format: line one is ``(table <name>)``, then one ``(<key>
 <datum>)`` pair per line, sorted by key, UTF-8, LF line endings.
@@ -164,26 +164,23 @@ class Database:
                        for name in self.table_names())
 
     def restore_text(self, text: str, filename: str = "<dump>") -> None:
-        """Replace the whole database with a dump's tables.
+        """Replace the whole database with a dump's tables, durably.
 
-        The dump is parsed completely before any table is dropped, so a
-        corrupt dump leaves the database as it was.
+        Parses the whole dump, then writes every dumped table before it unlinks
+        the others: a failure leaves each table old or new, none missing.
         """
         tables = _parse_tables(text, filename)
-        self.clear_all()
-        for name, entries in tables.items():
-            t = self._table(name)
-            with t.lock:
-                t.entries = entries
-                t.dirty = True
-                t.version += 1
-
-    def clear_all(self) -> None:
-        """Drop every table, in memory and on disk."""
         with self._lock:
-            self._tables.clear()
+            self._tables = {}  # so that after a failure below, reads go to the disk
+        for name, entries in tables.items():
+            self._write_file(_filename(name), _render_table(name, entries))
+        keep = {_filename(name) for name in tables}
         for path in self._root.glob("*" + _SUFFIX):
-            path.unlink()
+            if path.name not in keep:
+                os.unlink(path)
+        _fsync_dir(self._root)
+        with self._lock:
+            self._tables = {name: _Table(name, entries) for name, entries in tables.items()}
 
     # -- internals -----------------------------------------------------
 
@@ -211,17 +208,39 @@ class Database:
         return _Table(name, tables[name])
 
     def _write_file(self, filename: str, text: str) -> None:
-        path = self._root / filename
-        tmp = self._root / f".{filename}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        replace_file(self._root / filename, text)
+
+
+def replace_file(path: str | os.PathLike, text: str) -> None:
+    """The one way to replace a file: temp file beside it, fsync, rename, fsync the directory.
+
+    A symlink keeps its link; an existing non-regular file (a pipe) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+    _fsync_dir(path.parent)
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make the renames and unlinks done in ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _render_table(name: str, entries: dict[str, Datum]) -> str:

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,12 +23,22 @@ def db(tmp_path):
     return Database(tmp_path / "db")
 
 
-def run_cli(args, *, cwd, env_extra=None):
-    """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
+def run_cli(args, *, cwd, env_extra=None, fsize_limit=None):
+    """Run the CLI in a subprocess; returns (exit_code, stdout, stderr).
+
+    ``fsize_limit`` caps, in bytes, the size of any file the child writes
+    (``RLIMIT_FSIZE``), standing in for a full disk: a write past it fails
+    with EFBIG, since Python ignores SIGXFSZ.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.update(env_extra or {})
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize_limit, fsize_limit))
+
     proc = subprocess.run(
         [sys.executable, "-m", "widgetspace", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=None if fsize_limit is None else limit_file_size)
     return proc.returncode, proc.stdout, proc.stderr

@@ -2,19 +2,32 @@
 
 import contextlib
 import copy
+import fcntl
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widgetspace import SchemaError, WidgetRegistry, cli, fixture_paths
+from widgetspace import Database, SchemaError, WidgetRegistry, cli, fixture_paths
 
-from conftest import run_cli
+from conftest import SRC, run_cli
 
 ALL_FIXTURES = [str(p) for p in fixture_paths()]
+
+# RLIMIT_FSIZE for the commands that must fail part-way, as on a full disk
+FULL_DISK = 1024
+
+
+def temp_files(root: Path) -> list[str]:
+    return sorted(p.name for p in root.rglob("*") if ".tmp" in p.name)
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +92,18 @@ class TestSchemaLoad:
              "--workspace", str(tmp_path / "w.ws")], cwd=tmp_path)
         assert code == 3
         assert err.startswith("error: ")
+
+    def test_failed_load_keeps_workspace(self, tmp_path):
+        target = tmp_path / "w.ws"
+        code, _, err = run_cli(["schema", "load", *ALL_FIXTURES, "--workspace", str(target)],
+                               cwd=tmp_path)
+        assert code == 0, err
+        before = target.read_bytes()
+        code, _, err = run_cli(["schema", "load", ALL_FIXTURES[0], "--workspace", str(target)],
+                               cwd=tmp_path, fsize_limit=FULL_DISK)
+        assert code == 3, err
+        assert target.read_bytes() == before
+        assert temp_files(tmp_path) == []
 
     def test_lint_reports_warnings_without_writing(self, tmp_path):
         src = tmp_path / "s.scm"
@@ -204,6 +229,7 @@ class TestMalformedWorkspace:
         ("inputs", {"m": ["identity", ["base", "length", [None, 2]]]}),
         ("inputs", {"m": ["identity", {"base": "numeric"}]}),
         ("getter", ["x"]), ("locale", 1), ("outputs", ["m", "identity"]),
+        ("locale", "a\nb"), ("name", "x\ny"),
     ])
     def test_bad_widget_part_exit_2(self, part, value):
         data = _replaced(FIXTURE_WORKSPACE, ("state", "widgets", 0, part), value)
@@ -229,7 +255,7 @@ class TestMalformedWorkspace:
         code, err = _locales_in_process(_replaced(FIXTURE_WORKSPACE, path, value))
         assert code in (0, 2)
         if code == 2:
-            assert err.startswith("error: "), err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestSetGet:
@@ -320,6 +346,15 @@ class TestSetGet:
              "--medium", "transmission"], cwd=tmp_path)
         assert code == 4
 
+    @pytest.mark.parametrize("locale,shown", [
+        ("ark\nansas", "ark\\nansas"), ("\x1b[31m", "\\x1b[31m"),
+    ])
+    def test_unprintable_locale_is_escaped(self, ws, tmp_path, locale, shown):
+        code, _, err = run_cli(
+            ["get", *ws_args(ws), "--db", str(tmp_path / "db"), "--locale", locale,
+             "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        assert (code, err) == (2, f"error: unknown locale '{shown}'\n")
+
     def test_failed_set_persists_nothing(self, ws, tmp_path):
         db = ["--db", str(tmp_path / "db")]
         run_cli(["set", *ws_args(ws), *db, "--locale", "arkansas",
@@ -385,12 +420,30 @@ class TestLocking:
     def test_held_lock_exit_3(self, ws, tmp_path):
         db_dir = tmp_path / "db"
         db_dir.mkdir()
-        (db_dir / "lock").write_text("12345\n")
-        code, _, err = run_cli(
-            ["get", *ws_args(ws), "--db", str(db_dir), "--locale", "arkansas",
-             "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        fd = os.open(db_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            code, _, err = run_cli(
+                ["get", *ws_args(ws), "--db", str(db_dir), "--locale", "arkansas",
+                 "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        finally:
+            os.close(fd)
         assert code == 3
         assert "in use" in err
+
+    def test_killed_holder_leaves_no_lock(self, ws, tmp_path):
+        db_dir = tmp_path / "db"
+        holder = ("import argparse, os, signal\n"
+                  "from widgetspace import cli\n"
+                  f"with cli._locked_db(argparse.Namespace(db={str(db_dir)!r})):\n"
+                  "    os.kill(os.getpid(), signal.SIGKILL)\n")
+        proc = subprocess.run([sys.executable, "-c", holder], timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == -9
+        code, out, err = run_cli(
+            ["get", *ws_args(ws), "--db", str(db_dir), "--locale", "arkansas",
+             "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        assert (code, out) == (0, "#uninit\n"), err
 
     def test_lock_released_after_run(self, ws, tmp_path):
         db = ["--db", str(tmp_path / "db")]
@@ -526,6 +579,88 @@ class TestDumpRestore:
             ["get", *ws_args(ws), *db, "--locale", "arkansas",
              "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
         assert (code, out) == (0, "7/4/2010\n")
+
+    def test_failed_dump_keeps_backup(self, tmp_path):
+        db = Database(tmp_path / "db")
+        for i in range(100):
+            db.put("extra", f"k{i:03}", "x" * 50)
+        db.checkpoint()
+        backup = tmp_path / "backup.widgetdump"
+        code, _, err = run_cli(["dump", "--db", str(db.root), str(backup)], cwd=tmp_path)
+        assert code == 0, err
+        before = backup.read_bytes()
+        assert len(before) > FULL_DISK
+        db.put("extra", "k100", "y")
+        db.checkpoint()
+        code, _, err = run_cli(["dump", "--db", str(db.root), str(backup)],
+                               cwd=tmp_path, fsize_limit=FULL_DISK)
+        assert code == 3, err
+        assert backup.read_bytes() == before
+        assert temp_files(tmp_path) == []
+
+    def test_failed_restore_keeps_every_table(self, tmp_path):
+        def tables(value):
+            return {"alpha": {"k": value}, "extra": {f"k{i:03}": value * 50 for i in range(100)}}
+
+        def database(root, contents):
+            db = Database(root)
+            for table, rows in contents.items():
+                for key, value in rows.items():
+                    db.put(table, key, value)
+            db.checkpoint()
+            return db
+
+        old, new = tables("o"), tables("n")
+        dump = tmp_path / "new.widgetdump"
+        dump.write_text(database(tmp_path / "new", new).dump_text())
+        db = database(tmp_path / "db", old)
+        sizes = sorted(p.stat().st_size for p in db.root.glob("*.tbl"))
+        assert sizes[0] < FULL_DISK < sizes[1]
+        code, _, err = run_cli(["restore", "--db", str(db.root), "--force", str(dump)],
+                               cwd=tmp_path, fsize_limit=FULL_DISK)
+        assert code == 3, err
+        after = Database(db.root)
+        assert after.table_names() == ["alpha", "extra"]
+        for table in old:
+            assert dict(after.items(table)) in (old[table], new[table])
+        assert temp_files(tmp_path) == []
+
+    def _one_table_db(self, tmp_path) -> tuple[list[str], str]:
+        db = Database(tmp_path / "db")
+        db.put("t", "k", "v")
+        db.checkpoint()
+        return ["--db", str(db.root)], db.dump_text()
+
+    def test_dump_to_fifo(self, tmp_path):
+        db, expected = self._one_table_db(tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        # a daemon, so that a reader whose FIFO was renamed over cannot hang the run
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            code, _, err = run_cli(["dump", *db, str(fifo)], cwd=tmp_path)
+        finally:
+            with contextlib.suppress(OSError):  # let a reader no writer opened finish
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert code == 0, err
+        assert got == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_dump_through_symlink(self, tmp_path):
+        db, expected = self._one_table_db(tmp_path)
+        target = tmp_path / "backups" / "b1.widgetdump"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "latest.widgetdump"
+        link.symlink_to(target)
+        code, _, err = run_cli(["dump", *db, str(link)], cwd=tmp_path)
+        assert code == 0, err
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == expected
+        assert temp_files(tmp_path) == []
 
     def test_restore_corrupt_dump_exit_3(self, ws, tmp_path):
         bad = tmp_path / "bad.widgetdump"

@@ -1,5 +1,7 @@
 """Persistent KV store: absence semantics, durability, file format, fault paths."""
 
+import os
+import stat
 import tempfile
 import threading
 from pathlib import Path
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
     UNINITIALIZED, CorruptTableError, Database, IndexOutOfRangeError, PersonName,
-    SimpleDate, StoreError, WrongVariantError, dumps, is_uninitialized,
+    SimpleDate, StoreError, WrongVariantError, dumps, is_uninitialized, store,
 )
 
 keys = st.from_regex(r"[a-z0-9][a-z0-9_-]{0,10}", fullmatch=True).filter(
@@ -226,6 +228,134 @@ class TestDurability:
                 assert again.get("t", key) == value
 
 
+class _OsSpy:
+    """Stands in for ``os`` inside ``widgetspace.store``.
+
+    Records each ``fsync``, ``replace`` and ``unlink`` as ``(name, detail)``
+    (for ``fsync``, whether the descriptor is a directory) and raises
+    ``OSError`` on the ``fail_at``-th call of the one named ``fail``.
+    """
+
+    def __init__(self, fail=None, fail_at=0):
+        self.calls = []
+        self.fail, self.fail_at, self.seen = fail, fail_at, 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def _call(self, name, detail, real, *args):
+        if name == self.fail:
+            self.seen += 1
+            if self.seen == self.fail_at:
+                raise OSError(f"injected {name} fault")
+        self.calls.append((name, detail))
+        return real(*args)
+
+    def fsync(self, fd):
+        return self._call("fsync", stat.S_ISDIR(os.fstat(fd).st_mode), os.fsync, fd)
+
+    def replace(self, src, dst):
+        return self._call("replace", Path(dst).name, os.replace, src, dst)
+
+    def unlink(self, path):
+        return self._call("unlink", Path(path).name, os.unlink, path)
+
+
+class TestDirectoryFsync:
+    def test_checkpoint_fsyncs_file_then_directory(self, tmp_path, monkeypatch):
+        db = Database(tmp_path / "db")
+        db.put("t", "k", 1)
+        spy = _OsSpy()
+        monkeypatch.setattr(store, "os", spy)
+        db.checkpoint()
+        assert spy.calls == [("fsync", False), ("replace", "t.tbl"), ("fsync", True)]
+
+    def test_restore_fsyncs_directory_after_unlink(self, tmp_path, monkeypatch):
+        db = Database(tmp_path / "db")
+        db.put("t", "k", 1)
+        db.put("u", "k", 2)
+        db.checkpoint()
+        spy = _OsSpy()
+        monkeypatch.setattr(store, "os", spy)
+        db.restore_text("(table t)\n(k 3)\n")
+        assert spy.calls[-2:] == [("unlink", "u.tbl"), ("fsync", True)]
+        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["t.tbl"]
+
+
+OLD_TABLES = {"a": {"k": 1}, "b": {"k": 2}, "c": {"k": 3}}
+NEW_TABLES = {"a": {"k": 10}, "b": {"k": 20}, "d": {"k": 40}}
+
+
+def _dump_of(tables):
+    return "".join(f"(table {name})\n" + "".join(f"({k} {v})\n" for k, v in sorted(rows.items()))
+                   for name, rows in sorted(tables.items()))
+
+
+def _put_all(db, tables):
+    for table, rows in tables.items():
+        for key, value in rows.items():
+            db.put(table, key, value)
+
+
+def _on_disk(root):
+    fresh = Database(root)
+    return {name: dict(fresh.items(name)) for name in fresh.table_names()}
+
+
+class TestInjectedFaults:
+    """The k-th ``replace``, ``fsync`` or ``unlink`` fails, for k = 1, 2, ...
+
+    After each fault a fresh ``Database`` must read every table as old or
+    new, none missing, and no temp file may be left behind.
+    """
+
+    def _old_database(self, root):
+        db = Database(root)
+        _put_all(db, OLD_TABLES)
+        db.checkpoint()
+        assert _on_disk(root) == OLD_TABLES
+        return db  # with every old table cached
+
+    def _check_every_fault(self, tmp_path, monkeypatch, operation, new):
+        faults = 0
+        for name in ("replace", "fsync", "unlink"):
+            for k in range(1, 100):
+                root = tmp_path / f"{name}-{k}"
+                db = self._old_database(root)
+                monkeypatch.setattr(store, "os", _OsSpy(fail=name, fail_at=k))
+                try:
+                    operation(db)
+                except OSError:
+                    faults += 1
+                else:
+                    break
+                finally:
+                    monkeypatch.undo()
+                disk = _on_disk(root)
+                for table in OLD_TABLES.keys() | new.keys():
+                    assert disk.get(table) in (OLD_TABLES.get(table), new.get(table)), \
+                        (name, k, table, disk)
+                assert [p.name for p in root.iterdir() if ".tmp." in p.name] == []
+            assert _on_disk(root) == new
+        return faults
+
+    def test_restore(self, tmp_path, monkeypatch):
+        def restore(db):
+            try:
+                db.restore_text(_dump_of(NEW_TABLES))
+            finally:  # a failed restore leaves the Database reading the disk
+                assert {t: dict(db.items(t)) for t in db.table_names()} == _on_disk(db.root)
+        # three table writes (a replace and two fsyncs each), one unlink, one directory fsync
+        assert self._check_every_fault(tmp_path, monkeypatch, restore, NEW_TABLES) == 3 + 7 + 1
+
+    def test_checkpoint(self, tmp_path, monkeypatch):
+        def commit(db):
+            _put_all(db, NEW_TABLES)
+            db.checkpoint()
+        new = {**OLD_TABLES, **NEW_TABLES}
+        assert self._check_every_fault(tmp_path, monkeypatch, commit, new) == 3 + 6
+
+
 class TestFileFormat:
     def test_golden_bytes(self, tmp_path):
         db = Database(tmp_path / "db")
@@ -417,15 +547,6 @@ class TestHousekeeping:
         assert db.is_empty()
         db.put("t", "k", 1)
         assert not db.is_empty()
-
-    def test_clear_all(self, tmp_path):
-        db = Database(tmp_path / "db")
-        db.put("t", "k", 1)
-        db.checkpoint()
-        db.clear_all()
-        assert db.is_empty()
-        assert list((tmp_path / "db").glob("*.tbl")) == []
-        assert db.get("t", "k") is UNINITIALIZED
 
     def test_items_sorted(self, db):
         db.put("t", "b", 2)
