@@ -25,7 +25,7 @@ from .datum import dumps, is_uninitialized
 from .errors import (DatabaseLockedError, MalformedEncodingError, ParseError,
                      ResolutionError, SchemaError, StoreError, ValidationError)
 from .registry import WidgetCoord, WidgetRegistry
-from .store import Database, replace_file
+from .store import Database, read_text, replace_file
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -327,7 +327,7 @@ def cmd_dump(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = read_text(args.input)
     with _locked_db(args) as db:
         if not db.is_empty() and not args.force:
             raise StoreError(

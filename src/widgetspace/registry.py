@@ -11,6 +11,10 @@ the exact medium first and then that locale's ``default`` entry before
 moving to the parent. A local default therefore beats an exact match
 further up the chain.
 
+The fused ``get_and_format`` and ``parse_and_set`` keep one plan per
+coordinate, made by these walks on first use and memoized with the
+published snapshot, so a load that publishes a new snapshot drops them all.
+
 Schema files are s-expressions::
 
     (locale <sym> :parent <sym>|none)
@@ -30,6 +34,7 @@ import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional
@@ -138,16 +143,18 @@ class WidgetRegistry:
     """The (name, locale) -> WidgetSpec map plus everything needed to use it.
 
     The locale tree and the spec map are published together as one
-    ``(tree, specs)`` snapshot that a single assignment replaces. Readers
-    take no lock and read the snapshot once per call, so they never see a
-    tree from one load with specs from another. Writers edit a private
-    copy under the writer lock and publish it only when they succeed.
+    ``(tree, specs, plans)`` snapshot that a single assignment replaces.
+    Readers take no lock and read the snapshot once per call, so they never
+    see a tree from one load with specs from another. Writers edit a private
+    copy under the writer lock and publish it, with an empty plan memo, only
+    when they succeed. The published tree must not be mutated in place: the
+    plans made from it would go stale.
     """
 
     def __init__(self):
         self.registries = standard_registries()
-        self._snapshot: tuple[LocaleTree, dict[tuple[str, str], WidgetSpec]] = (
-            LocaleTree(), {})
+        self._snapshot: tuple[LocaleTree, dict[tuple[str, str], WidgetSpec], _Plans] = (
+            LocaleTree(), {}, _Plans())
         self._lock = threading.Lock()
 
     @property
@@ -159,10 +166,10 @@ class WidgetRegistry:
     def _staged(self):
         """A copy of the snapshot to edit; published if the block succeeds."""
         with self._lock:
-            tree, specs = self._snapshot
+            tree, specs, _ = self._snapshot
             staged = (tree.copy(), dict(specs))
             yield staged
-            self._snapshot = staged
+            self._snapshot = (*staged, _Plans())
 
     # -- definition ------------------------------------------------------
 
@@ -176,7 +183,7 @@ class WidgetRegistry:
 
     def widget_names_at(self, locale: str) -> list[str]:
         """Names with a spec anywhere in the locale's ancestry, sorted."""
-        tree, specs = self._snapshot
+        tree, specs, _ = self._snapshot
         chain = set(tree.ancestry(locale))
         return sorted({name for (name, loc) in specs if loc in chain})
 
@@ -246,8 +253,7 @@ class WidgetRegistry:
 
     def resolve_storage(self, name: str, locale: str) -> ResolvedStorage:
         """Accessors from the nearest ancestor spec that declares storage."""
-        spec = _resolve(self._snapshot, _storage_of, name, locale, None, "storage",
-                        NO_STORAGE_MESSAGE)
+        spec = _storage_spec(self._snapshot, name, locale)
         getter, setter = _table_accessors(spec.table, spec.max_index)
         if spec.getter is not None:
             getter = self.registries.getters.get(spec.getter)
@@ -273,19 +279,20 @@ class WidgetRegistry:
         An unset field returns the UNINITIALIZED marker without invoking
         any formatter.
         """
-        storage = self.resolve_storage(coord.name, coord.locale)
-        _check_index(coord.index, storage.max_index)
-        if storage.getter is None:
+        max_index, getter, _, formatter, _, ctx = self._plan(coord)
+        _check_index(coord.index, max_index)
+        if getter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": coord.name,
                                                        "locale": coord.locale,
                                                        "missing": "getter"})
-        value = storage.getter(db, normalize_symbol(coord.name), coord.index,
-                               normalize_symbol(coord.locale))
+        if isinstance(getter, str):
+            getter = self.registries.getters.get(getter)
+        value = getter(db, ctx.name, coord.index, ctx.locale)
         if is_uninitialized(value):
             return UNINITIALIZED
-        formatter = self.registries.formatters.get(
-            self.resolve_formatter(coord.name, coord.locale, coord.medium))
-        return formatter(value)
+        if formatter is None:  # raises here, as it did before plans
+            formatter = self.resolve_formatter(coord.name, coord.locale, coord.medium)
+        return self.registries.formatters.get(formatter)(value)
 
     def parse_and_set(self, db, coord: WidgetCoord, text: str) -> Datum:
         """Validate ``text``, parse it, and store the result at ``coord``.
@@ -294,24 +301,66 @@ class WidgetRegistry:
         database, so a failed set leaves the store bit-identical. A parsed
         value the store cannot hold fails the same way, as a ValidationError.
         """
-        storage = self.resolve_storage(coord.name, coord.locale)
-        _check_index(coord.index, storage.max_index)
-        if storage.setter is None:
+        max_index, _, setter, _, binding, ctx = self._plan(coord)
+        _check_index(coord.index, max_index)
+        if setter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": coord.name,
                                                        "locale": coord.locale,
                                                        "missing": "setter"})
-        binding = self.resolve_parser(coord.name, coord.locale, coord.medium)
-        ctx = ValidatorContext(normalize_symbol(coord.name),
-                               normalize_symbol(coord.locale),
-                               normalize_symbol(coord.medium))
+        if binding is None:  # raises here, as it did before plans
+            binding = self.resolve_parser(coord.name, coord.locale, coord.medium)
         self.registries.validators.validate(binding.validator, ctx, text)
         value = self.registries.parsers.get(binding.parser)(text)
         try:
             require_valid(value)
         except ValueError as e:
             raise ValidationError(text, str(e)) from None
-        storage.setter(db, ctx.name, coord.index, ctx.locale, value)
+        if isinstance(setter, str):
+            setter = self.registries.setters.get(setter)
+        setter(db, ctx.name, coord.index, ctx.locale, value)
         return value
+
+    def _plan(self, coord: WidgetCoord) -> tuple:
+        """``(max_index, getter, setter, formatter, binding, ctx)`` for ``coord``.
+
+        The getter and setter are table accessors, or the names of
+        registered ones; the formatter and binding are None where no
+        ancestor declares one. Names are looked up at each use, so
+        re-registering a function takes effect at once.
+        """
+        return (self._snapshot[2].get((coord.name, coord.locale, coord.medium))
+                or self._new_plan(coord))
+
+    def _new_plan(self, coord: WidgetCoord) -> tuple:
+        """Make ``coord``'s plan from the ``resolve_*`` walks and memoize it.
+
+        Plans are keyed by canonical spelling, and a medium that no spec
+        declares uses the ``default`` plan, so the memo stays bounded by
+        the schema. A failed storage walk raises and memoizes nothing.
+        """
+        name, locale, medium = (_canonical(coord.name), _canonical(coord.locale),
+                                _canonical(coord.medium))
+        while True:
+            snapshot = self._snapshot
+            plans = snapshot[2]
+            if plans.media is None:
+                plans.media = frozenset(m for spec in snapshot[1].values()
+                                        for m in (*spec.inputs, *spec.outputs))
+            key = (name, locale, medium if medium in plans.media else "default")
+            plan = plans.get(key)
+            if plan is None:
+                spec = _storage_spec(snapshot, coord.name, coord.locale)
+                get, put = _table_accessors(spec.table, spec.max_index)
+                plan = (spec.max_index, spec.getter or get, spec.setter or put,
+                        _or_none(self.resolve_formatter, *key),
+                        _or_none(self.resolve_parser, *key),
+                        ValidatorContext(*key))
+                if self._snapshot is not snapshot:
+                    continue  # a load published meanwhile: plan against the new snapshot
+                plans[key] = plan
+            if key[2] != medium:  # the default plan, seen from the caller's medium
+                plan = plan[:5] + (ValidatorContext(name, locale, medium),)
+            return plan
 
     def generate_random(self, name: str, locale: str, medium: str, seed: int) -> str:
         """Deterministic-in-seed input text from the widget's generator."""
@@ -354,20 +403,13 @@ class WidgetRegistry:
                     else:
                         raise _positioned(SchemaSyntaxError,
                                           f"unknown form '{head}'", filename, form)
-        warnings = []
-        for (name, locale) in specs:
-            try:
-                _resolve((tree, specs), _storage_of, name, locale, None, "storage")
-            except ResolutionError:
-                warnings.append(
-                    f"widget '{name}' at '{locale}' has no storage anywhere in its ancestry")
-        return LoadReport(n_locales, n_widgets, warnings)
+        return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
 
     # -- state export (schema workspace support) -----------------------------
 
     def export_state(self) -> dict:
         """A JSON-ready snapshot of locales and specs, in definition order."""
-        tree, specs = self._snapshot
+        tree, specs, _ = self._snapshot
         return {
             "locales": [[loc, tree.parent(loc)] for loc in tree.locales()],
             "widgets": [_spec_to_obj(spec) for spec in specs.values()],
@@ -386,6 +428,12 @@ class WidgetRegistry:
                 self._install(_spec_from_obj(obj), tree, specs)
 
 
+class _Plans(dict):
+    """One snapshot's memo: (name, locale, medium) -> plan, filled on first use."""
+
+    media: Optional[frozenset] = None  # every medium some spec declares, once asked
+
+
 _OUTPUTS = attrgetter("outputs")
 _INPUTS = attrgetter("inputs")
 _HEADINGS = attrgetter("headings")
@@ -397,14 +445,46 @@ def _storage_of(spec: WidgetSpec) -> Optional[WidgetSpec]:
     return spec if spec.declares_storage() else None
 
 
-def _resolve(snapshot: tuple[LocaleTree, dict], pick: Callable, name: str, locale: str,
+def _storage_spec(snapshot: tuple, name: str, locale: str) -> WidgetSpec:
+    """The nearest spec of ``name`` up ``locale``'s ancestry that declares storage."""
+    return _resolve(snapshot, _storage_of, name, locale, None, "storage", NO_STORAGE_MESSAGE)
+
+
+def _orphans(tree: LocaleTree, specs: dict) -> list[str]:
+    """A warning for each spec with no storage at or above its locale, in spec order.
+
+    Each (name, locale) is probed at most once: a walk stops at the first
+    pair whose answer an earlier walk recorded.
+    """
+    stored: dict[tuple[str, str], bool] = {}  # storage declared at or above
+    warnings = []
+    for (name, locale) in specs:
+        walked = []
+        loc = locale
+        while loc is not None and (name, loc) not in stored:
+            spec = specs.get((name, loc))
+            if spec is not None and spec.declares_storage():
+                stored[(name, loc)] = True
+                break
+            walked.append(loc)
+            loc = tree.parent(loc)
+        found = loc is not None and stored[(name, loc)]
+        for loc in walked:
+            stored[(name, loc)] = found
+        if not found:
+            warnings.append(
+                f"widget '{name}' at '{locale}' has no storage anywhere in its ancestry")
+    return warnings
+
+
+def _resolve(snapshot: tuple, pick: Callable, name: str, locale: str,
              medium: Optional[str], direction: str, message: str = NO_HANDLER_MESSAGE):
     """The nearest non-None ``pick(spec)`` of widget ``name`` up ``locale``'s ancestry.
 
     With a medium, ``pick`` returns a medium map, and each locale tries the
     exact medium and then its own ``default`` before its parent is probed.
     """
-    tree, specs = snapshot
+    tree, specs, _ = snapshot
     name = normalize_symbol(name)
     context = {"name": name, "locale": locale, "direction": direction}
     if medium is not None:
@@ -428,6 +508,20 @@ def _check_index(index: int, max_index: int) -> None:
         raise IndexOutOfRangeError(f"index {index} out of range [1, {max_index}]")
 
 
+def _canonical(symbol: str) -> str:
+    """``normalize_symbol(symbol)``, as the caller's own string when already canonical."""
+    text = normalize_symbol(symbol)
+    return symbol if text == symbol else text
+
+
+def _or_none(resolve: Callable, *args):
+    try:
+        return resolve(*args)
+    except ResolutionError:
+        return None
+
+
+@lru_cache(maxsize=256)  # one shared pair per (table, max_index), not one per plan
 def _table_accessors(table: Optional[str], max_index: int):
     if table is None:
         return None, None

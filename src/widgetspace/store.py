@@ -4,8 +4,9 @@ A database is a directory; each table is one text file. Reads of absent
 keys return ``UNINITIALIZED`` rather than failing, and a stored
 ``UNINITIALIZED`` is distinguishable from never-written via
 ``contains_key``. Writes stay in memory until ``checkpoint``, which
-flushes each dirty table through ``replace_file`` so a crash can lose
-recent writes but never corrupt what a previous checkpoint saved.
+replaces each dirty table's file (temp file, fsync, rename) and then
+fsyncs the directory once, so a crash can lose recent writes but never
+corrupt what a previous checkpoint saved.
 
 Table file format: line one is ``(table <name>)``, then one ``(<key>
 <datum>)`` pair per line, sorted by key, UTF-8, LF line endings.
@@ -14,6 +15,7 @@ Table file format: line one is ``(table <name>)``, then one ``(<key>
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from pathlib import Path
 from urllib.parse import quote, unquote
@@ -129,9 +131,14 @@ class Database:
             t.version += 1
 
     def checkpoint(self) -> None:
-        """Flush every dirty table atomically. Dirtiness survives I/O failure."""
+        """Flush every dirty table atomically. Dirtiness survives I/O failure.
+
+        A table is marked clean only once the one directory fsync after the
+        last rename has made its new file durable.
+        """
         with self._lock:
             tables = list(self._tables.values())
+        written = []
         for t in tables:
             with t.lock:
                 if not t.dirty:
@@ -139,6 +146,11 @@ class Database:
                 version = t.version
                 text = _render_table(t.name, t.entries)
             self._write_file(_filename(t.name), text)
+            written.append((t, version))
+        if not written:
+            return
+        _fsync_dir(self._root)
+        for t, version in written:
             with t.lock:
                 if t.version == version:
                     t.dirty = False
@@ -199,7 +211,7 @@ class Database:
         path = self._root / _filename(name)
         if not path.exists():
             return _Table(name)
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path, path.name)
         tables = _parse_tables(text, path.name)
         if list(tables) != [name]:
             raise CorruptTableError(
@@ -208,18 +220,51 @@ class Database:
         return _Table(name, tables[name])
 
     def _write_file(self, filename: str, text: str) -> None:
-        replace_file(self._root / filename, text)
+        _replace(self._root / filename, text)
+
+
+def read_text(path: str | os.PathLike, filename: str | None = None) -> str:
+    """A table file or dump as text, with newlines as ``Path.read_text`` reads them.
+
+    Bytes that are not UTF-8 raise CorruptTableError at the first bad byte's offset.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CorruptTableError(f"invalid UTF-8: {e.reason}", filename=filename or str(path),
+                                offset=e.start) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def replace_file(path: str | os.PathLike, text: str) -> None:
     """The one way to replace a file: temp file beside it, fsync, rename, fsync the directory.
 
-    A symlink keeps its link; an existing non-regular file (a pipe) is written in place.
+    A symlink keeps its link. A target that is this process's standard output
+    (``dump /dev/stdout >> log``) or an existing non-regular file (a pipe) is
+    written in place.
     """
+    if _is_stdout(path):
+        sys.stdout.flush()
+        with open(1, "w", encoding="utf-8", newline="", closefd=False) as fh:
+            fh.write(text)
+        return
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return
+    _fsync_dir(_replace(path, text).parent)
+
+
+def _is_stdout(path: str | os.PathLike) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
+def _replace(path: str | os.PathLike, text: str) -> Path:
+    """Write ``text`` to a temp file beside ``path``, fsync it and rename it over
+    the file ``path`` resolves to; the caller fsyncs that file's directory."""
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     try:
@@ -231,7 +276,7 @@ def replace_file(path: str | os.PathLike, text: str) -> None:
     finally:
         if tmp.exists():
             tmp.unlink()
-    _fsync_dir(path.parent)
+    return path
 
 
 def _fsync_dir(directory: Path) -> None:

@@ -21,7 +21,7 @@ from .errors import (DuplicateNameError, InvalidSpecError, UnknownValidatorError
                      ValidationError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidatorContext:
     """Where an input came from. No index on purpose: rules are index-blind."""
 

@@ -278,6 +278,16 @@ class TestSetGet:
         assert code == 0
         assert out == "7/4/2010\n"
 
+    def test_get_from_invalid_utf8_table_exit_3(self, ws, tmp_path):
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "demographics.tbl").write_bytes(b"(table demographics)\n(dob \"\xff\")\n")
+        code, out, err = run_cli(
+            ["get", *ws_args(ws), "--db", str(root), "--locale", "arkansas",
+             "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        assert (code, out) == (3, "")
+        assert err == "error: demographics.tbl: invalid UTF-8: invalid start byte (byte 27)\n"
+
     def test_get_unset_prints_marker(self, ws, tmp_path):
         code, out, _ = run_cli(
             ["get", *ws_args(ws), "--db", str(tmp_path / "db"),
@@ -661,6 +671,29 @@ class TestDumpRestore:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_text() == expected
         assert temp_files(tmp_path) == []
+
+    def test_dump_to_appended_stdout_keeps_its_file(self, tmp_path):
+        db, expected = self._one_table_db(tmp_path)
+        log = tmp_path / "log"
+        log.write_text("before\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        with open(log, "a") as out:  # as a shell's `>> log` leaves it
+            proc = subprocess.run(
+                [sys.executable, "-m", "widgetspace", "dump", *db, "/dev/stdout"],
+                cwd=tmp_path, env=env, stdout=out, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert log.read_text() == "before\n" + expected
+        assert temp_files(tmp_path) == []
+
+    def test_restore_invalid_utf8_dump_exit_3(self, tmp_path):
+        bad = tmp_path / "bad.widgetdump"
+        bad.write_bytes(b"(table t)\n(k \"caf\xff\")\n")
+        code, _, err = run_cli(
+            ["restore", "--db", str(tmp_path / "db"), str(bad)], cwd=tmp_path)
+        assert code == 3
+        assert err == f"error: {bad}: invalid UTF-8: invalid start byte (byte 17)\n"
+        assert Database(tmp_path / "db").is_empty()
 
     def test_restore_corrupt_dump_exit_3(self, ws, tmp_path):
         bad = tmp_path / "bad.widgetdump"

@@ -2,13 +2,15 @@
 
 import random
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
-    UNINITIALIZED, Database, IndexOutOfRangeError, InvalidSpecError, LocaleTree,
-    NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName, ResolutionError,
+    UNINITIALIZED, Base, Database, IndexOutOfRangeError, InputBinding, InvalidSpecError,
+    LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName, ResolutionError,
     SimpleDate, UnknownLocaleError, UnresolvedReferenceError, ValidationError,
     WidgetCoord, WidgetRegistry, WidgetSpec, standard_registries,
 )
@@ -472,17 +474,23 @@ class TestReloadWhileReading:
     EXTENSION = ("(locale new :parent root)"
                  "(widget w new :output ((default string-upcase)))")
 
-    def _answers_during_load(self) -> set:
-        """What a reader resolving w at 'new' saw while the extension loaded."""
+    def _answers_during_load(self, answer=None) -> set:
+        """What a reader resolving w at 'new' saw while the extension loaded.
+
+        ``answer(reg)`` is the reader's call; by default it resolves w's formatter.
+        """
         reg = WidgetRegistry()
         reg.load_schema(self.BASE)
+        if answer is None:
+            def answer(reg):
+                return reg.resolve_formatter("w", "new", "m")
         answers, unexpected = set(), []
         started, done = threading.Event(), threading.Event()
 
         def read():
             while not done.is_set():
                 try:
-                    answers.add(reg.resolve_formatter("w", "new", "m"))
+                    answers.add(answer(reg))
                 except UnknownLocaleError:
                     answers.add(None)
                 except Exception as e:
@@ -512,3 +520,161 @@ class TestReloadWhileReading:
         # Before the load 'new' is unknown (None); after it, 'new' upcases.
         # Old specs over the new tree would answer root's 'identity'.
         assert seen <= {None, "string-upcase"}
+
+    def test_fused_reader_never_sees_new_locales_with_old_specs(self):
+        with tempfile.TemporaryDirectory() as root:
+            db = Database(root)
+            db.put("t", "w", "x")
+
+            def get(reg):
+                return reg.get_and_format(db, WidgetCoord("w", "new", "m"))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                seen = set().union(*(self._answers_during_load(get) for _ in range(300)))
+            finally:
+                sys.setswitchinterval(interval)
+        # A plan made from the old specs over the new tree would answer 'x'.
+        assert seen <= {None, "X"}
+
+
+class TestPlanMemo:
+    """Fused operations memoize one plan per coordinate and snapshot."""
+
+    DECLARED = ["m1", "m2", "default"]
+    CALLED = ["m1", "M2", "default", "m9"]  # m9: no spec declares it
+    FORMATTERS = ["identity", "string-upcase"]
+    VALIDATORS = ["always-ok", "alphabetic", "numeric", "(length 1 3)"]
+    TEXTS = ["abc", "123", "AbCdE"]
+
+    def _random_schema(self, rng) -> tuple[str, list]:
+        locales = [f"loc{i}" for i in range(rng.randint(1, 8))]
+        forms = [f"(locale {locales[0]} :parent none)"]
+        forms += [f"(locale {loc} :parent {rng.choice(locales[:i])})"
+                  for i, loc in enumerate(locales[1:], 1)]
+        for name in ("w", "v"):
+            for loc in locales:
+                clauses = []
+                if rng.random() < 0.4:
+                    clauses.append(f":table t{rng.randint(1, 2)} :index {rng.randint(1, 2)}")
+                outputs = [f"({m} {rng.choice(self.FORMATTERS)})"
+                           for m in self.DECLARED if rng.random() < 0.3]
+                if outputs:
+                    clauses.append(f":output ({' '.join(outputs)})")
+                inputs = [f"({m} identity {rng.choice(self.VALIDATORS)})"
+                          for m in self.DECLARED if rng.random() < 0.3]
+                if inputs:
+                    clauses.append(f":input ({' '.join(inputs)})")
+                if clauses and rng.random() < 0.7:
+                    forms.append(f"(widget {name} {loc} {' '.join(clauses)})")
+        return "\n".join(forms), locales
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return "ok", call()
+        except Exception as e:
+            return type(e).__name__, str(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_fused_operations_match_an_empty_memo(self, rng):
+        schema, locales = self._random_schema(rng)
+        reg = WidgetRegistry()
+        reg.load_schema(schema)
+        ops = [(rng.choice(["get", "set"]), WidgetCoord(
+                    rng.choice(["w", "v", "W"]), rng.choice(locales + ["LOC0", "nowhere"]),
+                    rng.choice(self.CALLED), rng.randint(1, 3)), rng.choice(self.TEXTS))
+               for _ in range(30)]
+        with tempfile.TemporaryDirectory() as root:
+            warm_db, fresh_db = Database(f"{root}/warm"), Database(f"{root}/fresh")
+            for _ in range(2):  # first use, then repeated use of every plan
+                for op, coord, text in ops:
+                    fresh = WidgetRegistry()
+                    fresh.import_state(reg.export_state())
+                    outcomes = [self._outcome(
+                        (lambda: r.get_and_format(db, coord)) if op == "get"
+                        else (lambda: r.parse_and_set(db, coord, text)))
+                        for r, db in ((reg, warm_db), (fresh, fresh_db))]
+                    assert outcomes[0] == outcomes[1], (schema, op, coord, text)
+        for name, locale, medium in reg._snapshot[2]:
+            assert name in ("w", "v") and locale in locales and medium in self.DECLARED
+
+    def _stored_widget(self, tmp_path, formatters=(), **parts):
+        reg = tiny_registry()
+        for name, fn in formatters:
+            reg.registries.formatters.register(name, fn)
+        reg.define_widget(WidgetSpec(name="w", locale="root", table="t", **parts))
+        db = Database(tmp_path / "db")
+        db.put("t", "w", "v")
+        return reg, db
+
+    def test_reregistered_formatter_takes_effect(self, tmp_path):
+        reg, db = self._stored_widget(tmp_path, [("shout", lambda value: value + "!")],
+                                      outputs={"default": "shout"})
+        at = WidgetCoord("w", "leaf", "m")
+        assert reg.get_and_format(db, at) == "v!"
+        reg.registries.formatters.register("shout", lambda value: value + "!!", replace=True)
+        assert reg.get_and_format(db, at) == "v!!"
+
+    def test_reregistered_accessors_take_effect(self, tmp_path):
+        reg = tiny_registry()
+        getters, setters = reg.registries.getters, reg.registries.setters
+        getters.register("g", lambda db, name, index, locale: "first")
+        setters.register("s", lambda db, name, index, locale, value: db.put("t", "s1", value))
+        binding = InputBinding("identity", Base("always-ok"))
+        reg.define_widget(WidgetSpec(name="w", locale="root", getter="g", setter="s",
+                                     inputs={"default": binding}, outputs={"default": "identity"}))
+        db = Database(tmp_path / "db")
+        at = WidgetCoord("w", "leaf", "m")
+        reg.parse_and_set(db, at, "a")
+        assert reg.get_and_format(db, at) == "first"
+        getters.register("g", lambda db, name, index, locale: "second", replace=True)
+        setters.register("s", lambda db, name, index, locale, value: db.put("t", "s2", value),
+                         replace=True)
+        reg.parse_and_set(db, at, "b")
+        assert reg.get_and_format(db, at) == "second"
+        assert (db.get("t", "s1"), db.get("t", "s2")) == ("a", "b")
+
+    def test_define_widget_at_ancestor_replaces_plan(self, tmp_path):
+        reg, db = self._stored_widget(tmp_path, outputs={"default": "identity"})
+        at = WidgetCoord("w", "leaf", "m")
+        assert reg.get_and_format(db, at) == "v"
+        reg.define_widget(WidgetSpec(name="w", locale="mid",
+                                     outputs={"default": "string-upcase"}))
+        assert reg.get_and_format(db, at) == "V"
+
+    def test_undeclared_medium_and_spelling_add_no_plan(self, tmp_path):
+        reg, db = self._stored_widget(
+            tmp_path, outputs={"m": "string-upcase", "default": "identity"})
+        memo = reg._snapshot[2]
+        assert reg.get_and_format(db, WidgetCoord("w", "leaf", "m")) == "V"
+        assert reg.get_and_format(db, WidgetCoord("w", "leaf", "default")) == "v"
+        assert sorted(memo) == [("w", "leaf", "default"), ("w", "leaf", "m")]
+        assert reg.get_and_format(db, WidgetCoord("W", "Leaf", ":M")) == "V"
+        assert reg.get_and_format(db, WidgetCoord("w", "leaf", "zz")) == "v"
+        assert reg.get_and_format(db, WidgetCoord("w", "LEAF", "Zz")) == "v"
+        assert len(memo) == 2 and reg._snapshot[2] is memo
+
+    def test_validator_sees_callers_medium(self, tmp_path):
+        reg = tiny_registry()
+        seen = []
+        reg.registries.validators.register(
+            "ctx-probe", 0, 0, lambda ctx, args, text: seen.append(ctx.medium))
+        reg.load_schema("(widget w root :table t :input ((default identity ctx-probe)))")
+        db = Database(tmp_path / "db")
+        for medium in ("default", "m9", "M9", "default"):
+            reg.parse_and_set(db, WidgetCoord("w", "leaf", medium), "v")
+        assert seen == ["default", "m9", "m9", "default"]
+        assert list(reg._snapshot[2]) == [("w", "leaf", "default")]
+
+    def test_failed_storage_walk_is_not_memoized(self, tmp_path):
+        reg = tiny_registry()
+        reg.load_schema("(widget w root :output ((default identity)))")
+        db = Database(tmp_path / "db")
+        for coord in (WidgetCoord("w", "leaf", "m"), WidgetCoord("ghost", "leaf", "m"),
+                      WidgetCoord("w", "atlantis", "m")):
+            with pytest.raises((ResolutionError, UnknownLocaleError)):
+                reg.get_and_format(db, coord)
+        assert len(reg._snapshot[2]) == 0

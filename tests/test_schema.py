@@ -47,6 +47,19 @@ class TestLoadReport:
         assert "floating" in report.warnings[0]
         assert "storage" in report.warnings[0]
 
+    def test_orphans_in_one_chain_warn_in_spec_order(self):
+        _, report = load(PRELUDE + """
+            (locale leaf :parent mid)
+            (widget floating leaf :output ((default identity)))
+            (widget floating root :output ((default identity)))
+            (widget kept mid :table t)
+            (widget kept leaf :output ((default identity)))
+            (widget kept root :output ((default identity)))
+        """)
+        assert report.warnings == [
+            f"widget '{name}' at '{locale}' has no storage anywhere in its ancestry"
+            for name, locale in [("floating", "leaf"), ("floating", "root"), ("kept", "root")]]
+
 
 class TestAllOrNothing:
     BAD_TAIL = PRELUDE + """

@@ -281,6 +281,30 @@ class TestDirectoryFsync:
         assert spy.calls[-2:] == [("unlink", "u.tbl"), ("fsync", True)]
         assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["t.tbl"]
 
+    def test_checkpoint_fsyncs_directory_once(self, tmp_path, monkeypatch):
+        db = Database(tmp_path / "db")
+        db.put("t", "k", 1)
+        db.put("u", "k", 2)
+        spy = _OsSpy()
+        monkeypatch.setattr(store, "os", spy)
+        db.checkpoint()
+        assert spy.calls == [("fsync", False), ("replace", "t.tbl"),
+                             ("fsync", False), ("replace", "u.tbl"), ("fsync", True)]
+
+    def test_failed_directory_fsync_keeps_tables_dirty(self, tmp_path, monkeypatch):
+        db = Database(tmp_path / "db")
+        db.put("t", "k", 1)
+        db.put("u", "k", 2)
+        monkeypatch.setattr(store, "os", _OsSpy(fail="fsync", fail_at=3))
+        with pytest.raises(OSError):
+            db.checkpoint()
+        spy = _OsSpy()
+        monkeypatch.setattr(store, "os", spy)
+        db.checkpoint()
+        assert [detail for name, detail in spy.calls if name == "replace"] == ["t.tbl", "u.tbl"]
+        db.checkpoint()  # now both are clean
+        assert len(spy.calls) == 5
+
 
 OLD_TABLES = {"a": {"k": 1}, "b": {"k": 2}, "c": {"k": 3}}
 NEW_TABLES = {"a": {"k": 10}, "b": {"k": 20}, "d": {"k": 40}}
@@ -345,15 +369,16 @@ class TestInjectedFaults:
                 db.restore_text(_dump_of(NEW_TABLES))
             finally:  # a failed restore leaves the Database reading the disk
                 assert {t: dict(db.items(t)) for t in db.table_names()} == _on_disk(db.root)
-        # three table writes (a replace and two fsyncs each), one unlink, one directory fsync
-        assert self._check_every_fault(tmp_path, monkeypatch, restore, NEW_TABLES) == 3 + 7 + 1
+        # three table writes (a replace and a file fsync each), one unlink, one directory fsync
+        assert self._check_every_fault(tmp_path, monkeypatch, restore, NEW_TABLES) == 3 + 4 + 1
 
     def test_checkpoint(self, tmp_path, monkeypatch):
         def commit(db):
             _put_all(db, NEW_TABLES)
             db.checkpoint()
         new = {**OLD_TABLES, **NEW_TABLES}
-        assert self._check_every_fault(tmp_path, monkeypatch, commit, new) == 3 + 6
+        # three table writes (a replace and a file fsync each), one directory fsync
+        assert self._check_every_fault(tmp_path, monkeypatch, commit, new) == 3 + 4
 
 
 class TestFileFormat:
