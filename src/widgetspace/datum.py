@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import MalformedEncodingError
-from .sexpr import SexprError, Token, TokenStream
+from .sexpr import (_INT_RE, SexprError, TokenError, expected, position, tokenize,
+                    unquote)
 
 
 class Uninitialized:
@@ -42,6 +43,11 @@ class Uninitialized:
 
 
 UNINITIALIZED = Uninitialized()
+
+# How deep sequences may nest in a datum: ``require_valid`` refuses a
+# deeper value and ``read_datum`` a deeper text, so neither a stored value
+# nor a corrupt file can exhaust the recursion of ``dumps``.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -104,11 +110,13 @@ def maybe_or_default(d: Datum, fallback):
     return fallback if is_uninitialized(d) else d
 
 
-def require_valid(d: Datum) -> None:
+def require_valid(d: Datum, depth: int = 0) -> None:
     """Reject values outside the datum universe.
 
-    Text is limited to printable characters plus space so every datum
-    survives the line-oriented dump format.
+    Text is limited to printable characters plus space, and sequences
+    nest at most ``MAX_DEPTH`` deep, so every datum survives the
+    line-oriented dump format and reads back. ``depth`` counts the
+    sequences around ``d``.
     """
     if isinstance(d, Uninitialized):
         return
@@ -126,8 +134,10 @@ def require_valid(d: Datum) -> None:
             _require_printable(part)
         return
     if isinstance(d, tuple):
+        if depth == MAX_DEPTH:
+            raise ValueError(f"sequences nested deeper than {MAX_DEPTH} are not storable")
         for item in d:
-            require_valid(item)
+            require_valid(item, depth + 1)
         return
     raise TypeError(f"not a datum value: {d!r}")
 
@@ -173,13 +183,13 @@ def serialize(d: Datum) -> bytes:
 def loads(text: str) -> Datum:
     """Parse exactly one datum from text."""
     try:
-        ts = TokenStream.from_text(text)
-        value = read_datum(ts)
-        trailing = ts.peek()
-        if trailing is not None:
-            raise SexprError("trailing content after datum", trailing.offset,
-                             trailing.line, trailing.col)
+        tokens = tokenize(text)
+        value, i = read_datum(tokens, 0)
+        if i < len(tokens):
+            raise TokenError("trailing content after datum", i)
         return value
+    except TokenError as e:
+        raise MalformedEncodingError(str(e), position(text, e.index)[0]) from None
     except SexprError as e:
         raise MalformedEncodingError(str(e), e.offset) from None
 
@@ -195,56 +205,75 @@ def deserialize(data: bytes | str) -> Datum:
     return loads(text)
 
 
-def read_datum(ts: TokenStream) -> Datum:
-    """Read one datum from a token stream. Raises SexprError on violations."""
-    tok = ts.next("a datum")
-    if tok.kind == "int":
-        return tok.value
-    if tok.kind == "string":
-        return tok.value
-    if tok.kind == "atom":
-        if tok.value == "#uninit":
-            return UNINITIALIZED
-        raise SexprError(f"unknown atom '{tok.value}'", tok.offset, tok.line, tok.col)
-    if tok.kind == "[":
-        items = []
-        while True:
-            nxt = ts.peek()
-            if nxt is None:
-                raise SexprError("unclosed '['", tok.offset, tok.line, tok.col)
-            if nxt.kind == "]":
-                ts.next()
-                return tuple(items)
-            items.append(read_datum(ts))
-    if tok.kind == "(":
-        head = ts.next("'date' or 'name'")
-        if head.kind == "atom" and head.value == "date":
-            return _read_date(ts)
-        if head.kind == "atom" and head.value == "name":
-            return _read_name(ts)
-        raise SexprError("expected 'date' or 'name'", head.offset, head.line, head.col)
-    raise SexprError(f"unexpected '{tok.kind}'", tok.offset, tok.line, tok.col)
+def read_datum(tokens: list[str], i: int) -> tuple[Datum, int]:
+    """The datum that starts at ``tokens[i]`` (spellings from ``sexpr.tokenize``),
+    and the index just past it. Raises TokenError at the token at fault."""
+    open_seqs = []  # (index of the '[', items so far) of each sequence open here
+    while True:
+        if i == len(tokens):
+            if open_seqs:
+                raise TokenError("unclosed '['", open_seqs[-1][0])
+            raise expected(tokens, i, "a datum")
+        tok = tokens[i]
+        first = tok[0]
+        if first == '"':
+            value = unquote(tok)
+            i += 1
+        elif first == "(":
+            value, i = _read_form(tokens, i + 1)
+        elif first == "[":
+            if len(open_seqs) == MAX_DEPTH:
+                raise TokenError(f"sequences nested deeper than {MAX_DEPTH}", i)
+            open_seqs.append((i, []))
+            i += 1
+            continue
+        elif first == "]" and open_seqs:
+            value = tuple(open_seqs.pop()[1])
+            i += 1
+        elif tok == "#uninit":
+            value = UNINITIALIZED
+            i += 1
+        elif _INT_RE.match(tok):
+            value = int(tok)
+            i += 1
+        elif first in ")]":
+            raise TokenError(f"unexpected '{tok}'", i)
+        else:
+            raise TokenError(f"unknown atom '{tok}'", i)
+        if not open_seqs:
+            return value, i
+        open_seqs[-1][1].append(value)
 
 
-def _read_int_in(ts: TokenStream, what: str, lo: int, hi: int) -> int:
-    tok = ts.expect("int", f"{what} (integer)")
-    if not lo <= tok.value <= hi:
-        raise SexprError(f"{what} out of range: {tok.value}", tok.offset, tok.line, tok.col)
-    return tok.value
+def _read_form(tokens: list[str], i: int) -> tuple[Datum, int]:
+    """A date or name, from its head at ``tokens[i]`` just past the '('."""
+    head = tokens[i] if i < len(tokens) else None
+    if head == "date":
+        year = _read_int_in(tokens, i + 1, "year", 0, 9999)
+        month = _read_int_in(tokens, i + 2, "month", 1, 12)
+        day = _read_int_in(tokens, i + 3, "day", 1, 31)
+        value, i = SimpleDate(year, month, day), i + 4
+    elif head == "name":
+        for j in range(i + 1, i + 5):
+            if j == len(tokens) or tokens[j][0] != '"':
+                raise expected(tokens, j, "a name part (string)")
+        value, i = PersonName(*map(unquote, tokens[i + 1:i + 5])), i + 5
+    elif head is None:
+        raise expected(tokens, i, "'date' or 'name'")
+    else:
+        raise TokenError("expected 'date' or 'name'", i)
+    if i == len(tokens) or tokens[i] != ")":
+        raise expected(tokens, i, "')'")
+    return value, i + 1
 
 
-def _read_date(ts: TokenStream) -> SimpleDate:
-    year = _read_int_in(ts, "year", 0, 9999)
-    month = _read_int_in(ts, "month", 1, 12)
-    day = _read_int_in(ts, "day", 1, 31)
-    ts.expect(")")
-    return SimpleDate(year, month, day)
-
-
-def _read_name(ts: TokenStream) -> PersonName:
-    parts = [ts.expect("string", "a name part (string)").value for _ in range(4)]
-    ts.expect(")")
-    return PersonName(*parts)
+def _read_int_in(tokens: list[str], i: int, what: str, lo: int, hi: int) -> int:
+    if i == len(tokens) or not _INT_RE.match(tokens[i]):
+        raise expected(tokens, i, f"{what} (integer)")
+    value = int(tokens[i])
+    if not lo <= value <= hi:
+        raise TokenError(f"{what} out of range: {value}", i)
+    return value
 
 
 _ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\"})

@@ -36,7 +36,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
-from pathlib import Path
 from typing import Callable, Optional
 
 from . import accessors, generators
@@ -46,7 +45,7 @@ from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
                      UnknownLocaleError, UnresolvedReferenceError, ValidationError)
 from .locales import LocaleTree
 from .sexpr import (ListNode, SexprError, Token, is_valid_symbol, normalize_symbol,
-                    read_forms)
+                    read_forms, read_source)
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
                          ValidatorRegistry, bases, default_validator_registry)
@@ -378,7 +377,12 @@ class WidgetRegistry:
         return self._load_sources([(filename, source)], replace)
 
     def load_schema_files(self, paths, *, replace: bool = False) -> LoadReport:
-        sources = [(str(p), Path(p).read_text(encoding="utf-8")) for p in paths]
+        sources = []
+        for path in paths:
+            try:
+                sources.append((str(path), read_source(path)))
+            except SexprError as e:
+                raise _syntax_error(e, str(path)) from None
         return self._load_sources(sources, replace)
 
     def _load_sources(self, sources, replace: bool) -> LoadReport:
@@ -389,8 +393,7 @@ class WidgetRegistry:
                 try:
                     forms = read_forms(text)
                 except SexprError as e:
-                    raise SchemaSyntaxError(str(e), filename=filename,
-                                            line=e.line, col=e.col) from None
+                    raise _syntax_error(e, filename) from None
                 for form in forms:
                     head = _head_symbol(form, filename)
                     if head == "locale":
@@ -581,6 +584,10 @@ def _placed(err: SchemaError, source: Optional[tuple[str, dict]], part) -> Schem
 
 # -- schema form parsing ------------------------------------------------------
 # Syntax only: what a parsed spec means is checked by WidgetRegistry._install.
+
+
+def _syntax_error(e: SexprError, filename: str) -> SchemaSyntaxError:
+    return SchemaSyntaxError(str(e), filename=filename, line=e.line, col=e.col)
 
 
 def _positioned(cls, message: str, filename: str, node) -> SchemaError:

@@ -5,38 +5,48 @@ all share one token alphabet: parens, brackets, double-quoted strings
 with ``\\"`` and ``\\\\`` escapes, integers, and bare atoms. ``;`` starts
 a comment running to end of line.
 
-``tokenize`` is one scan of one compiled pattern, a single match per
-token. Each match skips the whitespace and comments before its token
-and names the token's kind by its group. Tokens carry both a byte offset
-(datum diagnostics) and a line/column pair (schema diagnostics). Tokens
-never span a newline, so the line and column come from counting
+One compiled pattern matches one token per match. Each match skips the
+whitespace and comments before its token, and its one group is the
+token's spelling, which fixes the token's kind and value
+(``classify``): a bracket is itself, a string starts with ``"``, and a run
+of atom characters is an integer if it reads as one and an atom
+otherwise. A ``"`` that starts no well-formed string, or a lone ``\\``,
+is a fault, diagnosed where it stands.
+
+Table files, dumps and datums are scanned without positions:
+``tokenize`` is one ``findall`` that returns the spellings, and a reader
+of spellings raises ``TokenError`` with the index of the token at fault.
+Only then does ``position`` scan the text again, counting, to find that
+token's byte offset, line and column. The schema reader needs a position
+on every node, so ``read_forms`` reads the positioned scan ``_scan``.
+Tokens never span a newline, so the line and column come from counting
 newlines in the skipped text. The byte offset is the character index
 when the text is ASCII; otherwise it advances by the UTF-8 length of the
-text since the previous token. A character that starts no token (a
-malformed string or a lone ``\\``) is diagnosed where it stands.
+text since the previous token.
 """
 
 from __future__ import annotations
 
+import os
 import re
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
-_SYMBOL_RE = re.compile(r"[a-z0-9][a-z0-9_-]*\Z")
+# all-digit words lex as integers, so they cannot serve as symbols
+_SYMBOL_RE = re.compile(r"(?![0-9]+\Z)[a-z0-9][a-z0-9_-]*\Z")
 
-_ATOM_CHAR = r'[^ \t\r\n()\[\]";]'
 _STRING_BODY = r'[^"\\\x00-\x1f\x7f]*(?:\\["\\][^"\\\x00-\x1f\x7f]*)*'
 _STRING_BODY_RE = re.compile(_STRING_BODY)
 _UNESCAPE_RE = re.compile(r'\\(["\\])')
 # Every position matches one alternative after the skipped text, so the
 # scan never backtracks into it and consecutive matches tile the text.
+# A '"' that starts no well-formed string matches alone, and a lone '\'
+# as a run of atom characters: both are faults. The end of input matches
+# with an empty group, twice when whitespace or a comment ends the text,
+# since ``findall`` then tries the end once more.
 _TOKEN_RE = re.compile(rf"""
     [ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*
-    (?:(?P<punct>[()\[\]])
-      |(?P<string>"{_STRING_BODY}")
-      |(?P<int>-?[0-9]+)(?!{_ATOM_CHAR})
-      |(?P<atom>[^ \t\r\n()\[\]";\\]{_ATOM_CHAR}*|\\{_ATOM_CHAR}+)
-      |(?P<fault>[\s\S])
-      |(?P<end>\Z))""", re.VERBOSE)
+    (?:([()\[\]]|"{_STRING_BODY}"|[^ \t\r\n()\[\]";]+|")|\Z)""", re.VERBOSE)
+_FAULTS = ('"', "\\")  # the spellings that start no token
 
 
 class SexprError(Exception):
@@ -47,6 +57,15 @@ class SexprError(Exception):
         self.offset = offset
         self.line = line
         self.col = col
+
+
+class TokenError(Exception):
+    """A fault found by a reader of spellings, at token ``index`` (the
+    number of tokens for the end of input); ``position`` places it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class Token:
@@ -88,11 +107,94 @@ def normalize_symbol(text: str) -> str:
 
 
 def is_valid_symbol(text: str) -> bool:
-    # all-digit words lex as integers, so they cannot serve as symbols
-    return bool(_SYMBOL_RE.match(text)) and not _INT_RE.match(text)
+    return _SYMBOL_RE.match(text) is not None
 
 
-def tokenize(text: str) -> list[Token]:
+def read_source(path: str | os.PathLike) -> str:
+    """A source file's text, with newlines as ``Path.read_text`` reads them.
+
+    Bytes that are not UTF-8 raise SexprError at the first bad byte: its
+    offset in the file, and its line and column in the text before it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = _newlines(data[:e.start].decode("utf-8"))
+        raise SexprError(f"invalid UTF-8: {e.reason}", e.start, before.count("\n") + 1,
+                         len(before) - before.rfind("\n")) from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+# -- the position-free scan ----------------------------------------------------
+
+
+def tokenize(text: str) -> list[str]:
+    """The spelling of each token of ``text``, without positions.
+
+    A fault raises SexprError at its position, before anything is read.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    del tokens[tokens.index(""):]  # the end of input, matched once or twice
+    if '"' in tokens or "\\" in tokens:
+        _scan(text)  # raises at the first fault
+    return tokens
+
+
+def classify(tok: str) -> tuple[str, object]:
+    """The kind (one of ( ) [ ] string int atom) and value of the token spelled ``tok``."""
+    first = tok[0]
+    if first == '"':
+        return "string", unquote(tok)
+    if first in "()[]":
+        return tok, tok
+    if first in "-0123456789" and _INT_RE.match(tok):
+        return "int", int(tok)
+    return "atom", tok
+
+
+def unquote(tok: str) -> str:
+    """The text of a string token."""
+    text = tok[1:-1]
+    return _UNESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+
+
+def describe(tok: str) -> str:
+    """The token spelled ``tok`` as an error message names it."""
+    kind, value = classify(tok)
+    if kind == "string":
+        return "a string"
+    if kind == "int":
+        return f"integer {value}"
+    return f"'{tok}'"
+
+
+def expected(tokens: list[str], i: int, what: str) -> TokenError:
+    """The error for ``tokens[i]``, or the end of input, where ``what`` belongs."""
+    if i >= len(tokens):
+        return TokenError(f"unexpected end of input, expected {what}", i)
+    return TokenError(f"expected {what}, found {describe(tokens[i])}", i)
+
+
+def position(text: str, i: int) -> tuple[int, int, int]:
+    """(byte offset, line, col) of token ``i`` of ``text``, or of the end of
+    input when ``text`` has no token ``i``. Scans ``text`` again: for errors."""
+    tokens = _scan(text)
+    if i < len(tokens):
+        tok = tokens[i]
+        return tok.offset, tok.line, tok.col
+    return len(text.encode("utf-8")), text.count("\n") + 1, len(text) - text.rfind("\n")
+
+
+# -- the positioned scan and the schema reader -----------------------------------
+
+
+def _scan(text: str) -> list[Token]:
     tokens: list[Token] = []
     is_ascii = text.isascii()
     line = 1
@@ -100,8 +202,10 @@ def tokenize(text: str) -> list[Token]:
     offset = 0
     counted = 0  # index up to which ``offset`` counts bytes
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind)
+        tok = m.group(1)
+        if tok is None:
+            break
+        start = m.start(1)
         skipped = m.start()
         if start != skipped:
             newlines = text.count("\n", skipped, start)
@@ -114,21 +218,9 @@ def tokenize(text: str) -> list[Token]:
             offset += len(text[counted:start].encode("utf-8"))
             counted = start
         col = start - line_start + 1
-        if kind == "punct":
-            kind = value = m.group(kind)
-        elif kind == "atom":
-            value = m.group(kind)
-        elif kind == "string":
-            value = m.group(kind)[1:-1]
-            if "\\" in value:
-                value = _UNESCAPE_RE.sub(r"\1", value)
-        elif kind == "int":
-            value = int(m.group(kind))
-        elif kind == "end":
-            break
-        else:
+        if tok in _FAULTS:
             raise _fault(text, start, offset, line, col)
-        tokens.append(Token(kind, value, offset, line, col))
+        tokens.append(Token(*classify(tok), offset, line, col))
     return tokens
 
 
@@ -145,65 +237,13 @@ def _fault(text: str, i: int, offset: int, line: int, col: int) -> SexprError:
     return SexprError(message, offset + len(text[i:j].encode("utf-8")), line, col + j - i)
 
 
-def _end_position(text: str) -> tuple[int, int, int]:
-    """(offset, line, col) just past the end of ``text``."""
-    return (len(text.encode("utf-8")), text.count("\n") + 1,
-            len(text) - text.rfind("\n"))
-
-
-class TokenStream:
-    def __init__(self, tokens: list[Token], text: str):
-        """``tokens`` read from ``text``, which places the end of input."""
-        self._tokens = tokens
-        self._pos = 0
-        self._text = text
-
-    @classmethod
-    def from_text(cls, text: str) -> "TokenStream":
-        return cls(tokenize(text), text)
-
-    def at_end(self) -> bool:
-        return self._pos >= len(self._tokens)
-
-    def peek(self) -> Token | None:
-        pos = self._pos
-        return self._tokens[pos] if pos < len(self._tokens) else None
-
-    def next(self, expected: str = "a token") -> Token:
-        pos = self._pos
-        if pos >= len(self._tokens):
-            raise SexprError(f"unexpected end of input, expected {expected}",
-                             *_end_position(self._text))
-        self._pos = pos + 1
-        return self._tokens[pos]
-
-    def expect(self, kind: str, expected: str | None = None) -> Token:
-        pos = self._pos
-        if pos < len(self._tokens) and self._tokens[pos].kind == kind:
-            self._pos = pos + 1
-            return self._tokens[pos]
-        what = expected or f"'{kind}'"
-        tok = self.next(what)
-        raise SexprError(f"expected {what}, found {describe(tok)}",
-                         tok.offset, tok.line, tok.col)
-
-
-def describe(tok: Token) -> str:
-    if tok.kind == "string":
-        return "a string"
-    if tok.kind == "int":
-        return f"integer {tok.value}"
-    if tok.kind == "atom":
-        return f"'{tok.value}'"
-    return f"'{tok.kind}'"
-
-
 def read_forms(text: str) -> list[ListNode]:
     """Read schema-style source as a list of parenthesized top-level forms."""
-    ts = TokenStream.from_text(text)
+    tokens = _scan(text)
     forms = []
-    while not ts.at_end():
-        node = _read_node(ts)
+    i = 0
+    while i < len(tokens):
+        node, i = _read_node(tokens, i)
         if not isinstance(node, ListNode):
             raise SexprError("expected a parenthesized form at top level",
                              node.offset, node.line, node.col)
@@ -211,8 +251,10 @@ def read_forms(text: str) -> list[ListNode]:
     return forms
 
 
-def _read_node(ts: TokenStream):
-    tok = ts.next("a form")
+def _read_node(tokens: list[Token], i: int):
+    """The node that starts at ``tokens[i]``, and the index past it."""
+    tok = tokens[i]
+    i += 1
     if tok.kind in (")", "]"):
         raise SexprError(f"unbalanced '{tok.kind}'", tok.offset, tok.line, tok.col)
     if tok.kind == "[":
@@ -221,11 +263,10 @@ def _read_node(ts: TokenStream):
     if tok.kind == "(":
         items = []
         while True:
-            nxt = ts.peek()
-            if nxt is None:
+            if i == len(tokens):
                 raise SexprError("unclosed '('", tok.offset, tok.line, tok.col)
-            if nxt.kind == ")":
-                ts.next()
-                return ListNode(tuple(items), tok.offset, tok.line, tok.col)
-            items.append(_read_node(ts))
-    return tok
+            if tokens[i].kind == ")":
+                return ListNode(tuple(items), tok.offset, tok.line, tok.col), i + 1
+            node, i = _read_node(tokens, i)
+            items.append(node)
+    return tok, i

@@ -9,7 +9,10 @@ fsyncs the directory once, so a crash can lose recent writes but never
 corrupt what a previous checkpoint saved.
 
 Table file format: line one is ``(table <name>)``, then one ``(<key>
-<datum>)`` pair per line, sorted by key, UTF-8, LF line endings.
+<datum>)`` pair per line, sorted by key, UTF-8, LF line endings. A table
+file or dump is read one line at a time, each line scanned once into token
+spellings without positions; the byte offset of a fault is computed only
+when one is found.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .datum import UNINITIALIZED, Datum, dumps, is_uninitialized, read_datum, re
 from .errors import (CorruptTableError, IndexOutOfRangeError, StoreError,
                      WrongVariantError)
 from . import sexpr
-from .sexpr import SexprError, Token, TokenStream, is_valid_symbol, normalize_symbol
+from .sexpr import (SexprError, TokenError, classify, expected, is_valid_symbol,
+                    normalize_symbol, position, read_source)
 
 _SUFFIX = ".tbl"
 
@@ -197,6 +201,9 @@ class Database:
     # -- internals -----------------------------------------------------
 
     def _table(self, name: str) -> _Table:
+        t = self._tables.get(name)  # keyed by canonical, valid names only
+        if t is not None:
+            return t
         name = normalize_symbol(name)
         if not is_valid_symbol(name):
             raise StoreError(f"invalid table name {name!r}")
@@ -229,11 +236,9 @@ def read_text(path: str | os.PathLike, filename: str | None = None) -> str:
     Bytes that are not UTF-8 raise CorruptTableError at the first bad byte's offset.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CorruptTableError(f"invalid UTF-8: {e.reason}", filename=filename or str(path),
-                                offset=e.start) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        return read_source(path)
+    except SexprError as e:
+        raise CorruptTableError(str(e), filename=filename or str(path), offset=e.offset) from None
 
 
 def replace_file(path: str | os.PathLike, text: str) -> None:
@@ -296,7 +301,11 @@ def _render_table(name: str, entries: dict[str, Datum]) -> str:
 
 
 def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
-    """Parse one or more concatenated table sections. Line-oriented."""
+    """Parse one or more concatenated table sections. Line-oriented.
+
+    Lines are read as position-free tokens; a fault is placed on its line
+    only once it is found.
+    """
     tables: dict[str, dict[str, Datum]] = {}
     current: dict[str, Datum] | None = None
     start = 0  # character index of the line's start
@@ -313,41 +322,46 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
                 else:
                     if current is None:
                         raise SexprError("missing (table ...) header", 0, 1, 1)
-                    key, value = _parse_pair(TokenStream(tokens, line))
+                    key, value = _parse_pair(tokens)
                     if key in current:
                         raise SexprError(f"duplicate key '{key}'", 0, 1, 1)
                     current[key] = value
-            except SexprError as e:
-                offset = len(text[:start].encode("utf-8")) + e.offset
+            except (SexprError, TokenError) as e:
+                at = position(line, e.index)[0] if isinstance(e, TokenError) else e.offset
+                offset = len(text[:start].encode("utf-8")) + at
                 raise CorruptTableError(str(e), filename=filename, offset=offset) from None
         start += len(line) + 1
     return tables
 
 
-def _header_name(toks: list[Token]) -> str | None:
+def _header_name(tokens: list[str]) -> str | None:
     """The table name iff the line's tokens have exactly the shape '(table <symbol>)'.
 
     Anything else, including entry pairs whose key happens to be
     'table', falls through to the pair parser.
     """
-    if (len(toks) == 4 and toks[0].kind == "(" and toks[3].kind == ")"
-            and toks[1].kind == "atom" and toks[1].value == "table"
-            and toks[2].kind == "atom"):
-        name = normalize_symbol(str(toks[2].value))
+    if (len(tokens) == 4 and tokens[0] == "(" and tokens[3] == ")"
+            and tokens[1] == "table"):
+        # a string or integer never normalizes to a valid symbol
+        name = normalize_symbol(tokens[2])
         if is_valid_symbol(name):
             return name
     return None
 
 
-def _parse_pair(ts: TokenStream) -> tuple[str, Datum]:
-    ts.expect("(")
-    key_tok = ts.expect("atom", "a key symbol")
-    key = normalize_symbol(str(key_tok.value))
-    if not is_valid_symbol(key):
-        raise SexprError(f"invalid key '{key}'", key_tok.offset, key_tok.line, key_tok.col)
-    value = read_datum(ts)
-    ts.expect(")")
-    if not ts.at_end():
-        tok = ts.peek()
-        raise SexprError("trailing content after entry", tok.offset, tok.line, tok.col)
+def _parse_pair(tokens: list[str]) -> tuple[str, Datum]:
+    if not tokens or tokens[0] != "(":
+        raise expected(tokens, 0, "'('")
+    if len(tokens) == 1:
+        raise expected(tokens, 1, "a key symbol")
+    key = normalize_symbol(tokens[1])
+    if not is_valid_symbol(key):  # as a string or an integer never is
+        if classify(tokens[1])[0] != "atom":
+            raise expected(tokens, 1, "a key symbol")
+        raise TokenError(f"invalid key '{key}'", 1)
+    value, i = read_datum(tokens, 2)
+    if i == len(tokens) or tokens[i] != ")":
+        raise expected(tokens, i, "')'")
+    if i + 1 < len(tokens):
+        raise TokenError("trailing content after entry", i + 1)
     return key, value

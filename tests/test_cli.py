@@ -86,6 +86,15 @@ class TestSchemaLoad:
         assert err.startswith("error: ")
         assert "ghost" in err
 
+    @pytest.mark.parametrize("action", [["load", "--check-only"], ["lint"]])
+    def test_invalid_utf8_exit_2(self, tmp_path, action):
+        bad = tmp_path / "bad.scm"
+        bad.write_bytes(b"(locale root :parent none)\r\n(wid\xff)\n")
+        code, out, err = run_cli(["schema", action[0], str(bad), *action[1:]], cwd=tmp_path)
+        assert (code, out) == (2, "")
+        # byte 32 is the 5th character of the second line
+        assert err == f"error: {bad}:2:5: invalid UTF-8: invalid start byte\n"
+
     def test_missing_file_exit_3(self, tmp_path):
         code, _, err = run_cli(
             ["schema", "load", str(tmp_path / "absent.scm"),
@@ -287,6 +296,19 @@ class TestSetGet:
              "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
         assert (code, out) == (3, "")
         assert err == "error: demographics.tbl: invalid UTF-8: invalid start byte (byte 27)\n"
+
+    def test_get_from_too_deeply_nested_table_exit_3(self, ws, tmp_path):
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "demographics.tbl").write_text(
+            "(table demographics)\n(dob " + "[" * 5000 + "]" * 5000 + ")\n")
+        code, out, err = run_cli(
+            ["get", *ws_args(ws), "--db", str(root), "--locale", "arkansas",
+             "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        assert (code, out) == (3, "")
+        # the pair line starts at byte 21 and its 101st '[' at byte 126
+        assert err == ("error: demographics.tbl: sequences nested deeper than 100 "
+                       "(byte 126)\n")
 
     def test_get_unset_prints_marker(self, ws, tmp_path):
         code, out, _ = run_cli(
@@ -694,6 +716,16 @@ class TestDumpRestore:
         assert code == 3
         assert err == f"error: {bad}: invalid UTF-8: invalid start byte (byte 17)\n"
         assert Database(tmp_path / "db").is_empty()
+
+    def test_dump_of_too_deeply_nested_table_exit_3(self, tmp_path):
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "t.tbl").write_text("(table t)\n(k " + "[" * 5000 + "]" * 5000 + ")\n")
+        out = tmp_path / "out.widgetdump"
+        code, _, err = run_cli(["dump", "--db", str(root), str(out)], cwd=tmp_path)
+        assert code == 3
+        assert err == "error: t.tbl: sequences nested deeper than 100 (byte 113)\n"
+        assert not out.exists()
 
     def test_restore_corrupt_dump_exit_3(self, ws, tmp_path):
         bad = tmp_path / "bad.widgetdump"

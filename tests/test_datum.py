@@ -10,6 +10,7 @@ from widgetspace import (
     deserialize, dumps, is_uninitialized, loads, maybe_map, maybe_or_default,
     require_valid, serialize,
 )
+from widgetspace.datum import MAX_DEPTH
 
 storable_text = st.text(
     alphabet=st.characters(min_codepoint=0x20, exclude_characters="\x7f",
@@ -242,6 +243,34 @@ class TestLoads:
         with pytest.raises(MalformedEncodingError) as exc:
             deserialize(b'"a\xffb"')
         assert exc.value.offset == 2
+
+
+def nested(depth: int, leaf=()):
+    value = leaf
+    for _ in range(depth - 1):
+        value = (value,)
+    return value
+
+
+class TestNestingDepth:
+    def test_deepest_storable_value_reads_back(self):
+        value = nested(MAX_DEPTH, (1,))
+        require_valid(value)
+        assert dumps(value) == "[" * MAX_DEPTH + "1" + "]" * MAX_DEPTH
+        assert loads(dumps(value)) == value
+
+    def test_deeper_value_is_not_storable(self):
+        with pytest.raises(ValueError, match=f"nested deeper than {MAX_DEPTH}"):
+            require_valid(nested(MAX_DEPTH + 1))
+        with pytest.raises(ValueError):
+            serialize(nested(5000))
+
+    def test_deeper_text_is_malformed_at_the_first_bracket_too_deep(self):
+        with pytest.raises(MalformedEncodingError) as exc:
+            loads(" " + "[" * 5000 + "]" * 5000)
+        assert exc.value.offset == MAX_DEPTH + 1
+        assert str(exc.value) == (f"sequences nested deeper than {MAX_DEPTH} "
+                                  f"(byte {MAX_DEPTH + 1})")
 
 
 class TestRoundTrip:

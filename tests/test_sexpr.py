@@ -1,9 +1,11 @@
-"""The s-expression scanner against the per-character reader it replaced.
+"""The s-expression scanners and readers against the implementations they replaced.
 
-The reference tokenizer and table parser below are the earlier
-implementations, kept verbatim apart from their names. The scanner must
-give the same tokens and positions, and the same errors at the same
-positions, on any input.
+The references below are earlier implementations, kept verbatim apart
+from their names: the per-character tokenizer, and the table parser and
+datum reader over positioned tokens. On any input, the positioned scan
+must give the reference's tokens and positions, the position-free scan
+placed by ``position`` the same, and the table parser and ``datum.loads``
+the same values, or the same errors at the same positions.
 """
 
 import re
@@ -12,10 +14,11 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widgetspace import CorruptTableError, Database, SchemaSyntaxError, WidgetRegistry
-from widgetspace import sexpr, store
-from widgetspace.datum import Datum, read_datum
-from widgetspace.sexpr import SexprError, describe, is_valid_symbol, normalize_symbol
+from widgetspace import (UNINITIALIZED, CorruptTableError, Database, MalformedEncodingError,
+                         PersonName, SchemaSyntaxError, SimpleDate, WidgetRegistry)
+from widgetspace import datum, sexpr, store
+from widgetspace.datum import Datum
+from widgetspace.sexpr import SexprError, is_valid_symbol, normalize_symbol
 
 # -- the reference ---------------------------------------------------------------
 
@@ -112,6 +115,16 @@ def ref_tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def ref_describe(tok: Token) -> str:
+    if tok.kind == "string":
+        return "a string"
+    if tok.kind == "int":
+        return f"integer {tok.value}"
+    if tok.kind == "atom":
+        return f"'{tok.value}'"
+    return f"'{tok.kind}'"
+
+
 class RefTokenStream:
     def __init__(self, tokens: list[Token], *, end_offset: int = 0,
                  end_line: int = 1, end_col: int = 1):
@@ -147,10 +160,75 @@ class RefTokenStream:
         what = expected or f"'{kind}'"
         tok = self.next(what)
         if tok.kind != kind:
-            raise SexprError(f"expected {what}, found {describe(tok)}",
+            raise SexprError(f"expected {what}, found {ref_describe(tok)}",
                              tok.offset, tok.line, tok.col)
         return tok
 
+
+def ref_loads(text: str) -> Datum:
+    """Parse exactly one datum from text."""
+    try:
+        ts = RefTokenStream.from_text(text)
+        value = ref_read_datum(ts)
+        trailing = ts.peek()
+        if trailing is not None:
+            raise SexprError("trailing content after datum", trailing.offset,
+                             trailing.line, trailing.col)
+        return value
+    except SexprError as e:
+        raise MalformedEncodingError(str(e), e.offset) from None
+
+
+def ref_read_datum(ts: RefTokenStream) -> Datum:
+    """Read one datum from a token stream. Raises SexprError on violations."""
+    tok = ts.next("a datum")
+    if tok.kind == "int":
+        return tok.value
+    if tok.kind == "string":
+        return tok.value
+    if tok.kind == "atom":
+        if tok.value == "#uninit":
+            return UNINITIALIZED
+        raise SexprError(f"unknown atom '{tok.value}'", tok.offset, tok.line, tok.col)
+    if tok.kind == "[":
+        items = []
+        while True:
+            nxt = ts.peek()
+            if nxt is None:
+                raise SexprError("unclosed '['", tok.offset, tok.line, tok.col)
+            if nxt.kind == "]":
+                ts.next()
+                return tuple(items)
+            items.append(ref_read_datum(ts))
+    if tok.kind == "(":
+        head = ts.next("'date' or 'name'")
+        if head.kind == "atom" and head.value == "date":
+            return ref_read_date(ts)
+        if head.kind == "atom" and head.value == "name":
+            return ref_read_name(ts)
+        raise SexprError("expected 'date' or 'name'", head.offset, head.line, head.col)
+    raise SexprError(f"unexpected '{tok.kind}'", tok.offset, tok.line, tok.col)
+
+
+def ref_read_int_in(ts: RefTokenStream, what: str, lo: int, hi: int) -> int:
+    tok = ts.expect("int", f"{what} (integer)")
+    if not lo <= tok.value <= hi:
+        raise SexprError(f"{what} out of range: {tok.value}", tok.offset, tok.line, tok.col)
+    return tok.value
+
+
+def ref_read_date(ts: RefTokenStream) -> SimpleDate:
+    year = ref_read_int_in(ts, "year", 0, 9999)
+    month = ref_read_int_in(ts, "month", 1, 12)
+    day = ref_read_int_in(ts, "day", 1, 31)
+    ts.expect(")")
+    return SimpleDate(year, month, day)
+
+
+def ref_read_name(ts: RefTokenStream) -> PersonName:
+    parts = [ts.expect("string", "a name part (string)").value for _ in range(4)]
+    ts.expect(")")
+    return PersonName(*parts)
 
 
 def ref_parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
@@ -209,7 +287,7 @@ def _ref_parse_pair(line: str) -> tuple[str, Datum]:
     key = normalize_symbol(str(key_tok.value))
     if not is_valid_symbol(key):
         raise SexprError(f"invalid key '{key}'", key_tok.offset, key_tok.line, key_tok.col)
-    value = read_datum(ts)
+    value = ref_read_datum(ts)
     ts.expect(")")
     if not ts.at_end():
         tok = ts.peek()
@@ -217,7 +295,7 @@ def _ref_parse_pair(line: str) -> tuple[str, Datum]:
     return key, value
 
 
-# -- the scanner against the reference ------------------------------------------
+# -- the scanners against the reference -----------------------------------------
 
 FRAGMENTS = ["(", ")", "[", "]", '"', "\\", ";", " ", "\t", "\n", "\r\n", "\r",
              "a", "k", "-", "0", "7", "42", "-3", "é", "€", "\U0001d11e",
@@ -240,7 +318,56 @@ def _tokens(tokenize, text):
 @settings(max_examples=1000)
 @given(sexpr_text)
 def test_tokenize_matches_reference(text):
-    assert _tokens(sexpr.tokenize, text) == _tokens(ref_tokenize, text)
+    assert _tokens(sexpr._scan, text) == _tokens(ref_tokenize, text)
+
+
+def _spellings(text):
+    """The position-free scan of ``text``, placed: each token's kind, value and
+    position, then the end of input's position; or the error."""
+    try:
+        tokens = sexpr.tokenize(text)
+    except SexprError as e:
+        return ("error", str(e), e.offset, e.line, e.col)
+    placed = []
+    for i, tok in enumerate(tokens):
+        kind, value = sexpr.classify(tok)
+        placed.append((kind, type(value), value, *sexpr.position(text, i)))
+    return placed + [sexpr.position(text, len(tokens))]
+
+
+@settings(max_examples=600)
+@given(sexpr_text)
+def test_position_free_scan_matches_reference(text):
+    expected = _tokens(ref_tokenize, text)
+    if isinstance(expected, list):
+        expected.append(RefTokenStream.from_text(text)._end)
+    assert _spellings(text) == expected
+
+
+DATUM_FRAGMENTS = ["[", "]", "(", ")", "date", "name", "#uninit", "#other", "0", "1", "-2",
+                   "007", "12", "13", "31", "32", "9999", "10000", '"a"', '"é€"', '"a\\"b"',
+                   '""', '"', "\\", "x", ";", "\n"]
+datum_text = st.one_of(
+    st.lists(st.sampled_from(DATUM_FRAGMENTS), max_size=25).map(" ".join),
+    st.lists(st.sampled_from(DATUM_FRAGMENTS), max_size=25).map("".join),
+    st.recursive(st.sampled_from(['#uninit', '-3', '"é"', '(date 2020 2 30)',
+                                  '(name "a" "b" "" "d")']),
+                 lambda inner: st.lists(inner, max_size=4).map(
+                     lambda items: "[" + " ".join(items) + "]"), max_leaves=12),
+    sexpr_text)
+
+
+def _loaded(loads, text):
+    try:
+        return ("value", loads(text))
+    except MalformedEncodingError as e:
+        return ("error", str(e), e.offset)
+
+
+@settings(max_examples=1000)
+@given(datum_text)
+def test_loads_matches_reference(text):
+    assert _loaded(datum.loads, text) == _loaded(ref_loads, text)
 
 
 TABLE_NAMES = ["t", "u", "T", "table", "a-b", "9", "x y", "é"]

@@ -13,6 +13,7 @@ from widgetspace import (
     UNINITIALIZED, CorruptTableError, Database, IndexOutOfRangeError, PersonName,
     SimpleDate, StoreError, WrongVariantError, dumps, is_uninitialized, store,
 )
+from widgetspace.datum import MAX_DEPTH
 
 keys = st.from_regex(r"[a-z0-9][a-z0-9_-]{0,10}", fullmatch=True).filter(
     lambda s: not s.isdigit())
@@ -74,6 +75,18 @@ class TestPutGet:
     def test_empty_table_name_rejected(self, db):
         with pytest.raises(StoreError):
             db.get("", "k")
+
+    def test_table_names_normalized_after_load(self, tmp_path):
+        db = Database(tmp_path / "db")
+        db.put("t", "k", 1)
+        db.checkpoint()
+        db = Database(tmp_path / "db")
+        assert db.get("t", "k") == 1  # loads and keeps the table
+        assert db.get(":T", "k") == 1
+        assert db.get("T", "k") == 1
+        for bad in ("", ":", "t t", "T!", "9"):
+            with pytest.raises(StoreError, match="invalid table name"):
+                db.get(bad, "k")
 
     @settings(max_examples=50)
     @given(key=keys, value=small_datums)
@@ -499,6 +512,26 @@ class TestCorruption:
             db.get("t", "k")
         # byte 10 starts the pair line; the month token sits 14 bytes in
         assert exc.value.offset == 24
+
+    def test_nesting_too_deep(self, tmp_path):
+        db = self._db_with(tmp_path, "(table t)\n(k " + "[" * 5000 + "]" * 5000 + ")\n")
+        with pytest.raises(CorruptTableError) as exc:
+            db.get("t", "k")
+        # byte 10 starts the pair line; its first '[' sits 3 bytes in
+        assert exc.value.offset == 10 + 3 + MAX_DEPTH
+        assert str(exc.value) == (f"t.tbl: sequences nested deeper than {MAX_DEPTH} "
+                                  f"(byte {exc.value.offset})")
+
+    def test_deepest_storable_value_reads_back(self, tmp_path):
+        value = 1
+        for _ in range(MAX_DEPTH):
+            value = (value,)
+        db = Database(tmp_path / "db")
+        db.put("t", "k", value)
+        db.checkpoint()
+        assert Database(tmp_path / "db").get("t", "k") == value
+        with pytest.raises(ValueError):
+            db.put("t", "k", (value,))
 
 
 class TestDumpRestore:
