@@ -195,7 +195,7 @@ def _load_workspace(args) -> WidgetRegistry:
             f"no schema workspace at '{path}' (run 'widgetspace schema load' first)")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise SchemaError(f"workspace '{path}' is unreadable: {e}") from None
     if not isinstance(data, dict) or data.get("version") != 1 or "state" not in data:
         raise SchemaError(f"workspace '{path}' has an unsupported layout")

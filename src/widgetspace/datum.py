@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import MalformedEncodingError
-from .sexpr import (_INT_RE, SexprError, TokenError, expected, position, tokenize,
-                    unquote)
+from .sexpr import (_INT_RE, MAX_DEPTH, SexprError, TokenError, expected, position,
+                    tokenize, unquote)
 
 
 class Uninitialized:
@@ -43,11 +43,6 @@ class Uninitialized:
 
 
 UNINITIALIZED = Uninitialized()
-
-# How deep sequences may nest in a datum: ``require_valid`` refuses a
-# deeper value and ``read_datum`` a deeper text, so neither a stored value
-# nor a corrupt file can exhaust the recursion of ``dumps``.
-MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)

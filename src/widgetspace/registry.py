@@ -45,7 +45,7 @@ from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
                      UnknownLocaleError, UnresolvedReferenceError, ValidationError)
 from .locales import LocaleTree
 from .sexpr import (ListNode, SexprError, Token, is_valid_symbol, normalize_symbol,
-                    read_forms, read_source)
+                    position, read_forms, read_source)
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
                          ValidatorRegistry, bases, default_validator_registry)
@@ -187,12 +187,12 @@ class WidgetRegistry:
         return sorted({name for (name, loc) in specs if loc in chain})
 
     def _install(self, spec: WidgetSpec, tree: LocaleTree, specs: dict,
-                 source: Optional[tuple[str, dict]] = None) -> None:
+                 source: Optional[tuple[tuple[str, str], dict]] = None) -> None:
         """Check a normalized ``spec`` against ``tree`` and the registries, then add it.
 
         The one check of a spec's meaning and types, whatever its source. For
-        a spec read from schema text, ``source`` is ``(filename, nodes)`` with
-        the node that spelled each part, and errors are positioned there.
+        a spec read from schema text, ``source`` is ``((filename, text), nodes)``
+        with the node that spelled each part, and errors are positioned there.
         """
         regs = self.registries
         if not (isinstance(spec.name, str) and is_valid_symbol(spec.name)):
@@ -389,23 +389,24 @@ class WidgetRegistry:
         n_locales = 0
         n_widgets = 0
         with self._staged() as (tree, specs):
-            for filename, text in sources:
+            for src in sources:
+                filename, text = src
                 try:
                     forms = read_forms(text)
                 except SexprError as e:
                     raise _syntax_error(e, filename) from None
                 for form in forms:
-                    head = _head_symbol(form, filename)
+                    head = _head_symbol(form, src)
                     if head == "locale":
-                        _apply_locale_form(form, tree, filename, replace)
+                        _apply_locale_form(form, tree, src, replace)
                         n_locales += 1
                     elif head == "widget":
-                        spec, nodes = _parse_widget_form(form, filename)
-                        self._install(spec, tree, specs, (filename, nodes))
+                        spec, nodes = _parse_widget_form(form, src)
+                        self._install(spec, tree, specs, (src, nodes))
                         n_widgets += 1
                     else:
                         raise _positioned(SchemaSyntaxError,
-                                          f"unknown form '{head}'", filename, form)
+                                          f"unknown form '{head}'", src, form)
         return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
 
     # -- state export (schema workspace support) -----------------------------
@@ -574,30 +575,35 @@ def _check_str(value, what: str) -> None:
         raise InvalidSpecError(f"{what} must be a string, got {value!r}")
 
 
-def _placed(err: SchemaError, source: Optional[tuple[str, dict]], part) -> SchemaError:
+def _placed(err: SchemaError, source: Optional[tuple[tuple[str, str], dict]],
+            part) -> SchemaError:
     """``err``, positioned at the node that spelled ``part`` if the spec came from text."""
     if source is None:
         return err
-    filename, nodes = source
-    return _positioned(type(err), str(err), filename, nodes[part])
+    src, nodes = source
+    return _positioned(type(err), str(err), src, nodes[part])
 
 
 # -- schema form parsing ------------------------------------------------------
 # Syntax only: what a parsed spec means is checked by WidgetRegistry._install.
+# ``src`` is the ``(filename, text)`` a form was read from; a node is placed
+# in the text only when an error is raised there.
 
 
 def _syntax_error(e: SexprError, filename: str) -> SchemaSyntaxError:
     return SchemaSyntaxError(str(e), filename=filename, line=e.line, col=e.col)
 
 
-def _positioned(cls, message: str, filename: str, node) -> SchemaError:
-    return cls(message, filename=filename, line=node.line, col=node.col)
+def _positioned(cls, message: str, src: tuple[str, str], node) -> SchemaError:
+    filename, text = src
+    _, line, col = position(text, node.index)
+    return cls(message, filename=filename, line=line, col=col)
 
 
-def _head_symbol(form: ListNode, filename: str) -> str:
+def _head_symbol(form: ListNode, src: tuple[str, str]) -> str:
     if not form.items or not _is_atom(form.items[0]):
         raise _positioned(SchemaSyntaxError, "form must start with a symbol",
-                          filename, form)
+                          src, form)
     return normalize_symbol(str(form.items[0].value))
 
 
@@ -605,44 +611,44 @@ def _is_atom(node) -> bool:
     return isinstance(node, Token) and node.kind == "atom"
 
 
-def _require_symbol(node, what: str, filename: str) -> str:
+def _require_symbol(node, what: str, src: tuple[str, str]) -> str:
     if not _is_atom(node):
         raise _positioned(SchemaSyntaxError, f"expected {what} (a symbol)",
-                          filename, node)
+                          src, node)
     return normalize_symbol(str(node.value))
 
 
-def _require_literal(node, kind: str, what: str, filename: str):
+def _require_literal(node, kind: str, what: str, src: tuple[str, str]):
     """The value of a ``kind`` token, "string" or "int"."""
     if not (isinstance(node, Token) and node.kind == kind):
         noun = "a string" if kind == "string" else "an integer"
-        raise _positioned(SchemaSyntaxError, f"expected {what} ({noun})", filename, node)
+        raise _positioned(SchemaSyntaxError, f"expected {what} ({noun})", src, node)
     return node.value
 
 
-def _require_list(node, what: str, filename: str) -> ListNode:
+def _require_list(node, what: str, src: tuple[str, str]) -> ListNode:
     if not isinstance(node, ListNode):
         raise _positioned(SchemaSyntaxError, f"expected {what} (a parenthesized list)",
-                          filename, node)
+                          src, node)
     return node
 
 
-def _apply_locale_form(form: ListNode, tree: LocaleTree, filename: str,
+def _apply_locale_form(form: ListNode, tree: LocaleTree, src: tuple[str, str],
                        replace: bool) -> None:
     if len(form.items) != 4:
         raise _positioned(SchemaSyntaxError,
                           "locale form is (locale <name> :parent <name>|none)",
-                          filename, form)
-    child = _require_symbol(form.items[1], "a locale name", filename)
-    keyword = _require_symbol(form.items[2], "':parent'", filename)
+                          src, form)
+    child = _require_symbol(form.items[1], "a locale name", src)
+    keyword = _require_symbol(form.items[2], "':parent'", src)
     if keyword != "parent" or not str(form.items[2].value).startswith(":"):
         raise _positioned(SchemaSyntaxError, "expected ':parent'",
-                          filename, form.items[2])
-    parent = _require_symbol(form.items[3], "a parent locale or 'none'", filename)
+                          src, form.items[2])
+    parent = _require_symbol(form.items[3], "a parent locale or 'none'", src)
     try:
         tree.add(child, None if parent == "none" else parent, replace=replace)
     except SchemaError as e:
-        raise _positioned(type(e), str(e), filename, form) from None
+        raise _positioned(type(e), str(e), src, form) from None
 
 
 # clause keyword -> the WidgetSpec field it sets
@@ -652,7 +658,7 @@ _CLAUSE_PARTS = {
     "heading": "headings", "input": "inputs", "output": "outputs"}
 
 
-def _parse_widget_form(form: ListNode, filename: str) -> tuple[WidgetSpec, dict]:
+def _parse_widget_form(form: ListNode, src: tuple[str, str]) -> tuple[WidgetSpec, dict]:
     """The spec a widget form spells, and the node that spelled each part of it.
 
     The parts are keyed as ``_install`` names them: a field name, or
@@ -662,70 +668,70 @@ def _parse_widget_form(form: ListNode, filename: str) -> tuple[WidgetSpec, dict]
     if len(form.items) < 3:
         raise _positioned(SchemaSyntaxError,
                           "widget form is (widget <name> <locale> clauses...)",
-                          filename, form)
+                          src, form)
     items = form.items
-    fields: dict = {"name": _require_symbol(items[1], "a widget name", filename),
-                    "locale": _require_symbol(items[2], "a locale name", filename)}
+    fields: dict = {"name": _require_symbol(items[1], "a widget name", src),
+                    "locale": _require_symbol(items[2], "a locale name", src)}
     nodes: dict = {"name": items[1], "locale": items[2]}
     i = 3
     while i < len(items):
         node = items[i]
         if not (_is_atom(node) and str(node.value).startswith(":")):
             raise _positioned(SchemaSyntaxError, "expected a clause keyword like ':table'",
-                              filename, node)
+                              src, node)
         keyword = normalize_symbol(str(node.value))
         part = _CLAUSE_PARTS.get(keyword)
         if part is None:
             raise _positioned(SchemaSyntaxError, f"unknown clause ':{keyword}'",
-                              filename, node)
+                              src, node)
         if part in nodes:  # each clause read records its value's node
             raise _positioned(SchemaSyntaxError, f"duplicate clause ':{keyword}'",
-                              filename, node)
+                              src, node)
         if i + 1 >= len(items):
             raise _positioned(SchemaSyntaxError, f"clause ':{keyword}' needs a value",
-                              filename, node)
+                              src, node)
         value = nodes[part] = items[i + 1]
         i += 2
         if keyword == "index":
-            fields[part] = _require_literal(value, "int", "an occurrence bound", filename)
+            fields[part] = _require_literal(value, "int", "an occurrence bound", src)
         elif keyword == "doc":
-            fields[part] = _require_literal(value, "string", "documentation text", filename)
+            fields[part] = _require_literal(value, "string", "documentation text", src)
         elif keyword == "heading":
-            fields[part] = _parse_headings(value, filename)
+            fields[part] = _parse_headings(value, src)
         elif keyword == "input":
             fields[part] = _parse_entries(
-                value, "input", "(<medium> <parser> <vexpr>)", filename, nodes,
+                value, "input", "(<medium> <parser> <vexpr>)", src, nodes,
                 lambda parser, vexpr: InputBinding(
-                    _require_symbol(parser, "a parser name", filename),
-                    _parse_vexpr(vexpr, filename, nodes)))
+                    _require_symbol(parser, "a parser name", src),
+                    _parse_vexpr(vexpr, src, nodes)))
         elif keyword == "output":
             fields[part] = _parse_entries(
-                value, "output", "(<medium> <formatter>)", filename, nodes,
-                lambda formatter: _require_symbol(formatter, "a formatter name", filename))
+                value, "output", "(<medium> <formatter>)", src, nodes,
+                lambda formatter: _require_symbol(formatter, "a formatter name", src))
         else:
-            fields[part] = _require_symbol(value, f"a {keyword} name", filename)
+            fields[part] = _require_symbol(value, f"a {keyword} name", src)
     return WidgetSpec(**fields), nodes
 
 
-def _parse_headings(node, filename: str) -> dict:
-    node = _require_list(node, "heading pairs", filename)
+def _parse_headings(node, src: tuple[str, str]) -> dict:
+    node = _require_list(node, "heading pairs", src)
     if not node.items or len(node.items) % 2 != 0:
         raise _positioned(SchemaSyntaxError,
                           "heading clause wants (<medium> <text> ...) pairs",
-                          filename, node)
+                          src, node)
     headings: dict = {}
     for j in range(0, len(node.items), 2):
-        medium = _require_symbol(node.items[j], "a medium", filename)
-        text = _require_literal(node.items[j + 1], "string", "heading text", filename)
+        medium = _require_symbol(node.items[j], "a medium", src)
+        text = _require_literal(node.items[j + 1], "string", "heading text", src)
         if medium in headings:
             raise _positioned(SchemaSyntaxError,
                               f"duplicate heading for medium '{medium}'",
-                              filename, node.items[j])
+                              src, node.items[j])
         headings[medium] = text
     return headings
 
 
-def _parse_entries(node, clause: str, shape: str, filename: str, nodes: dict,
+def _parse_entries(node, clause: str, shape: str, src: tuple[str, str], nodes: dict,
                    build: Callable) -> dict:
     """The medium map of an ``:input`` or ``:output`` clause, ``((<medium> ...) ...)``.
 
@@ -733,30 +739,30 @@ def _parse_entries(node, clause: str, shape: str, filename: str, nodes: dict,
     entry's value from the nodes after the medium; the first of them (the
     parser or formatter name) is recorded as ``(clause, medium)``.
     """
-    node = _require_list(node, f"{clause} entries", filename)
+    node = _require_list(node, f"{clause} entries", src)
     if not node.items:
         raise _positioned(SchemaSyntaxError, f"{clause} clause must not be empty",
-                          filename, node)
+                          src, node)
     arity = shape.count("<")
     what = f"an {clause} entry {shape}"
     entries: dict = {}
     for entry in node.items:
-        entry = _require_list(entry, what, filename)
+        entry = _require_list(entry, what, src)
         if len(entry.items) != arity:
             raise _positioned(SchemaSyntaxError, f"{clause} entry is {shape}",
-                              filename, entry)
-        medium = _require_symbol(entry.items[0], "a medium", filename)
+                              src, entry)
+        medium = _require_symbol(entry.items[0], "a medium", src)
         value = build(*entry.items[1:])
         if medium in entries:
             raise _positioned(SchemaSyntaxError,
                               f"duplicate {clause} entry for medium '{medium}'",
-                              filename, entry)
+                              src, entry)
         entries[medium] = value
         nodes[(clause, medium)] = entry.items[1]
     return entries
 
 
-def _parse_vexpr(node, filename: str, nodes: dict) -> ValidatorExpr:
+def _parse_vexpr(node, src: tuple[str, str], nodes: dict) -> ValidatorExpr:
     """Parse one validator expression, recording the node of each base validator.
 
     Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
@@ -766,32 +772,32 @@ def _parse_vexpr(node, filename: str, nodes: dict) -> ValidatorExpr:
         expr = Base(normalize_symbol(str(node.value)))
         nodes[id(expr)] = node
         return expr
-    node = _require_list(node, "a validator expression", filename)
+    node = _require_list(node, "a validator expression", src)
     if not node.items:
         raise _positioned(SchemaSyntaxError, "empty validator expression",
-                          filename, node)
-    head = _require_symbol(node.items[0], "a validator or combinator name", filename)
+                          src, node)
+    head = _require_symbol(node.items[0], "a validator or combinator name", src)
     rest = node.items[1:]
     if head == "and":
         if not rest:
             raise _positioned(SchemaSyntaxError, "'and' needs at least one child",
-                              filename, node)
-        return And(tuple(_parse_vexpr(child, filename, nodes) for child in rest))
+                              src, node)
+        return And(tuple(_parse_vexpr(child, src, nodes) for child in rest))
     if head == "or":
         if len(rest) < 2:
             raise _positioned(SchemaSyntaxError,
                               "'or' needs at least one child and a message",
-                              filename, node)
-        message = _require_literal(rest[-1], "string", "the 'or' failure message", filename)
-        children = tuple(_parse_vexpr(child, filename, nodes) for child in rest[:-1])
+                              src, node)
+        message = _require_literal(rest[-1], "string", "the 'or' failure message", src)
+        children = tuple(_parse_vexpr(child, src, nodes) for child in rest[:-1])
         return Or(children, message)
     if head == "not":
         if len(rest) != 2:
             raise _positioned(SchemaSyntaxError,
                               "'not' wants exactly a child and a message",
-                              filename, node)
-        message = _require_literal(rest[1], "string", "the 'not' failure message", filename)
-        return Not(_parse_vexpr(rest[0], filename, nodes), message)
+                              src, node)
+        message = _require_literal(rest[1], "string", "the 'not' failure message", src)
+        return Not(_parse_vexpr(rest[0], src, nodes), message)
     args = []
     for arg in rest:
         if isinstance(arg, Token) and arg.kind in ("int", "string"):
@@ -799,7 +805,7 @@ def _parse_vexpr(node, filename: str, nodes: dict) -> ValidatorExpr:
         else:
             raise _positioned(SchemaSyntaxError,
                               "validator arguments must be integers or strings",
-                              filename, arg)
+                              src, arg)
     expr = Base(head, tuple(args))
     nodes[id(expr)] = node
     return expr
@@ -853,23 +859,38 @@ def _spec_to_obj(spec: WidgetSpec) -> dict:
 
 
 def _spec_from_obj(obj: dict) -> WidgetSpec:
-    """The normalized spec an exported object describes; ``_install`` checks it."""
+    """The normalized spec an exported object describes; ``_install`` checks it.
+
+    A symbol that is not a string leaves every symbol as it is, as
+    ``_normalized`` does, so that ``_install`` reports the same fault.
+    """
     try:
-        spec = WidgetSpec(
-            name=obj["name"],
-            locale=obj["locale"],
-            max_index=obj["max_index"],
-            table=obj.get("table"),
-            getter=obj.get("getter"),
-            setter=obj.get("setter"),
-            inputs={m: InputBinding(pair[0], _vexpr_from_obj(pair[1]))
-                    for m, pair in obj.get("inputs", {}).items()},
-            outputs=dict(obj.get("outputs", {})),
-            headings=dict(obj.get("headings", {})),
-            doc=obj.get("doc"),
-            datatype=obj.get("datatype"),
-            generator=obj.get("generator"),
-        )
+        try:
+            return _spec_of(obj, normalize_symbol)
+        except AttributeError:  # a symbol is not a string
+            return _spec_of(obj, lambda symbol: symbol)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed widget spec: {e}") from None
-    return _normalized(spec)
+
+
+def _spec_of(obj: dict, sym: Callable) -> WidgetSpec:
+    """The spec ``obj`` describes, with ``sym`` applied to each symbol in it."""
+    def opt(key):
+        value = obj.get(key)
+        return None if value is None else sym(value)
+
+    return WidgetSpec(
+        name=sym(obj["name"]),
+        locale=sym(obj["locale"]),
+        max_index=obj["max_index"],
+        table=opt("table"),
+        getter=opt("getter"),
+        setter=opt("setter"),
+        inputs={sym(m): InputBinding(sym(pair[0]), _vexpr_from_obj(pair[1]))
+                for m, pair in obj.get("inputs", {}).items()},
+        outputs={sym(m): sym(f) for m, f in dict(obj.get("outputs", {})).items()},
+        headings={sym(m): t for m, t in dict(obj.get("headings", {})).items()},
+        doc=obj.get("doc"),
+        datatype=opt("datatype"),
+        generator=opt("generator"),
+    )

@@ -13,16 +13,19 @@ of atom characters is an integer if it reads as one and an atom
 otherwise. A ``"`` that starts no well-formed string, or a lone ``\\``,
 is a fault, diagnosed where it stands.
 
-Table files, dumps and datums are scanned without positions:
-``tokenize`` is one ``findall`` that returns the spellings, and a reader
-of spellings raises ``TokenError`` with the index of the token at fault.
-Only then does ``position`` scan the text again, counting, to find that
-token's byte offset, line and column. The schema reader needs a position
-on every node, so ``read_forms`` reads the positioned scan ``_scan``.
-Tokens never span a newline, so the line and column come from counting
-newlines in the skipped text. The byte offset is the character index
-when the text is ASCII; otherwise it advances by the UTF-8 length of the
-text since the previous token.
+Every text is scanned without positions: ``tokenize`` is one ``findall``
+that returns the spellings, and a reader of spellings raises
+``TokenError`` with the index of the token at fault. The schema reader
+``read_forms`` builds its tree from the spellings with an explicit stack,
+and each node keeps its token index. Only when an error is raised does
+``position`` scan the text again, counting, to find that token's byte
+offset, line and column. Tokens never span a newline, so the line and
+column come from counting newlines in the skipped text. The byte offset
+is the character index when the text is ASCII; otherwise it advances by
+the UTF-8 length of the text since the previous token.
+
+Schema forms and datum sequences nest at most ``MAX_DEPTH`` deep, so no
+reader of the trees they make can exhaust Python's recursion.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ _TOKEN_RE = re.compile(rf"""
     (?:([()\[\]]|"{_STRING_BODY}"|[^ \t\r\n()\[\]";]+|")|\Z)""", re.VERBOSE)
 _FAULTS = ('"', "\\")  # the spellings that start no token
 
+# How deep schema forms and datum sequences may nest. ``read_forms``
+# refuses a deeper form, so the recursive readers of validator
+# expressions never exhaust the stack; ``datum.require_valid`` refuses a
+# deeper value and ``datum.read_datum`` a deeper text, so neither a
+# stored value nor a corrupt file can exhaust the recursion of ``dumps``.
+MAX_DEPTH = 100
+
 
 class SexprError(Exception):
     """Lexical or structural fault in s-expression text."""
@@ -69,6 +79,35 @@ class TokenError(Exception):
 
 
 class Token:
+    """A string, integer or atom of a form; ``position(text, index)`` places it."""
+
+    __slots__ = ("kind", "value", "index")
+
+    def __init__(self, kind: str, value: object, index: int):
+        self.kind = kind  # one of string int atom
+        self.value = value
+        self.index = index  # the token's index in ``tokenize(text)``
+
+    def __repr__(self):
+        return f"Token({self.kind!r}, {self.value!r}, {self.index})"
+
+
+class ListNode:
+    """A parenthesized form; ``index`` is its '(' token's, as for a Token."""
+
+    __slots__ = ("items", "index")
+
+    def __init__(self, items: tuple, index: int):
+        self.items = items
+        self.index = index
+
+    def __repr__(self):
+        return f"ListNode({self.items!r}, {self.index})"
+
+
+class _Placed:
+    """A token of the positioned scan, which places tokens for errors."""
+
     __slots__ = ("kind", "value", "offset", "line", "col")
 
     def __init__(self, kind: str, value: object, offset: int, line: int, col: int):
@@ -77,25 +116,6 @@ class Token:
         self.offset = offset  # byte offset into the UTF-8 encoding of the source
         self.line = line
         self.col = col
-
-    def __repr__(self):
-        return (f"Token({self.kind!r}, {self.value!r}, {self.offset}, "
-                f"{self.line}, {self.col})")
-
-
-class ListNode:
-    """A parenthesized form, for grammars read as whole trees."""
-
-    __slots__ = ("items", "offset", "line", "col")
-
-    def __init__(self, items: tuple, offset: int, line: int, col: int):
-        self.items = items
-        self.offset = offset
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"ListNode({self.items!r}, {self.offset}, {self.line}, {self.col})"
 
 
 def normalize_symbol(text: str) -> str:
@@ -191,11 +211,56 @@ def position(text: str, i: int) -> tuple[int, int, int]:
     return len(text.encode("utf-8")), text.count("\n") + 1, len(text) - text.rfind("\n")
 
 
-# -- the positioned scan and the schema reader -----------------------------------
+def read_forms(text: str) -> list[ListNode]:
+    """Read schema-style source as a list of parenthesized top-level forms.
+
+    Forms nest at most ``MAX_DEPTH`` deep. A fault raises SexprError at
+    its position.
+    """
+    tokens = tokenize(text)
+    try:
+        return _read_forms(tokens)
+    except TokenError as e:
+        raise SexprError(str(e), *position(text, e.index)) from None
 
 
-def _scan(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _read_forms(tokens: list[str]) -> list[ListNode]:
+    forms: list[ListNode] = []
+    items: list = forms  # the items read so far of the innermost open form
+    open_forms = []  # (index of the '(', the enclosing items) of each open form
+    for i, tok in enumerate(tokens):
+        first = tok[0]
+        if first == "(":
+            if len(open_forms) == MAX_DEPTH:
+                raise TokenError(f"forms nested deeper than {MAX_DEPTH}", i)
+            open_forms.append((i, items))
+            items = []
+        elif first == ")" or first == "]":
+            if first == "]" or not open_forms:
+                raise TokenError(f"unbalanced '{tok}'", i)
+            start, outer = open_forms.pop()
+            outer.append(ListNode(tuple(items), start))
+            items = outer
+        elif first == "[":
+            raise TokenError("brackets are not part of this grammar", i)
+        elif not open_forms:
+            raise TokenError("expected a parenthesized form at top level", i)
+        elif first == '"':
+            items.append(Token("string", unquote(tok), i))
+        elif first in "-0123456789" and _INT_RE.match(tok):
+            items.append(Token("int", int(tok), i))
+        else:
+            items.append(Token("atom", tok, i))
+    if open_forms:
+        raise TokenError("unclosed '('", open_forms[-1][0])
+    return forms
+
+
+# -- the positioned scan ---------------------------------------------------------
+
+
+def _scan(text: str) -> list[_Placed]:
+    tokens: list[_Placed] = []
     is_ascii = text.isascii()
     line = 1
     line_start = 0  # index of the first character of the current line
@@ -220,7 +285,7 @@ def _scan(text: str) -> list[Token]:
         col = start - line_start + 1
         if tok in _FAULTS:
             raise _fault(text, start, offset, line, col)
-        tokens.append(Token(*classify(tok), offset, line, col))
+        tokens.append(_Placed(*classify(tok), offset, line, col))
     return tokens
 
 
@@ -235,38 +300,3 @@ def _fault(text: str, i: int, offset: int, line: int, col: int) -> SexprError:
     # strings hold no newline, so text[j] is on the string's line
     message = "invalid escape in string" if text[j] == "\\" else "control character in string"
     return SexprError(message, offset + len(text[i:j].encode("utf-8")), line, col + j - i)
-
-
-def read_forms(text: str) -> list[ListNode]:
-    """Read schema-style source as a list of parenthesized top-level forms."""
-    tokens = _scan(text)
-    forms = []
-    i = 0
-    while i < len(tokens):
-        node, i = _read_node(tokens, i)
-        if not isinstance(node, ListNode):
-            raise SexprError("expected a parenthesized form at top level",
-                             node.offset, node.line, node.col)
-        forms.append(node)
-    return forms
-
-
-def _read_node(tokens: list[Token], i: int):
-    """The node that starts at ``tokens[i]``, and the index past it."""
-    tok = tokens[i]
-    i += 1
-    if tok.kind in (")", "]"):
-        raise SexprError(f"unbalanced '{tok.kind}'", tok.offset, tok.line, tok.col)
-    if tok.kind == "[":
-        raise SexprError("brackets are not part of this grammar",
-                         tok.offset, tok.line, tok.col)
-    if tok.kind == "(":
-        items = []
-        while True:
-            if i == len(tokens):
-                raise SexprError("unclosed '('", tok.offset, tok.line, tok.col)
-            if tokens[i].kind == ")":
-                return ListNode(tuple(items), tok.offset, tok.line, tok.col), i + 1
-            node, i = _read_node(tokens, i)
-            items.append(node)
-    return tok, i

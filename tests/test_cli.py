@@ -95,6 +95,24 @@ class TestSchemaLoad:
         # byte 32 is the 5th character of the second line
         assert err == f"error: {bad}:2:5: invalid UTF-8: invalid start byte\n"
 
+    def test_too_deeply_nested_forms_exit_2(self, tmp_path):
+        bad = tmp_path / "deep.scm"
+        bad.write_text("(" * 5000)
+        code, out, err = run_cli(["schema", "lint", str(bad)], cwd=tmp_path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:1:101: forms nested deeper than 100\n"
+
+    def test_too_deeply_nested_validator_exit_2(self, tmp_path):
+        bad = tmp_path / "deep.scm"
+        vexpr = "(and " * 3000 + "numeric" + ")" * 3000
+        bad.write_text("(locale root :parent none)\n(widget w root :table t\n"
+                       f"  :input ((m identity {vexpr})))\n")
+        code, out, err = run_cli(["schema", "lint", str(bad)], cwd=tmp_path)
+        assert (code, out) == (2, "")
+        # the widget form, the :input list and its entry hold 97 levels of '(and'
+        col = len("  :input ((m identity ") + 5 * 97 + 1
+        assert err == f"error: {bad}:3:{col}: forms nested deeper than 100\n"
+
     def test_missing_file_exit_3(self, tmp_path):
         code, _, err = run_cli(
             ["schema", "load", str(tmp_path / "absent.scm"),
@@ -157,6 +175,16 @@ class TestLocales:
         code, _, err = run_cli(["locales", "--workspace", str(bad)], cwd=tmp_path)
         assert code == 2
         assert "unreadable" in err
+
+    def test_too_deeply_nested_workspace_exit_2(self, tmp_path):
+        bad = tmp_path / "deep.ws"
+        bad.write_text("[" * 100_000)
+        code, out, err = run_cli(
+            ["get", "--workspace", str(bad), "--db", str(tmp_path / "db"),
+             "--locale", "root", "--field", "f", "--medium", "m"], cwd=tmp_path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: workspace '{bad}' is unreadable: maximum recursion")
+        assert err.count("\n") == 1
 
     def test_malformed_locale_pair_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ws"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
     UNINITIALIZED, Base, Database, IndexOutOfRangeError, InputBinding, InvalidSpecError,
-    LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName, ResolutionError,
+    LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName, ResolutionError, SchemaError,
     SimpleDate, UnknownLocaleError, UnresolvedReferenceError, ValidationError,
     WidgetCoord, WidgetRegistry, WidgetSpec, standard_registries,
 )
@@ -453,6 +453,30 @@ class TestStateRoundTrip:
         with pytest.raises(SchemaError, match="malformed registry state"):
             reg.import_state({"locales": pairs, "widgets": []})
         assert reg.locales.locales() == []
+
+    @pytest.mark.parametrize("parts,message", [
+        ({"name": "Dob", "table": "T"}, None),
+        ({"table": 7}, "invalid table name '7'"),
+        ({"name": 5}, "invalid widget name '5'"),
+        ({"outputs": {"M": 3}}, "unknown formatter '3'"),
+        ({"inputs": {"M": [5, ["base", "numeric", []]]}}, "unknown parser '5'"),
+        # one symbol that is not a string leaves the others unnormalized
+        ({"name": "Dob", "generator": 7}, "invalid widget name 'Dob'"),
+        ({"locale": 1, "table": "T"}, "unknown locale '1'"),
+    ])
+    def test_import_normalizes_symbols_unless_one_is_not_a_string(self, parts, message):
+        obj = {"name": "dob", "locale": "root", "max_index": 1, "table": "t",
+               "outputs": {"m": "identity"}, **parts}
+        reg = WidgetRegistry()
+        state = {"locales": [["root", None]], "widgets": [obj]}
+        if message is None:
+            reg.import_state(state)
+            assert reg.export_state()["widgets"][0]["name"] == "dob"
+            assert reg.spec_at("dob", "root").table == "t"
+        else:
+            with pytest.raises(SchemaError) as exc:
+                reg.import_state(state)
+            assert str(exc.value) == message
 
     def test_import_is_all_or_nothing(self, registry):
         before = registry.export_state()

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from widgetspace import (
     DuplicateLocaleError, InvalidSpecError, ResolutionError, SchemaError,
     SchemaSyntaxError, UnknownLocaleError, UnknownParentError, UnknownValidatorError,
-    UnresolvedReferenceError, WidgetRegistry, fixture_paths,
+    UnresolvedReferenceError, ValidationError, WidgetCoord, WidgetRegistry, fixture_paths,
 )
+from widgetspace.sexpr import MAX_DEPTH
 
 PRELUDE = "(locale root :parent none)\n(locale mid :parent root)\n"
 
@@ -225,6 +226,31 @@ class TestVexprForms:
         assert isinstance(binding.validator, Or)
         assert isinstance(binding.validator.children[0], Not)
         assert binding.validator.message == "bad value"
+
+
+class TestNestingDepth:
+    """Forms nest at most MAX_DEPTH deep: a widget form, its ``:input`` list
+    and an entry leave MAX_DEPTH - 3 levels to the validator."""
+
+    @staticmethod
+    def _schema(levels):
+        vexpr = "(and " * levels + "numeric" + ")" * levels
+        return PRELUDE + f"(widget w root :table t\n  :input ((m identity {vexpr})))"
+
+    def test_deepest_validator_loads_and_round_trips(self, db):
+        reg, _ = load(self._schema(MAX_DEPTH - 3))
+        _round_trip(reg)
+        coord = WidgetCoord("w", "mid", "m")
+        assert reg.parse_and_set(db, coord, "12") == "12"
+        with pytest.raises(ValidationError):
+            reg.parse_and_set(db, coord, "x")
+
+    def test_one_level_deeper_rejected_at_the_first_form_too_deep(self):
+        with pytest.raises(SchemaSyntaxError) as exc:
+            load(self._schema(MAX_DEPTH - 2), filename="s.scm")
+        # line 4 is "  :input ((m identity (and (and ...": the last '(and' is too deep
+        col = len("  :input ((m identity ") + 5 * (MAX_DEPTH - 3) + 1
+        assert str(exc.value) == f"s.scm:4:{col}: forms nested deeper than {MAX_DEPTH}"
 
 
 class TestSurfaceDetails:

@@ -1,11 +1,13 @@
 """The s-expression scanners and readers against the implementations they replaced.
 
 The references below are earlier implementations, kept verbatim apart
-from their names: the per-character tokenizer, and the table parser and
-datum reader over positioned tokens. On any input, the positioned scan
-must give the reference's tokens and positions, the position-free scan
-placed by ``position`` the same, and the table parser and ``datum.loads``
-the same values, or the same errors at the same positions.
+from their names: the per-character tokenizer, and the table parser,
+datum reader and schema reader over positioned tokens. On any input, the
+positioned scan must give the reference's tokens and positions, the
+position-free scan placed by ``position`` the same, and the table parser,
+``datum.loads`` and ``read_forms`` the same values, or the same errors at
+the same positions. The one exception is a schema form nested deeper
+than ``MAX_DEPTH``, which only the current reader refuses.
 """
 
 import re
@@ -16,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from widgetspace import (UNINITIALIZED, CorruptTableError, Database, MalformedEncodingError,
                          PersonName, SchemaSyntaxError, SimpleDate, WidgetRegistry)
-from widgetspace import datum, sexpr, store
+from widgetspace import datum, fixture_paths, sexpr, store
 from widgetspace.datum import Datum
-from widgetspace.sexpr import SexprError, is_valid_symbol, normalize_symbol
+from widgetspace.sexpr import MAX_DEPTH, SexprError, is_valid_symbol, normalize_symbol
 
 # -- the reference ---------------------------------------------------------------
 
@@ -295,6 +297,49 @@ def _ref_parse_pair(line: str) -> tuple[str, Datum]:
     return key, value
 
 
+@dataclass(frozen=True)
+class RefListNode:
+    items: tuple
+    offset: int
+    line: int
+    col: int
+
+
+def ref_read_forms(text: str) -> list[RefListNode]:
+    """Read schema-style source as a list of parenthesized top-level forms."""
+    tokens = ref_tokenize(text)
+    forms = []
+    i = 0
+    while i < len(tokens):
+        node, i = ref_read_node(tokens, i)
+        if not isinstance(node, RefListNode):
+            raise SexprError("expected a parenthesized form at top level",
+                             node.offset, node.line, node.col)
+        forms.append(node)
+    return forms
+
+
+def ref_read_node(tokens: list[Token], i: int):
+    """The node that starts at ``tokens[i]``, and the index past it."""
+    tok = tokens[i]
+    i += 1
+    if tok.kind in (")", "]"):
+        raise SexprError(f"unbalanced '{tok.kind}'", tok.offset, tok.line, tok.col)
+    if tok.kind == "[":
+        raise SexprError("brackets are not part of this grammar",
+                         tok.offset, tok.line, tok.col)
+    if tok.kind == "(":
+        items = []
+        while True:
+            if i == len(tokens):
+                raise SexprError("unclosed '('", tok.offset, tok.line, tok.col)
+            if tokens[i].kind == ")":
+                return RefListNode(tuple(items), tok.offset, tok.line, tok.col), i + 1
+            node, i = ref_read_node(tokens, i)
+            items.append(node)
+    return tok, i
+
+
 # -- the scanners against the reference -----------------------------------------
 
 FRAGMENTS = ["(", ")", "[", "]", '"', "\\", ";", " ", "\t", "\n", "\r\n", "\r",
@@ -400,6 +445,72 @@ def _tables(parse, text):
 @given(table_text)
 def test_parse_tables_matches_reference(text):
     assert _tables(store._parse_tables, text) == _tables(ref_parse_tables, text)
+
+
+FIXTURE_LINES = [path.read_text(encoding="utf-8").splitlines(keepends=True)
+                 for path in fixture_paths()]
+SCHEMA_INSERTS = ["(", ")", "[", "]", '"', "\\", ";", " ", "\n", "\r\n", "\r", "é", "€",
+                  "\U0001d11e", "\x01", "; note é\n", '"é€"', '"a\\"b"', "-3", "42", ":x",
+                  "(and ", "(or ", '"m")', "(widget w root ", "(locale x :parent none)",
+                  "(" * MAX_DEPTH, ")" * MAX_DEPTH]
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A run of whole lines of a fixture schema with a few splices: a short
+    span replaced by one of ``SCHEMA_INSERTS``."""
+    lines = draw(st.sampled_from(FIXTURE_LINES))
+    start = draw(st.integers(0, len(lines) - 1))
+    text = "".join(lines[start:start + draw(st.integers(1, 16))])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(SCHEMA_INSERTS)) + text[at + cut:]
+    return text
+
+
+@st.composite
+def nested_form(draw):
+    """A form nested about ``MAX_DEPTH`` deep, some levels holding atoms."""
+    depth = draw(st.integers(MAX_DEPTH - 3, MAX_DEPTH + 3))
+    atoms = draw(st.lists(st.sampled_from(["", "and ", "x ", '"é" ', "7 "]),
+                          min_size=depth, max_size=depth))
+    closers = draw(st.integers(depth - 1, depth + 1))
+    return "(widget w root\n" + "(".join(atoms) + "z" + ")" * closers
+
+
+schema_text = st.one_of(mutated_fixture(), nested_form(), sexpr_text)
+
+
+def _forms(read_forms, text, place):
+    """The forms of ``text`` as nested tuples, each node with its kind, value
+    and ``place(node)``; or the error with its position."""
+    try:
+        forms = read_forms(text)
+    except SexprError as e:
+        return ("error", str(e), e.offset, e.line, e.col)
+
+    def node(n):
+        if isinstance(n, (sexpr.ListNode, RefListNode)):
+            return ("(", place(n), [node(item) for item in n.items])
+        return (n.kind, type(n.value), n.value, place(n))
+    return [node(form) for form in forms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema_text)
+def test_read_forms_matches_reference(text):
+    got = _forms(sexpr.read_forms, text, lambda n: sexpr.position(text, n.index))
+    if got[:2] == ("error", f"forms nested deeper than {MAX_DEPTH}"):
+        # the reference reads on; up to the refused '(', it finds only open forms
+        opened = text.encode("utf-8")[:got[2]].decode("utf-8")
+        assert ref_tokenize(text[len(opened):])[0].kind == "("
+        tokens = ref_tokenize(opened)
+        assert _forms(ref_read_forms, opened, None)[:2] == ("error", "unclosed '('")
+        assert [t.kind for t in tokens].count("(") - [t.kind for t in tokens].count(")") \
+            == MAX_DEPTH
+        return
+    assert got == _forms(ref_read_forms, text, lambda n: (n.offset, n.line, n.col))
 
 
 # -- pinned behaviour -------------------------------------------------------------
