@@ -249,20 +249,19 @@ def cmd_schema_lint(args) -> int:
 def cmd_locales(args) -> int:
     registry = _load_workspace(args)
     tree = registry.locales
-    if args.tree:
-        root = tree.root
-        if root is not None:
-            _print_subtree(tree, root, 0)
-    else:
+    if not args.tree:
         for locale in sorted(tree.locales()):
             print(locale)
+        return EXIT_OK
+    children: dict = {}  # parent (None for the root) -> children in insertion order
+    for locale in tree.locales():
+        children.setdefault(tree.parent(locale), []).append(locale)
+    stack = [(root, 0) for root in children.get(None, [])]
+    while stack:  # pre-order, iteratively: a chain may be deeper than the recursion limit
+        locale, depth = stack.pop()
+        print("  " * depth + locale)
+        stack.extend((child, depth + 1) for child in reversed(children.get(locale, [])))
     return EXIT_OK
-
-
-def _print_subtree(tree, locale: str, depth: int) -> None:
-    print("  " * depth + locale)
-    for child in tree.children(locale):
-        _print_subtree(tree, child, depth + 1)
 
 
 def cmd_set(args) -> int:

@@ -44,8 +44,8 @@ from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
                      NO_STORAGE_MESSAGE, ResolutionError, SchemaError, SchemaSyntaxError,
                      UnknownLocaleError, UnresolvedReferenceError, ValidationError)
 from .locales import LocaleTree
-from .sexpr import (ListNode, SexprError, Token, is_valid_symbol, normalize_symbol,
-                    position, read_forms, read_source)
+from .sexpr import (ListNode, SexprError, Token, TokenError, is_valid_symbol,
+                    normalize_symbol, position, read_forms, read_source)
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
                          ValidatorRegistry, bases, default_validator_registry)
@@ -187,12 +187,13 @@ class WidgetRegistry:
         return sorted({name for (name, loc) in specs if loc in chain})
 
     def _install(self, spec: WidgetSpec, tree: LocaleTree, specs: dict,
-                 source: Optional[tuple[tuple[str, str], dict]] = None) -> None:
+                 source: Optional[tuple[Callable, dict]] = None) -> None:
         """Check a normalized ``spec`` against ``tree`` and the registries, then add it.
 
         The one check of a spec's meaning and types, whatever its source. For
-        a spec read from schema text, ``source`` is ``((filename, text), nodes)``
-        with the node that spelled each part, and errors are positioned there.
+        a spec read from schema text, ``source`` is ``(place, nodes)``: the
+        node that spelled each part, and ``place(cls, message, index)``, which
+        makes an error positioned at a token of that text.
         """
         regs = self.registries
         if not (isinstance(spec.name, str) and is_valid_symbol(spec.name)):
@@ -386,27 +387,43 @@ class WidgetRegistry:
         return self._load_sources(sources, replace)
 
     def _load_sources(self, sources, replace: bool) -> LoadReport:
+        """Load ``(filename, text)`` sources into one staged snapshot.
+
+        The one place that positions an error in schema text: the form
+        readers raise TokenError at a node's token index, and an error of
+        ``tree.add`` or ``_install`` is placed at its form or its node.
+        """
         n_locales = 0
         n_widgets = 0
         with self._staged() as (tree, specs):
-            for src in sources:
-                filename, text = src
+            for filename, text in sources:
                 try:
                     forms = read_forms(text)
                 except SexprError as e:
                     raise _syntax_error(e, filename) from None
+
+                def place(cls, message: str, index: int) -> SchemaError:
+                    _, line, col = position(text, index)
+                    return cls(message, filename=filename, line=line, col=col)
+
                 for form in forms:
-                    head = _head_symbol(form, src)
-                    if head == "locale":
-                        _apply_locale_form(form, tree, src, replace)
-                        n_locales += 1
-                    elif head == "widget":
-                        spec, nodes = _parse_widget_form(form, src)
-                        self._install(spec, tree, specs, (src, nodes))
-                        n_widgets += 1
-                    else:
-                        raise _positioned(SchemaSyntaxError,
-                                          f"unknown form '{head}'", src, form)
+                    try:
+                        head = _head_symbol(form)
+                        if head == "locale":
+                            child, parent = _parse_locale_form(form)
+                            try:
+                                tree.add(child, parent, replace=replace)
+                            except SchemaError as e:
+                                raise place(type(e), str(e), form.index) from None
+                            n_locales += 1
+                        elif head == "widget":
+                            spec, nodes = _parse_widget_form(form)
+                            self._install(spec, tree, specs, (place, nodes))
+                            n_widgets += 1
+                        else:
+                            raise TokenError(f"unknown form '{head}'", form.index)
+                    except TokenError as e:
+                        raise place(SchemaSyntaxError, str(e), e.index) from None
         return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
 
     # -- state export (schema workspace support) -----------------------------
@@ -575,35 +592,27 @@ def _check_str(value, what: str) -> None:
         raise InvalidSpecError(f"{what} must be a string, got {value!r}")
 
 
-def _placed(err: SchemaError, source: Optional[tuple[tuple[str, str], dict]],
-            part) -> SchemaError:
+def _placed(err: SchemaError, source: Optional[tuple[Callable, dict]], part) -> SchemaError:
     """``err``, positioned at the node that spelled ``part`` if the spec came from text."""
     if source is None:
         return err
-    src, nodes = source
-    return _positioned(type(err), str(err), src, nodes[part])
+    place, nodes = source
+    return place(type(err), str(err), nodes[part].index)
 
 
 # -- schema form parsing ------------------------------------------------------
 # Syntax only: what a parsed spec means is checked by WidgetRegistry._install.
-# ``src`` is the ``(filename, text)`` a form was read from; a node is placed
-# in the text only when an error is raised there.
+# A fault raises TokenError at the token index of the node at fault, which
+# ``_load_sources`` places in the text.
 
 
 def _syntax_error(e: SexprError, filename: str) -> SchemaSyntaxError:
     return SchemaSyntaxError(str(e), filename=filename, line=e.line, col=e.col)
 
 
-def _positioned(cls, message: str, src: tuple[str, str], node) -> SchemaError:
-    filename, text = src
-    _, line, col = position(text, node.index)
-    return cls(message, filename=filename, line=line, col=col)
-
-
-def _head_symbol(form: ListNode, src: tuple[str, str]) -> str:
+def _head_symbol(form: ListNode) -> str:
     if not form.items or not _is_atom(form.items[0]):
-        raise _positioned(SchemaSyntaxError, "form must start with a symbol",
-                          src, form)
+        raise TokenError("form must start with a symbol", form.index)
     return normalize_symbol(str(form.items[0].value))
 
 
@@ -611,44 +620,36 @@ def _is_atom(node) -> bool:
     return isinstance(node, Token) and node.kind == "atom"
 
 
-def _require_symbol(node, what: str, src: tuple[str, str]) -> str:
+def _require_symbol(node, what: str) -> str:
     if not _is_atom(node):
-        raise _positioned(SchemaSyntaxError, f"expected {what} (a symbol)",
-                          src, node)
+        raise TokenError(f"expected {what} (a symbol)", node.index)
     return normalize_symbol(str(node.value))
 
 
-def _require_literal(node, kind: str, what: str, src: tuple[str, str]):
+def _require_literal(node, kind: str, what: str):
     """The value of a ``kind`` token, "string" or "int"."""
     if not (isinstance(node, Token) and node.kind == kind):
         noun = "a string" if kind == "string" else "an integer"
-        raise _positioned(SchemaSyntaxError, f"expected {what} ({noun})", src, node)
+        raise TokenError(f"expected {what} ({noun})", node.index)
     return node.value
 
 
-def _require_list(node, what: str, src: tuple[str, str]) -> ListNode:
+def _require_list(node, what: str) -> ListNode:
     if not isinstance(node, ListNode):
-        raise _positioned(SchemaSyntaxError, f"expected {what} (a parenthesized list)",
-                          src, node)
+        raise TokenError(f"expected {what} (a parenthesized list)", node.index)
     return node
 
 
-def _apply_locale_form(form: ListNode, tree: LocaleTree, src: tuple[str, str],
-                       replace: bool) -> None:
+def _parse_locale_form(form: ListNode) -> tuple[str, Optional[str]]:
+    """The locale a locale form names, and its parent (None for 'none')."""
     if len(form.items) != 4:
-        raise _positioned(SchemaSyntaxError,
-                          "locale form is (locale <name> :parent <name>|none)",
-                          src, form)
-    child = _require_symbol(form.items[1], "a locale name", src)
-    keyword = _require_symbol(form.items[2], "':parent'", src)
+        raise TokenError("locale form is (locale <name> :parent <name>|none)", form.index)
+    child = _require_symbol(form.items[1], "a locale name")
+    keyword = _require_symbol(form.items[2], "':parent'")
     if keyword != "parent" or not str(form.items[2].value).startswith(":"):
-        raise _positioned(SchemaSyntaxError, "expected ':parent'",
-                          src, form.items[2])
-    parent = _require_symbol(form.items[3], "a parent locale or 'none'", src)
-    try:
-        tree.add(child, None if parent == "none" else parent, replace=replace)
-    except SchemaError as e:
-        raise _positioned(type(e), str(e), src, form) from None
+        raise TokenError("expected ':parent'", form.items[2].index)
+    parent = _require_symbol(form.items[3], "a parent locale or 'none'")
+    return child, None if parent == "none" else parent
 
 
 # clause keyword -> the WidgetSpec field it sets
@@ -658,7 +659,7 @@ _CLAUSE_PARTS = {
     "heading": "headings", "input": "inputs", "output": "outputs"}
 
 
-def _parse_widget_form(form: ListNode, src: tuple[str, str]) -> tuple[WidgetSpec, dict]:
+def _parse_widget_form(form: ListNode) -> tuple[WidgetSpec, dict]:
     """The spec a widget form spells, and the node that spelled each part of it.
 
     The parts are keyed as ``_install`` names them: a field name, or
@@ -666,103 +667,88 @@ def _parse_widget_form(form: ListNode, src: tuple[str, str]) -> tuple[WidgetSpec
     formatter names, or the ``id()`` of a base validator.
     """
     if len(form.items) < 3:
-        raise _positioned(SchemaSyntaxError,
-                          "widget form is (widget <name> <locale> clauses...)",
-                          src, form)
+        raise TokenError("widget form is (widget <name> <locale> clauses...)", form.index)
     items = form.items
-    fields: dict = {"name": _require_symbol(items[1], "a widget name", src),
-                    "locale": _require_symbol(items[2], "a locale name", src)}
+    fields: dict = {"name": _require_symbol(items[1], "a widget name"),
+                    "locale": _require_symbol(items[2], "a locale name")}
     nodes: dict = {"name": items[1], "locale": items[2]}
     i = 3
     while i < len(items):
         node = items[i]
         if not (_is_atom(node) and str(node.value).startswith(":")):
-            raise _positioned(SchemaSyntaxError, "expected a clause keyword like ':table'",
-                              src, node)
+            raise TokenError("expected a clause keyword like ':table'", node.index)
         keyword = normalize_symbol(str(node.value))
         part = _CLAUSE_PARTS.get(keyword)
         if part is None:
-            raise _positioned(SchemaSyntaxError, f"unknown clause ':{keyword}'",
-                              src, node)
+            raise TokenError(f"unknown clause ':{keyword}'", node.index)
         if part in nodes:  # each clause read records its value's node
-            raise _positioned(SchemaSyntaxError, f"duplicate clause ':{keyword}'",
-                              src, node)
+            raise TokenError(f"duplicate clause ':{keyword}'", node.index)
         if i + 1 >= len(items):
-            raise _positioned(SchemaSyntaxError, f"clause ':{keyword}' needs a value",
-                              src, node)
+            raise TokenError(f"clause ':{keyword}' needs a value", node.index)
         value = nodes[part] = items[i + 1]
         i += 2
         if keyword == "index":
-            fields[part] = _require_literal(value, "int", "an occurrence bound", src)
+            fields[part] = _require_literal(value, "int", "an occurrence bound")
         elif keyword == "doc":
-            fields[part] = _require_literal(value, "string", "documentation text", src)
+            fields[part] = _require_literal(value, "string", "documentation text")
         elif keyword == "heading":
-            fields[part] = _parse_headings(value, src)
+            fields[part] = _parse_headings(value)
         elif keyword == "input":
             fields[part] = _parse_entries(
-                value, "input", "(<medium> <parser> <vexpr>)", src, nodes,
+                value, "input", "(<medium> <parser> <vexpr>)", nodes,
                 lambda parser, vexpr: InputBinding(
-                    _require_symbol(parser, "a parser name", src),
-                    _parse_vexpr(vexpr, src, nodes)))
+                    _require_symbol(parser, "a parser name"),
+                    _parse_vexpr(vexpr, nodes)))
         elif keyword == "output":
             fields[part] = _parse_entries(
-                value, "output", "(<medium> <formatter>)", src, nodes,
-                lambda formatter: _require_symbol(formatter, "a formatter name", src))
+                value, "output", "(<medium> <formatter>)", nodes,
+                lambda formatter: _require_symbol(formatter, "a formatter name"))
         else:
-            fields[part] = _require_symbol(value, f"a {keyword} name", src)
+            fields[part] = _require_symbol(value, f"a {keyword} name")
     return WidgetSpec(**fields), nodes
 
 
-def _parse_headings(node, src: tuple[str, str]) -> dict:
-    node = _require_list(node, "heading pairs", src)
+def _parse_headings(node) -> dict:
+    node = _require_list(node, "heading pairs")
     if not node.items or len(node.items) % 2 != 0:
-        raise _positioned(SchemaSyntaxError,
-                          "heading clause wants (<medium> <text> ...) pairs",
-                          src, node)
+        raise TokenError("heading clause wants (<medium> <text> ...) pairs", node.index)
     headings: dict = {}
     for j in range(0, len(node.items), 2):
-        medium = _require_symbol(node.items[j], "a medium", src)
-        text = _require_literal(node.items[j + 1], "string", "heading text", src)
+        medium = _require_symbol(node.items[j], "a medium")
+        text = _require_literal(node.items[j + 1], "string", "heading text")
         if medium in headings:
-            raise _positioned(SchemaSyntaxError,
-                              f"duplicate heading for medium '{medium}'",
-                              src, node.items[j])
+            raise TokenError(f"duplicate heading for medium '{medium}'", node.items[j].index)
         headings[medium] = text
     return headings
 
 
-def _parse_entries(node, clause: str, shape: str, src: tuple[str, str], nodes: dict,
-                   build: Callable) -> dict:
+def _parse_entries(node, clause: str, shape: str, nodes: dict, build: Callable) -> dict:
     """The medium map of an ``:input`` or ``:output`` clause, ``((<medium> ...) ...)``.
 
     Every entry has the slots that ``shape`` spells. ``build`` makes the
     entry's value from the nodes after the medium; the first of them (the
     parser or formatter name) is recorded as ``(clause, medium)``.
     """
-    node = _require_list(node, f"{clause} entries", src)
+    node = _require_list(node, f"{clause} entries")
     if not node.items:
-        raise _positioned(SchemaSyntaxError, f"{clause} clause must not be empty",
-                          src, node)
+        raise TokenError(f"{clause} clause must not be empty", node.index)
     arity = shape.count("<")
     what = f"an {clause} entry {shape}"
     entries: dict = {}
     for entry in node.items:
-        entry = _require_list(entry, what, src)
+        entry = _require_list(entry, what)
         if len(entry.items) != arity:
-            raise _positioned(SchemaSyntaxError, f"{clause} entry is {shape}",
-                              src, entry)
-        medium = _require_symbol(entry.items[0], "a medium", src)
+            raise TokenError(f"{clause} entry is {shape}", entry.index)
+        medium = _require_symbol(entry.items[0], "a medium")
         value = build(*entry.items[1:])
         if medium in entries:
-            raise _positioned(SchemaSyntaxError,
-                              f"duplicate {clause} entry for medium '{medium}'",
-                              src, entry)
+            raise TokenError(f"duplicate {clause} entry for medium '{medium}'", entry.index)
         entries[medium] = value
         nodes[(clause, medium)] = entry.items[1]
     return entries
 
 
-def _parse_vexpr(node, src: tuple[str, str], nodes: dict) -> ValidatorExpr:
+def _parse_vexpr(node, nodes: dict) -> ValidatorExpr:
     """Parse one validator expression, recording the node of each base validator.
 
     Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
@@ -772,40 +758,32 @@ def _parse_vexpr(node, src: tuple[str, str], nodes: dict) -> ValidatorExpr:
         expr = Base(normalize_symbol(str(node.value)))
         nodes[id(expr)] = node
         return expr
-    node = _require_list(node, "a validator expression", src)
+    node = _require_list(node, "a validator expression")
     if not node.items:
-        raise _positioned(SchemaSyntaxError, "empty validator expression",
-                          src, node)
-    head = _require_symbol(node.items[0], "a validator or combinator name", src)
+        raise TokenError("empty validator expression", node.index)
+    head = _require_symbol(node.items[0], "a validator or combinator name")
     rest = node.items[1:]
     if head == "and":
         if not rest:
-            raise _positioned(SchemaSyntaxError, "'and' needs at least one child",
-                              src, node)
-        return And(tuple(_parse_vexpr(child, src, nodes) for child in rest))
+            raise TokenError("'and' needs at least one child", node.index)
+        return And(tuple(_parse_vexpr(child, nodes) for child in rest))
     if head == "or":
         if len(rest) < 2:
-            raise _positioned(SchemaSyntaxError,
-                              "'or' needs at least one child and a message",
-                              src, node)
-        message = _require_literal(rest[-1], "string", "the 'or' failure message", src)
-        children = tuple(_parse_vexpr(child, src, nodes) for child in rest[:-1])
+            raise TokenError("'or' needs at least one child and a message", node.index)
+        message = _require_literal(rest[-1], "string", "the 'or' failure message")
+        children = tuple(_parse_vexpr(child, nodes) for child in rest[:-1])
         return Or(children, message)
     if head == "not":
         if len(rest) != 2:
-            raise _positioned(SchemaSyntaxError,
-                              "'not' wants exactly a child and a message",
-                              src, node)
-        message = _require_literal(rest[1], "string", "the 'not' failure message", src)
-        return Not(_parse_vexpr(rest[0], src, nodes), message)
+            raise TokenError("'not' wants exactly a child and a message", node.index)
+        message = _require_literal(rest[1], "string", "the 'not' failure message")
+        return Not(_parse_vexpr(rest[0], nodes), message)
     args = []
     for arg in rest:
         if isinstance(arg, Token) and arg.kind in ("int", "string"):
             args.append(arg.value)
         else:
-            raise _positioned(SchemaSyntaxError,
-                              "validator arguments must be integers or strings",
-                              src, arg)
+            raise TokenError("validator arguments must be integers or strings", arg.index)
     expr = Base(head, tuple(args))
     nodes[id(expr)] = node
     return expr

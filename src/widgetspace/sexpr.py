@@ -17,12 +17,13 @@ Every text is scanned without positions: ``tokenize`` is one ``findall``
 that returns the spellings, and a reader of spellings raises
 ``TokenError`` with the index of the token at fault. The schema reader
 ``read_forms`` builds its tree from the spellings with an explicit stack,
-and each node keeps its token index. Only when an error is raised does
-``position`` scan the text again, counting, to find that token's byte
-offset, line and column. Tokens never span a newline, so the line and
-column come from counting newlines in the skipped text. The byte offset
-is the character index when the text is ASCII; otherwise it advances by
-the UTF-8 length of the text since the previous token.
+and each node keeps its token index. Only when an error is raised is it
+placed: ``position`` runs the pattern again up to that token, and one
+helper turns its character index into a byte offset, line and column, as
+it does for a lexical fault and for the first byte that is not UTF-8.
+The byte offset counts a lone surrogate as the three bytes that
+``surrogatepass`` encodes it to, so text that is not from a file can
+still be placed.
 
 Schema forms and datum sequences nest at most ``MAX_DEPTH`` deep, so no
 reader of the trees they make can exhaust Python's recursion.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import islice
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 # all-digit words lex as integers, so they cannot serve as symbols
@@ -105,19 +107,6 @@ class ListNode:
         return f"ListNode({self.items!r}, {self.index})"
 
 
-class _Placed:
-    """A token of the positioned scan, which places tokens for errors."""
-
-    __slots__ = ("kind", "value", "offset", "line", "col")
-
-    def __init__(self, kind: str, value: object, offset: int, line: int, col: int):
-        self.kind = kind  # one of ( ) [ ] string int atom
-        self.value = value
-        self.offset = offset  # byte offset into the UTF-8 encoding of the source
-        self.line = line
-        self.col = col
-
-
 def normalize_symbol(text: str) -> str:
     """Canonical spelling of a symbol: lowercase, optional leading ':' dropped."""
     text = text.lower()
@@ -142,8 +131,8 @@ def read_source(path: str | os.PathLike) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         before = _newlines(data[:e.start].decode("utf-8"))
-        raise SexprError(f"invalid UTF-8: {e.reason}", e.start, before.count("\n") + 1,
-                         len(before) - before.rfind("\n")) from None
+        _, line, col = _at(before, len(before))
+        raise SexprError(f"invalid UTF-8: {e.reason}", e.start, line, col) from None
     return _newlines(text)
 
 
@@ -162,7 +151,9 @@ def tokenize(text: str) -> list[str]:
     tokens = _TOKEN_RE.findall(text)
     del tokens[tokens.index(""):]  # the end of input, matched once or twice
     if '"' in tokens or "\\" in tokens:
-        _scan(text)  # raises at the first fault
+        for m in _TOKEN_RE.finditer(text):
+            if m.group(1) in _FAULTS:
+                raise _fault(text, m.start(1))
     return tokens
 
 
@@ -204,11 +195,15 @@ def expected(tokens: list[str], i: int, what: str) -> TokenError:
 def position(text: str, i: int) -> tuple[int, int, int]:
     """(byte offset, line, col) of token ``i`` of ``text``, or of the end of
     input when ``text`` has no token ``i``. Scans ``text`` again: for errors."""
-    tokens = _scan(text)
-    if i < len(tokens):
-        tok = tokens[i]
-        return tok.offset, tok.line, tok.col
-    return len(text.encode("utf-8")), text.count("\n") + 1, len(text) - text.rfind("\n")
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return _at(text, len(text) if m is None or m.group(1) is None else m.start(1))
+
+
+def _at(text: str, char: int) -> tuple[int, int, int]:
+    """(byte offset, line, col) of ``text[char]``; a surrogate counts three bytes."""
+    before = text[:char]
+    offset = char if before.isascii() else len(before.encode("utf-8", "surrogatepass"))
+    return offset, before.count("\n") + 1, char - before.rfind("\n")
 
 
 def read_forms(text: str) -> list[ListNode]:
@@ -256,47 +251,13 @@ def _read_forms(tokens: list[str]) -> list[ListNode]:
     return forms
 
 
-# -- the positioned scan ---------------------------------------------------------
-
-
-def _scan(text: str) -> list[_Placed]:
-    tokens: list[_Placed] = []
-    is_ascii = text.isascii()
-    line = 1
-    line_start = 0  # index of the first character of the current line
-    offset = 0
-    counted = 0  # index up to which ``offset`` counts bytes
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(1)
-        if tok is None:
-            break
-        start = m.start(1)
-        skipped = m.start()
-        if start != skipped:
-            newlines = text.count("\n", skipped, start)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", skipped, start) + 1
-        if is_ascii:
-            offset = start
-        else:
-            offset += len(text[counted:start].encode("utf-8"))
-            counted = start
-        col = start - line_start + 1
-        if tok in _FAULTS:
-            raise _fault(text, start, offset, line, col)
-        tokens.append(_Placed(*classify(tok), offset, line, col))
-    return tokens
-
-
-def _fault(text: str, i: int, offset: int, line: int, col: int) -> SexprError:
+def _fault(text: str, i: int) -> SexprError:
     """The error for ``text[i]``, which starts no token, at its position."""
     ch = text[i]
     if ch != '"':
-        return SexprError(f"unexpected character {ch!r}", offset, line, col)
+        return SexprError(f"unexpected character {ch!r}", *_at(text, i))
     j = _STRING_BODY_RE.match(text, i + 1).end()
     if j == len(text):
-        return SexprError("unterminated string", offset, line, col)
-    # strings hold no newline, so text[j] is on the string's line
+        return SexprError("unterminated string", *_at(text, i))
     message = "invalid escape in string" if text[j] == "\\" else "control character in string"
-    return SexprError(message, offset + len(text[i:j].encode("utf-8")), line, col + j - i)
+    return SexprError(message, *_at(text, j))

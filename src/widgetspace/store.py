@@ -27,7 +27,7 @@ from .datum import UNINITIALIZED, Datum, dumps, is_uninitialized, read_datum, re
 from .errors import (CorruptTableError, IndexOutOfRangeError, StoreError,
                      WrongVariantError)
 from . import sexpr
-from .sexpr import (SexprError, TokenError, classify, expected, is_valid_symbol,
+from .sexpr import (SexprError, TokenError, _at, classify, expected, is_valid_symbol,
                     normalize_symbol, position, read_source)
 
 _SUFFIX = ".tbl"
@@ -309,6 +309,11 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
     tables: dict[str, dict[str, Datum]] = {}
     current: dict[str, Datum] | None = None
     start = 0  # character index of the line's start
+
+    def corrupt(message: str, at: int = 0) -> CorruptTableError:
+        # ``at`` bytes into the line; a fault of the whole line is at its start
+        return CorruptTableError(message, filename=filename, offset=_at(text, start)[0] + at)
+
     for line in text.split("\n"):
         if line.strip(" \t\r\n"):  # the whitespace the tokenizer skips
             try:
@@ -317,19 +322,19 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
                 name = _header_name(tokens)
                 if name is not None:
                     if name in tables:
-                        raise SexprError(f"table '{name}' declared twice", 0, 1, 1)
+                        raise corrupt(f"table '{name}' declared twice")
                     current = tables[name] = {}
                 else:
                     if current is None:
-                        raise SexprError("missing (table ...) header", 0, 1, 1)
+                        raise corrupt("missing (table ...) header")
                     key, value = _parse_pair(tokens)
                     if key in current:
-                        raise SexprError(f"duplicate key '{key}'", 0, 1, 1)
+                        raise corrupt(f"duplicate key '{key}'")
                     current[key] = value
-            except (SexprError, TokenError) as e:
-                at = position(line, e.index)[0] if isinstance(e, TokenError) else e.offset
-                offset = len(text[:start].encode("utf-8")) + at
-                raise CorruptTableError(str(e), filename=filename, offset=offset) from None
+            except SexprError as e:
+                raise corrupt(str(e), e.offset) from None
+            except TokenError as e:
+                raise corrupt(str(e), position(line, e.index)[0]) from None
         start += len(line) + 1
     return tables
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widgetspace import Database, SchemaError, WidgetRegistry, cli, fixture_paths
+from widgetspace import Database, SchemaError, WidgetCoord, WidgetRegistry, cli, fixture_paths
 
 from conftest import SRC, run_cli
 
@@ -162,6 +162,18 @@ class TestLocales:
                        "      ramsey-county-mn\n"
                        "    arkansas\n"
                        "    wisconsin\n")
+
+    def test_tree_of_a_chain_deeper_than_the_recursion_limit(self, tmp_path):
+        depth = 1500
+        schema = tmp_path / "chain.scm"
+        schema.write_text("(locale l0 :parent none)\n" + "".join(
+            f"(locale l{i} :parent l{i - 1})\n" for i in range(1, depth)))
+        ws = tmp_path / "w.ws"
+        code, _, err = run_cli(["schema", "load", str(schema), *ws_args(ws)], cwd=tmp_path)
+        assert code == 0, err
+        code, out, err = run_cli(["locales", "--tree", *ws_args(ws)], cwd=tmp_path)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{'  ' * i}l{i}\n" for i in range(depth))
 
     def test_without_workspace_exit_2(self, tmp_path):
         code, _, err = run_cli(
@@ -768,3 +780,118 @@ class TestDumpRestore:
             ["restore", "--db", str(tmp_path / "db"),
              str(tmp_path / "absent.widgetdump")], cwd=tmp_path)
         assert code == 3
+
+
+
+# -- byte-level mutations of every file the CLI reads ---------------------------
+
+
+def _fixture_db_files() -> tuple[bytes, bytes]:
+    """A table file and a dump of a database filled through the fixture schemas."""
+    registry = WidgetRegistry()
+    registry.load_schema_files(fixture_paths())
+    with tempfile.TemporaryDirectory() as root:
+        db = Database(root)
+        for name, index, medium, text in [
+                ("dob", 1, "ls1100-entry", "20100704"), ("sid", 1, "ls1100-entry", "ab12cd"),
+                ("alias", 1, "transmission", "Smith"), ("alias", 2, "transmission", "Doe")]:
+            coord = WidgetCoord(name=name, locale="arkansas", medium=medium, index=index)
+            registry.parse_and_set(db, coord, text)
+        db.checkpoint()
+        return (Path(root) / "demographics.tbl").read_bytes(), db.dump_text().encode()
+
+
+FIXTURE_TABLE, FIXTURE_DUMP = _fixture_db_files()
+FIXTURE_SCHEMAS = [p.read_bytes() for p in fixture_paths()]
+FIXTURE_WORKSPACE_BYTES = json.dumps(FIXTURE_WORKSPACE).encode()
+
+# bytes that mean something to one of the readers, beside arbitrary ones
+_CHUNKS = st.one_of(
+    st.binary(min_size=1, max_size=3),
+    st.sampled_from([b"(", b")", b"[", b"]", b'"', b"\\", b";", b":", b" ", b"\n", b"\r",
+                     b"{", b"}", b",", b"-", b"0", b"99", b"#uninit", b"none", b"\xff",
+                     b"\xc3", b"\xed\xa0\x80", b"\xf0\x9d\x84\x9e", b"\x00"]))
+
+
+@st.composite
+def mutated(draw, originals: list[bytes]) -> bytes:
+    """One of ``originals`` with a few bytes deleted, inserted or overwritten."""
+    data = bytearray(draw(st.sampled_from(originals)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["delete", "insert", "overwrite"]))
+        if op == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            chunk = draw(_CHUNKS)
+            data[at:at + (len(chunk) if op == "overwrite" else 0)] = chunk
+    return bytes(data)
+
+
+def _main_in_process(args: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, err.getvalue()
+
+
+class TestMutatedInputs:
+    """Any bytes in a schema, workspace, table file or dump exit 0, 2 or 3
+    with at most one ``error:`` line, never with a traceback.
+
+    These run ``cli.main`` in this process, so that hypothesis can try
+    many inputs quickly.
+    """
+
+    @staticmethod
+    def run(args: list[str]) -> None:
+        code, err = _main_in_process(args)
+        assert code in (0, 2, 3), err
+        if code == 0:
+            assert "error:" not in err, err
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @staticmethod
+    def get_args(root: Path) -> list[str]:
+        return ["get", "--workspace", str(root / "w.ws"), "--db", str(root / "db"),
+                "--locale", "arkansas", "--field", "alias.2", "--medium", "transmission"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(schema=mutated(FIXTURE_SCHEMAS))
+    def test_schema_lint(self, schema):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "s.scm"
+            path.write_bytes(schema)
+            self.run(["schema", "lint", str(path)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(workspace=mutated([FIXTURE_WORKSPACE_BYTES]))
+    def test_get_with_workspace(self, workspace):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            (root / "db").mkdir()
+            (root / "db" / "demographics.tbl").write_bytes(FIXTURE_TABLE)
+            (root / "w.ws").write_bytes(workspace)
+            self.run(self.get_args(root))
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=mutated([FIXTURE_TABLE]), command=st.sampled_from(["get", "dump"]))
+    def test_get_or_dump_from_table(self, table, command):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            (root / "db").mkdir()
+            (root / "db" / "demographics.tbl").write_bytes(table)
+            if command == "get":
+                (root / "w.ws").write_bytes(FIXTURE_WORKSPACE_BYTES)
+                self.run(self.get_args(root))
+            else:
+                self.run(["dump", "--db", str(root / "db"), str(root / "out")])
+
+    @settings(max_examples=100, deadline=None)
+    @given(dump=mutated([FIXTURE_DUMP]))
+    def test_restore(self, dump):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            (root / "in").write_bytes(dump)
+            self.run(["restore", "--db", str(root / "db"), str(root / "in")])

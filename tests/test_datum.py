@@ -244,6 +244,19 @@ class TestLoads:
             deserialize(b'"a\xffb"')
         assert exc.value.offset == 2
 
+    # a lone surrogate counts the three bytes that ``surrogatepass`` encodes it to
+    @pytest.mark.parametrize("text,message", [
+        ("\ud800 1", "unknown atom '\ud800' (byte 0)"),
+        ("[1 \ud800] 2", "unknown atom '\ud800' (byte 3)"),
+        ('"\ud800" x', "trailing content after datum (byte 6)"),
+        ('\ud800 "', "unterminated string (byte 4)"),
+    ])
+    @pytest.mark.parametrize("read", [loads, deserialize])
+    def test_lone_surrogate_is_malformed_at_a_byte_offset(self, read, text, message):
+        with pytest.raises(MalformedEncodingError) as exc:
+            read(text)
+        assert str(exc.value) == message
+
 
 def nested(depth: int, leaf=()):
     value = leaf

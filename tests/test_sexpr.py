@@ -1,13 +1,13 @@
-"""The s-expression scanners and readers against the implementations they replaced.
+"""The s-expression scanner and readers against the implementations they replaced.
 
 The references below are earlier implementations, kept verbatim apart
 from their names: the per-character tokenizer, and the table parser,
 datum reader and schema reader over positioned tokens. On any input, the
-positioned scan must give the reference's tokens and positions, the
-position-free scan placed by ``position`` the same, and the table parser,
-``datum.loads`` and ``read_forms`` the same values, or the same errors at
-the same positions. The one exception is a schema form nested deeper
-than ``MAX_DEPTH``, which only the current reader refuses.
+position-free scan placed by ``position`` must give the reference's
+tokens and positions, and the table parser, ``datum.loads`` and
+``read_forms`` the same values, or the same errors at the same
+positions. The one exception is a schema form nested deeper than
+``MAX_DEPTH``, which only the current reader refuses.
 """
 
 import re
@@ -360,12 +360,6 @@ def _tokens(tokenize, text):
         return ("error", str(e), e.offset, e.line, e.col)
 
 
-@settings(max_examples=1000)
-@given(sexpr_text)
-def test_tokenize_matches_reference(text):
-    assert _tokens(sexpr._scan, text) == _tokens(ref_tokenize, text)
-
-
 def _spellings(text):
     """The position-free scan of ``text``, placed: each token's kind, value and
     position, then the end of input's position; or the error."""
@@ -380,7 +374,7 @@ def _spellings(text):
     return placed + [sexpr.position(text, len(tokens))]
 
 
-@settings(max_examples=600)
+@settings(max_examples=1000)
 @given(sexpr_text)
 def test_position_free_scan_matches_reference(text):
     expected = _tokens(ref_tokenize, text)
