@@ -3,7 +3,8 @@
 Subcommands: ``schema load``, ``schema lint``, ``locales``, ``set``,
 ``get``, ``show``, ``gen``, ``dump``, ``restore``. Exit codes: 0 success,
 1 validation failure, 2 schema or resolution error, 3 I/O, corruption,
-or lock contention, 4 usage error.
+or lock contention, 4 usage error, 5 internal error (a fault of the
+program, reported as one line with the exception's type).
 
 ``schema load`` compiles sources into a workspace file so later commands
 need no schema arguments. The workspace is a pure cache: deleting it and
@@ -32,6 +33,7 @@ EXIT_VALIDATION = 1
 EXIT_SCHEMA = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
+EXIT_INTERNAL = 5
 
 ENV_DB = "WIDGETSPACE_DB"
 ENV_WORKSPACE = "WIDGETSPACE_WORKSPACE"
@@ -68,9 +70,12 @@ def main(argv=None) -> int:
     except (StoreError, MalformedEncodingError, OSError) as e:
         _print_error(e)
         return EXIT_IO
+    except Exception as e:  # a fault of the program: one line, never exit 1
+        _print_error(f"internal error: {type(e).__name__}: {e}")
+        return EXIT_INTERNAL
 
 
-def _print_error(e: Exception) -> None:
+def _print_error(e: Exception | str) -> None:
     """One ``error:`` line: unprintable characters appear as their escapes."""
     text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(e))
     print(f"error: {text}", file=sys.stderr)

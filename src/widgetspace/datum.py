@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import MalformedEncodingError
-from .sexpr import (_INT_RE, MAX_DEPTH, SexprError, TokenError, expected, position,
-                    tokenize, unquote)
+from .sexpr import (_INT_RE, MAX_DEPTH, MAX_INT_DIGITS, SexprError, TokenError, expected,
+                    position, read_int, tokenize, unquote)
 
 
 class Uninitialized:
@@ -108,16 +108,18 @@ def maybe_or_default(d: Datum, fallback):
 def require_valid(d: Datum, depth: int = 0) -> None:
     """Reject values outside the datum universe.
 
-    Text is limited to printable characters plus space, and sequences
-    nest at most ``MAX_DEPTH`` deep, so every datum survives the
-    line-oriented dump format and reads back. ``depth`` counts the
-    sequences around ``d``.
+    Text is limited to printable characters plus space, integers to
+    ``MAX_INT_DIGITS`` digits, and sequences nest at most ``MAX_DEPTH``
+    deep, so every datum survives the line-oriented dump format and reads
+    back. ``depth`` counts the sequences around ``d``.
     """
     if isinstance(d, Uninitialized):
         return
     if isinstance(d, bool):
         raise TypeError("booleans are not datum values")
     if isinstance(d, int):
+        if not -_INT_BOUND < d < _INT_BOUND:
+            raise ValueError(f"integers of more than {MAX_INT_DIGITS} digits are not storable")
         return
     if isinstance(d, str):
         _require_printable(d)
@@ -137,6 +139,7 @@ def require_valid(d: Datum, depth: int = 0) -> None:
     raise TypeError(f"not a datum value: {d!r}")
 
 
+_INT_BOUND = 10 ** MAX_INT_DIGITS  # the least integer of MAX_INT_DIGITS + 1 digits
 _UNSTORABLE = re.compile("[\x00-\x1f\x7f\ud800-\udfff]")
 
 
@@ -229,7 +232,7 @@ def read_datum(tokens: list[str], i: int) -> tuple[Datum, int]:
             value = UNINITIALIZED
             i += 1
         elif _INT_RE.match(tok):
-            value = int(tok)
+            value = read_int(tok, i)
             i += 1
         elif first in ")]":
             raise TokenError(f"unexpected '{tok}'", i)
@@ -265,7 +268,7 @@ def _read_form(tokens: list[str], i: int) -> tuple[Datum, int]:
 def _read_int_in(tokens: list[str], i: int, what: str, lo: int, hi: int) -> int:
     if i == len(tokens) or not _INT_RE.match(tokens[i]):
         raise expected(tokens, i, f"{what} (integer)")
-    value = int(tokens[i])
+    value = read_int(tokens[i], i)
     if not lo <= value <= hi:
         raise TokenError(f"{what} out of range: {value}", i)
     return value

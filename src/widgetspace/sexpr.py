@@ -60,6 +60,12 @@ _FAULTS = ('"', "\\")  # the spellings that start no token
 # stored value nor a corrupt file can exhaust the recursion of ``dumps``.
 MAX_DEPTH = 100
 
+# How many digits an integer literal may have: CPython's default limit on
+# converting between ``str`` and ``int``. A longer literal is a fault at its
+# token, and ``datum.require_valid`` refuses an integer that would dump to
+# one, so every integer read or stored converts both ways.
+MAX_INT_DIGITS = 4300
+
 
 class SexprError(Exception):
     """Lexical or structural fault in s-expression text."""
@@ -157,16 +163,27 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def classify(tok: str) -> tuple[str, object]:
-    """The kind (one of ( ) [ ] string int atom) and value of the token spelled ``tok``."""
+def classify(tok: str, i: int = 0) -> tuple[str, object]:
+    """The kind (one of ( ) [ ] string int atom) and value of the token spelled
+    ``tok``, token ``i`` of its text; see ``read_int`` for a long integer."""
     first = tok[0]
     if first == '"':
         return "string", unquote(tok)
     if first in "()[]":
         return tok, tok
     if first in "-0123456789" and _INT_RE.match(tok):
-        return "int", int(tok)
+        return "int", read_int(tok, i)
     return "atom", tok
+
+
+def read_int(tok: str, i: int) -> int:
+    """The value of the integer literal ``tok``, token ``i`` of its text.
+
+    A literal of more than ``MAX_INT_DIGITS`` digits raises TokenError at ``i``.
+    """
+    if len(tok) - (tok[0] == "-") > MAX_INT_DIGITS:
+        raise TokenError(f"integer literal longer than {MAX_INT_DIGITS} digits", i)
+    return int(tok)
 
 
 def unquote(tok: str) -> str:
@@ -175,9 +192,9 @@ def unquote(tok: str) -> str:
     return _UNESCAPE_RE.sub(r"\1", text) if "\\" in text else text
 
 
-def describe(tok: str) -> str:
-    """The token spelled ``tok`` as an error message names it."""
-    kind, value = classify(tok)
+def describe(tok: str, i: int = 0) -> str:
+    """The token spelled ``tok``, token ``i`` of its text, as an error message names it."""
+    kind, value = classify(tok, i)
     if kind == "string":
         return "a string"
     if kind == "int":
@@ -189,7 +206,7 @@ def expected(tokens: list[str], i: int, what: str) -> TokenError:
     """The error for ``tokens[i]``, or the end of input, where ``what`` belongs."""
     if i >= len(tokens):
         return TokenError(f"unexpected end of input, expected {what}", i)
-    return TokenError(f"expected {what}, found {describe(tokens[i])}", i)
+    return TokenError(f"expected {what}, found {describe(tokens[i], i)}", i)
 
 
 def position(text: str, i: int) -> tuple[int, int, int]:
@@ -243,7 +260,7 @@ def _read_forms(tokens: list[str]) -> list[ListNode]:
         elif first == '"':
             items.append(Token("string", unquote(tok), i))
         elif first in "-0123456789" and _INT_RE.match(tok):
-            items.append(Token("int", int(tok), i))
+            items.append(Token("int", read_int(tok, i), i))
         else:
             items.append(Token("atom", tok, i))
     if open_forms:

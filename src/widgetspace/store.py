@@ -18,6 +18,7 @@ when one is found.
 from __future__ import annotations
 
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -31,6 +32,7 @@ from .sexpr import (SexprError, TokenError, _at, classify, expected, is_valid_sy
                     normalize_symbol, position, read_source)
 
 _SUFFIX = ".tbl"
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class _Table:
@@ -183,9 +185,14 @@ class Database:
         """Replace the whole database with a dump's tables, durably.
 
         Parses the whole dump, then writes every dumped table before it unlinks
-        the others: a failure leaves each table old or new, none missing.
+        the others: a failure leaves each table old or new, none missing. Text
+        that no file can hold (a lone surrogate) is corrupt, like a bad line.
         """
         tables = _parse_tables(text, filename)
+        bad = _SURROGATE.search(text)
+        if bad is not None:
+            raise CorruptTableError(f"surrogate {bad.group()!r} is not storable text",
+                                    filename=filename, offset=_at(text, bad.start())[0])
         with self._lock:
             self._tables = {}  # so that after a failure below, reads go to the disk
         for name, entries in tables.items():
@@ -361,7 +368,7 @@ def _parse_pair(tokens: list[str]) -> tuple[str, Datum]:
         raise expected(tokens, 1, "a key symbol")
     key = normalize_symbol(tokens[1])
     if not is_valid_symbol(key):  # as a string or an integer never is
-        if classify(tokens[1])[0] != "atom":
+        if classify(tokens[1], 1)[0] != "atom":
             raise expected(tokens, 1, "a key symbol")
         raise TokenError(f"invalid key '{key}'", 1)
     value, i = read_datum(tokens, 2)

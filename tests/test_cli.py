@@ -113,6 +113,13 @@ class TestSchemaLoad:
         col = len("  :input ((m identity ") + 5 * 97 + 1
         assert err == f"error: {bad}:3:{col}: forms nested deeper than 100\n"
 
+    def test_integer_literal_too_long_exit_2(self, tmp_path):
+        bad = tmp_path / "long.scm"
+        bad.write_text("(locale a :parent none)\n(widget x a :index " + "9" * 5000 + ")\n")
+        code, out, err = run_cli(["schema", "lint", str(bad)], cwd=tmp_path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:2:20: integer literal longer than 4300 digits\n"
+
     def test_missing_file_exit_3(self, tmp_path):
         code, _, err = run_cli(
             ["schema", "load", str(tmp_path / "absent.scm"),
@@ -767,6 +774,16 @@ class TestDumpRestore:
         assert err == "error: t.tbl: sequences nested deeper than 100 (byte 113)\n"
         assert not out.exists()
 
+    def test_dump_of_too_long_integer_exit_3(self, tmp_path):
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "t.tbl").write_text("(table t)\n(k " + "9" * 5000 + ")\n")
+        out = tmp_path / "out.widgetdump"
+        code, _, err = run_cli(["dump", "--db", str(root), str(out)], cwd=tmp_path)
+        assert code == 3
+        assert err == "error: t.tbl: integer literal longer than 4300 digits (byte 13)\n"
+        assert not out.exists()
+
     def test_restore_corrupt_dump_exit_3(self, ws, tmp_path):
         bad = tmp_path / "bad.widgetdump"
         bad.write_text("(k 1)\n")
@@ -895,3 +912,20 @@ class TestMutatedInputs:
             root = Path(root)
             (root / "in").write_bytes(dump)
             self.run(["restore", "--db", str(root / "db"), str(root / "in")])
+
+
+class TestInternalError:
+    """An exception that no clause of ``cli.main`` maps is a fault of the
+    program: one ``error:`` line naming its type, and exit 5, never 1."""
+
+    @pytest.mark.parametrize("exc,line", [
+        (RuntimeError("boom"), "error: internal error: RuntimeError: boom\n"),
+        (KeyError("k"), "error: internal error: KeyError: 'k'\n"),
+    ], ids=["RuntimeError", "KeyError"])
+    def test_unmapped_exception_exit_5(self, monkeypatch, tmp_path, exc, line):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_locales", handler)
+        code, err = _main_in_process(["locales", "--workspace", str(tmp_path / "w.ws")])
+        assert (code, err) == (5, line)

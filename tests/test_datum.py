@@ -10,6 +10,7 @@ from widgetspace import (
     deserialize, dumps, is_uninitialized, loads, maybe_map, maybe_or_default,
     require_valid, serialize,
 )
+from widgetspace import sexpr
 from widgetspace.datum import MAX_DEPTH
 
 storable_text = st.text(
@@ -284,6 +285,38 @@ class TestNestingDepth:
         assert exc.value.offset == MAX_DEPTH + 1
         assert str(exc.value) == (f"sequences nested deeper than {MAX_DEPTH} "
                                   f"(byte {MAX_DEPTH + 1})")
+
+
+class TestIntegerLength:
+    """Integers have at most ``sexpr.MAX_INT_DIGITS`` digits, stored or read."""
+
+    def test_longest_integer_reads_back(self):
+        for value in (10 ** 4300 - 1, -(10 ** 4300 - 1)):
+            require_valid(value)
+            assert loads(dumps(value)) == value
+
+    def test_longer_integer_is_not_storable(self):
+        limit = sexpr.MAX_INT_DIGITS
+        for value in (10 ** limit, -10 ** limit, 10 ** 5000):
+            with pytest.raises(ValueError, match=f"more than {limit} digits are not storable"):
+                require_valid(value)
+            with pytest.raises(ValueError):
+                serialize(value)
+        with pytest.raises(ValueError):
+            require_valid((1, (2,), (10 ** limit,)))
+
+    @pytest.mark.parametrize("text,offset", [
+        ("9" * 5000, 0),
+        ("[1 -" + "0" * 4301 + "]", 3),
+        ("(date " + "1" * 4301 + " 1 1)", 6),
+        ("(date 2000 1 1 " + "9" * 4301 + ")", 15),  # where ')' belongs
+    ], ids=["integer", "in-sequence", "year", "for-paren"])
+    @pytest.mark.parametrize("read", [loads, deserialize])
+    def test_longer_literal_is_malformed_at_its_byte_offset(self, read, text, offset):
+        with pytest.raises(MalformedEncodingError) as exc:
+            read(text)
+        assert str(exc.value) == (f"integer literal longer than {sexpr.MAX_INT_DIGITS} "
+                                  f"digits (byte {offset})")
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 """Widget registry: definition checks, per-property resolution, fused operations."""
 
+import gc
 import random
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from widgetspace import (
     UNINITIALIZED, Base, Database, IndexOutOfRangeError, InputBinding, InvalidSpecError,
     LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName, ResolutionError, SchemaError,
-    SimpleDate, UnknownLocaleError, UnresolvedReferenceError, ValidationError,
+    SchemaSyntaxError, SimpleDate, UnknownLocaleError, UnresolvedReferenceError, ValidationError,
     WidgetCoord, WidgetRegistry, WidgetSpec, standard_registries,
 )
 
@@ -328,6 +329,18 @@ class TestParseAndSet:
         with pytest.raises(ValidationError) as exc:
             reg.parse_and_set(db, WidgetCoord("note", "leaf", "m"), "a\tb")
         assert exc.value.value == "a\tb"
+        assert db.is_empty()
+
+    def test_integer_too_long_to_store_is_a_validation_error(self, tmp_path):
+        reg = tiny_registry()
+        reg.registries.parsers.register("googolplex-ish", lambda text: 10 ** 5000)
+        reg.load_schema("(widget n root :table t"
+                        " :input ((m googolplex-ish always-ok)))")
+        db = Database(tmp_path / "db")
+        with pytest.raises(ValidationError) as exc:
+            reg.parse_and_set(db, WidgetCoord("n", "leaf", "m"), "big")
+        assert exc.value.value == "big"
+        assert str(exc.value) == "integers of more than 4300 digits are not storable"
         assert db.is_empty()
 
     def test_setter_side_storage_resolution(self, registry, db):
@@ -702,3 +715,73 @@ class TestPlanMemo:
             with pytest.raises((ResolutionError, UnknownLocaleError)):
                 reg.get_and_format(db, coord)
         assert len(reg._snapshot[2]) == 0
+
+
+def _large_schema(widgets: int = 3000) -> str:
+    """One locale and ``widgets`` stored widgets, each with an input and an output."""
+    return "(locale root :parent none)\n" + "".join(
+        f"(widget w{i} root :table t :doc \"widget {i}\""
+        f" :input ((m identity (and always-ok (length 1 9))))"
+        f" :output ((default identity)))\n" for i in range(widgets))
+
+
+class TestCollectorPause:
+    """A snapshot build runs with Python's cyclic collector paused, and leaves
+    the collector as it found it."""
+
+    @staticmethod
+    def _collections_while_building(reg, build) -> list[int]:
+        """The generation of each collection that starts after ``build()`` is
+        called and before it publishes its snapshot."""
+        old = reg._snapshot
+        started = []
+
+        def watch(phase, info):
+            if phase == "start" and reg._snapshot is old:
+                started.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()  # zero the allocation counts, so that only the build's count
+        gc.callbacks.append(watch)
+        try:
+            build()
+        finally:
+            gc.callbacks.remove(watch)
+        assert reg._snapshot is not old
+        return started
+
+    def test_no_collection_during_a_build(self):
+        reg = WidgetRegistry()
+        text = _large_schema()
+        assert self._collections_while_building(reg, lambda: reg.load_schema(text)) == []
+        state = reg.export_state()
+        assert len(state["widgets"]) == 3000
+        clone = WidgetRegistry()
+        assert self._collections_while_building(
+            clone, lambda: clone.import_state(state)) == []
+        assert clone.export_state() == state
+
+    def test_enabled_after_success_and_failure(self):
+        reg = WidgetRegistry()
+        reg.load_schema(_large_schema(50))
+        assert gc.isenabled()
+        bad = _large_schema(50).replace("(widget w30 root", "(widget w30 root :index x", 1)
+        with pytest.raises(SchemaSyntaxError, match="expected an occurrence bound"):
+            WidgetRegistry().load_schema(bad, filename="s.scm")
+        assert gc.isenabled()
+        state = reg.export_state()
+        state["widgets"].append(dict(state["widgets"][0], max_index=0))
+        with pytest.raises(SchemaError):
+            WidgetRegistry().import_state(state)
+        assert gc.isenabled()
+        with pytest.raises(SchemaError):
+            WidgetRegistry().import_state({"locales": [["root", None]], "widgets": [7]})
+        assert gc.isenabled()
+
+    def test_callers_choice_survives(self):
+        gc.disable()
+        try:
+            WidgetRegistry().load_schema(_large_schema(50))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

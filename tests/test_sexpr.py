@@ -553,3 +553,18 @@ def test_schema_error_column_counts_characters():
         WidgetRegistry().load_schema('(locale root :parent none)\n("é€" ]', filename="s.scm")
     assert (exc.value.line, exc.value.col) == (2, 7)
     assert str(exc.value) == "s.scm:2:7: unbalanced ']'"
+
+
+def test_integer_literal_longer_than_the_limit_is_placed():
+    limit = sexpr.MAX_INT_DIGITS
+    longest, longer = "-" + "9" * limit, "9" * (limit + 1)
+    assert sexpr.classify(longest) == ("int", -(10 ** limit - 1))
+    assert sexpr.describe("0" * limit) == "integer 0"
+    for call in (sexpr.classify, sexpr.describe):
+        with pytest.raises(sexpr.TokenError) as exc:
+            call(longer, 7)
+        assert (str(exc.value), exc.value.index) == (
+            f"integer literal longer than {limit} digits", 7)
+    with pytest.raises(SexprError) as exc:
+        sexpr.read_forms(f"(a {longest})\n(b\n  {longer})")
+    assert (exc.value.offset, exc.value.line, exc.value.col) == (len(longest) + 10, 3, 3)

@@ -68,6 +68,16 @@ class TestPutGet:
         with pytest.raises(ValueError):
             db.put("t", "k", "line\nbreak")
 
+    def test_integer_too_long_to_dump_is_rejected(self, tmp_path):
+        db = Database(tmp_path / "db")
+        db.put("t", "a", 10 ** 4300 - 1)
+        with pytest.raises(ValueError, match="not storable"):
+            db.put("t", "k", 10 ** 5000)
+        with pytest.raises(ValueError, match="not storable"):
+            db.put_indexed("t", "j", 1, -10 ** 4300, 2)
+        db.checkpoint()
+        assert Database(tmp_path / "db").items("t") == [("a", 10 ** 4300 - 1)]
+
     def test_keys_normalized(self, db):
         db.put("T", ":DOB", 1)
         assert db.get("t", "dob") == 1
@@ -522,6 +532,17 @@ class TestCorruption:
         assert str(exc.value) == (f"t.tbl: sequences nested deeper than {MAX_DEPTH} "
                                   f"(byte {exc.value.offset})")
 
+    @pytest.mark.parametrize("line,offset", [
+        ("(k " + "9" * 5000 + ")", 13),   # a value
+        ("(" + "9" * 5000 + " 1)", 11),   # a key
+    ], ids=["value", "key"])
+    def test_integer_literal_too_long(self, tmp_path, line, offset):
+        db = self._db_with(tmp_path, f"(table t)\n{line}\n")
+        with pytest.raises(CorruptTableError) as exc:
+            db.get("t", "k")
+        assert str(exc.value) == ("t.tbl: integer literal longer than 4300 digits "
+                                  f"(byte {offset})")
+
     def test_deepest_storable_value_reads_back(self, tmp_path):
         value = 1
         for _ in range(MAX_DEPTH):
@@ -583,6 +604,17 @@ class TestDumpRestore:
         db.checkpoint()
         assert db.table_names() == ["t"]
         assert Database(tmp_path / "a").get("t", "k") == 3
+
+    def test_restore_lone_surrogate_is_corrupt_before_any_write(self, tmp_path):
+        db = Database(tmp_path / "a")
+        db.put("t", "k", 1)
+        db.checkpoint()
+        with pytest.raises(CorruptTableError) as exc:
+            db.restore_text('(table t)\n(k "\ud800")\n(table u)\n(k 2)\n')
+        # byte 10 starts the pair line; the surrogate sits 4 bytes into it
+        assert str(exc.value) == "<dump>: surrogate '\\ud800' is not storable text (byte 14)"
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["t.tbl"]
+        assert Database(tmp_path / "a").items("t") == [("k", 1)]
 
     def test_restored_data_survives_checkpoint(self, tmp_path):
         db = Database(tmp_path / "a")
