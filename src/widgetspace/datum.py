@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 from .errors import MalformedEncodingError
 from .sexpr import (_INT_RE, MAX_DEPTH, MAX_INT_DIGITS, SexprError, TokenError, expected,
-                    position, read_int, tokenize, unquote)
+                    int_text, position, read_int, tokenize, unquote)
 
 
 class Uninitialized:
@@ -160,7 +160,7 @@ def dumps(d: Datum) -> str:
     if isinstance(d, bool):
         raise TypeError("booleans are not datum values")
     if isinstance(d, int):
-        return str(d)
+        return int_text(d)
     if isinstance(d, str):
         return _quote(d)
     if isinstance(d, SimpleDate):

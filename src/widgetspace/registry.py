@@ -25,7 +25,9 @@ Schema files are s-expressions::
       :input ((<medium> <parser> <vexpr>) ...)
       :output ((<medium> <formatter>) ...))
 
-A load is all-or-nothing: any error leaves the registry untouched.
+A load is all-or-nothing: any error leaves the registry untouched. Within
+one load, each distinct ``:input``, ``:output`` and ``:heading`` clause is
+parsed once, and specs that spell it alike share its parsed bindings.
 """
 
 from __future__ import annotations
@@ -45,11 +47,15 @@ from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
                      NO_STORAGE_MESSAGE, ResolutionError, SchemaError, SchemaSyntaxError,
                      UnknownLocaleError, UnresolvedReferenceError, ValidationError)
 from .locales import LocaleTree
-from .sexpr import (ListNode, SexprError, Token, TokenError, is_valid_symbol,
-                    normalize_symbol, position, read_forms, read_source)
+from .sexpr import (SexprError, TokenError, classify, int_text, is_valid_symbol,
+                    normalize_symbol, position, read_source, read_spans)
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
                          ValidatorRegistry, bases, default_validator_registry)
+
+# The largest ``:index`` bound a widget may declare. The first write to an
+# indexed field stores all of its slots, so the bound must be one that fits.
+MAX_INDEX = 10_000
 
 
 @dataclass(frozen=True)
@@ -191,15 +197,21 @@ class WidgetRegistry:
         return sorted({name for (name, loc) in specs if loc in chain})
 
     def _install(self, spec: WidgetSpec, tree: LocaleTree, specs: dict,
-                 source: Optional[tuple[Callable, dict]] = None) -> None:
+                 source: Optional[tuple[Callable, dict]] = None,
+                 checked: Optional[dict] = None) -> None:
         """Check a normalized ``spec`` against ``tree`` and the registries, then add it.
 
         The one check of a spec's meaning and types, whatever its source. For
         a spec read from schema text, ``source`` is ``(place, nodes)``: the
-        node that spelled each part, and ``place(cls, message, index)``, which
-        makes an error positioned at a token of that text.
+        token index of the node that spelled each part, and
+        ``place(cls, message, index)``, which makes an error positioned at a
+        token of that text. ``checked`` maps the ``id`` of each input binding
+        already checked in this build to the binding; this call skips those
+        and adds the ones it checks.
         """
         regs = self.registries
+        if checked is None:
+            checked = {}
         if not (isinstance(spec.name, str) and is_valid_symbol(spec.name)):
             raise _placed(InvalidSpecError(f"invalid widget name '{spec.name}'"),
                           source, "name")
@@ -209,8 +221,12 @@ class WidgetRegistry:
         if isinstance(spec.max_index, bool) or not isinstance(spec.max_index, int):
             raise InvalidSpecError(f"max_index must be an integer, got {spec.max_index!r}")
         if spec.max_index < 1:
-            raise _placed(InvalidSpecError(f"max_index must be >= 1, got {spec.max_index!r}"),
-                          source, "max_index")
+            raise _placed(InvalidSpecError(
+                f"max_index must be >= 1, got {int_text(spec.max_index)}"), source, "max_index")
+        if spec.max_index > MAX_INDEX:
+            raise _placed(InvalidSpecError(
+                f"max_index must be at most {MAX_INDEX}, got {int_text(spec.max_index)}"),
+                source, "max_index")
         if spec.table is not None and not (isinstance(spec.table, str)
                                            and is_valid_symbol(spec.table)):
             raise _placed(InvalidSpecError(f"invalid table name '{spec.table}'"),
@@ -227,6 +243,8 @@ class WidgetRegistry:
             _check_str(spec.doc, "doc")
         for medium, binding in spec.inputs.items():
             _check_str(medium, "medium")
+            if checked.get(id(binding)) is binding:
+                continue
             if not (isinstance(binding.parser, str) and binding.parser in regs.parsers):
                 raise _placed(UnresolvedReferenceError(f"unknown parser '{binding.parser}'"),
                               source, ("input", medium))
@@ -235,6 +253,7 @@ class WidgetRegistry:
                     regs.validators.check_base(base)
                 except SchemaError as e:
                     raise _placed(e, source, id(base)) from None
+            checked[id(binding)] = binding
         for medium, formatter in spec.outputs.items():
             _check_str(medium, "medium")
             if not (isinstance(formatter, str) and formatter in regs.formatters):
@@ -395,23 +414,25 @@ class WidgetRegistry:
         n_locales = 0
         n_widgets = 0
         with self._staged() as (tree, specs):
+            clauses = _Clauses()
             for filename, text in sources:
-                locales, widgets = self._load_source(filename, text, tree, specs, replace)
+                locales, widgets = self._load_source(filename, text, tree, specs, replace,
+                                                     clauses)
                 n_locales += locales
                 n_widgets += widgets
+            del clauses  # the memo lives for one load, and goes before the collector resumes
         return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
 
     def _load_source(self, filename: str, text: str, tree: LocaleTree, specs: dict,
-                     replace: bool) -> tuple[int, int]:
+                     replace: bool, clauses: _Clauses) -> tuple[int, int]:
         """Add one source's forms to a staged snapshot; the locales and widgets it added.
 
         The one place that positions an error in schema text: the form
         readers raise TokenError at a node's token index, and an error of
-        ``tree.add`` or ``_install`` is placed at its form or its node. The
-        form tree is dropped on return, while the collector is still paused.
+        ``tree.add`` or ``_install`` is placed at its form or its node.
         """
         try:
-            forms = read_forms(text)
+            reader = _FormReader(*read_spans(text), clauses)
         except SexprError as e:
             raise _syntax_error(e, filename) from None
 
@@ -421,22 +442,22 @@ class WidgetRegistry:
 
         n_locales = 0
         n_widgets = 0
-        for form in forms:
+        for form in reader.forms():
             try:
-                head = _head_symbol(form)
+                head = reader.head_symbol(form)
                 if head == "locale":
-                    child, parent = _parse_locale_form(form)
+                    child, parent = reader.locale_form(form)
                     try:
                         tree.add(child, parent, replace=replace)
                     except SchemaError as e:
-                        raise place(type(e), str(e), form.index) from None
+                        raise place(type(e), str(e), form) from None
                     n_locales += 1
                 elif head == "widget":
-                    spec, nodes = _parse_widget_form(form)
-                    self._install(spec, tree, specs, (place, nodes))
+                    spec, nodes = reader.widget_form(form)
+                    self._install(spec, tree, specs, (place, nodes), clauses.checked)
                     n_widgets += 1
                 else:
-                    raise TokenError(f"unknown form '{head}'", form.index)
+                    raise TokenError(f"unknown form '{head}'", form)
             except TokenError as e:
                 raise place(SchemaSyntaxError, str(e), e.index) from None
         return n_locales, n_widgets
@@ -639,59 +660,30 @@ def _placed(err: SchemaError, source: Optional[tuple[Callable, dict]], part) -> 
     if source is None:
         return err
     place, nodes = source
-    return place(type(err), str(err), nodes[part].index)
+    return place(type(err), str(err), nodes[part])
 
 
 # -- schema form parsing ------------------------------------------------------
 # Syntax only: what a parsed spec means is checked by WidgetRegistry._install.
-# A fault raises TokenError at the token index of the node at fault, which
-# ``_load_source`` places in the text.
+# A node is the index of its first token in ``tokenize(text)``. A fault
+# raises TokenError at the node at fault, which ``_load_source`` places in
+# the text.
 
 
 def _syntax_error(e: SexprError, filename: str) -> SchemaSyntaxError:
     return SchemaSyntaxError(str(e), filename=filename, line=e.line, col=e.col)
 
 
-def _head_symbol(form: ListNode) -> str:
-    if not form.items or not _is_atom(form.items[0]):
-        raise TokenError("form must start with a symbol", form.index)
-    return normalize_symbol(str(form.items[0].value))
+class _Clauses(dict):
+    """One load's memo: ``(part, spellings)`` of each ``:input``, ``:output``
+    and ``:heading`` clause -> ``(entries, parts)``, its medium map and the
+    offset from its first token of each part ``_install`` may place an error
+    at. ``checked`` is the ``checked`` of ``_install`` for the whole load.
+    """
 
-
-def _is_atom(node) -> bool:
-    return isinstance(node, Token) and node.kind == "atom"
-
-
-def _require_symbol(node, what: str) -> str:
-    if not _is_atom(node):
-        raise TokenError(f"expected {what} (a symbol)", node.index)
-    return normalize_symbol(str(node.value))
-
-
-def _require_literal(node, kind: str, what: str):
-    """The value of a ``kind`` token, "string" or "int"."""
-    if not (isinstance(node, Token) and node.kind == kind):
-        noun = "a string" if kind == "string" else "an integer"
-        raise TokenError(f"expected {what} ({noun})", node.index)
-    return node.value
-
-
-def _require_list(node, what: str) -> ListNode:
-    if not isinstance(node, ListNode):
-        raise TokenError(f"expected {what} (a parenthesized list)", node.index)
-    return node
-
-
-def _parse_locale_form(form: ListNode) -> tuple[str, Optional[str]]:
-    """The locale a locale form names, and its parent (None for 'none')."""
-    if len(form.items) != 4:
-        raise TokenError("locale form is (locale <name> :parent <name>|none)", form.index)
-    child = _require_symbol(form.items[1], "a locale name")
-    keyword = _require_symbol(form.items[2], "':parent'")
-    if keyword != "parent" or not str(form.items[2].value).startswith(":"):
-        raise TokenError("expected ':parent'", form.items[2].index)
-    parent = _require_symbol(form.items[3], "a parent locale or 'none'")
-    return child, None if parent == "none" else parent
+    def __init__(self):
+        super().__init__()
+        self.checked: dict[int, InputBinding] = {}
 
 
 # clause keyword -> the WidgetSpec field it sets
@@ -701,134 +693,215 @@ _CLAUSE_PARTS = {
     "heading": "headings", "input": "inputs", "output": "outputs"}
 
 
-def _parse_widget_form(form: ListNode) -> tuple[WidgetSpec, dict]:
-    """The spec a widget form spells, and the node that spelled each part of it.
+class _FormReader:
+    """The forms of one schema text, read from its token spellings.
 
-    The parts are keyed as ``_install`` names them: a field name, or
-    ``("input", medium)`` and ``("output", medium)`` for the parser and
-    formatter names, or the ``id()`` of a base validator.
+    ``ends[i]`` is the last token of the node at ``i`` (``sexpr.read_spans``),
+    so the items of a form are walked without a node tree.
     """
-    if len(form.items) < 3:
-        raise TokenError("widget form is (widget <name> <locale> clauses...)", form.index)
-    items = form.items
-    fields: dict = {"name": _require_symbol(items[1], "a widget name"),
-                    "locale": _require_symbol(items[2], "a locale name")}
-    nodes: dict = {"name": items[1], "locale": items[2]}
-    i = 3
-    while i < len(items):
-        node = items[i]
-        if not (_is_atom(node) and str(node.value).startswith(":")):
-            raise TokenError("expected a clause keyword like ':table'", node.index)
-        keyword = normalize_symbol(str(node.value))
-        part = _CLAUSE_PARTS.get(keyword)
-        if part is None:
-            raise TokenError(f"unknown clause ':{keyword}'", node.index)
-        if part in nodes:  # each clause read records its value's node
-            raise TokenError(f"duplicate clause ':{keyword}'", node.index)
-        if i + 1 >= len(items):
-            raise TokenError(f"clause ':{keyword}' needs a value", node.index)
-        value = nodes[part] = items[i + 1]
-        i += 2
-        if keyword == "index":
-            fields[part] = _require_literal(value, "int", "an occurrence bound")
-        elif keyword == "doc":
-            fields[part] = _require_literal(value, "string", "documentation text")
-        elif keyword == "heading":
-            fields[part] = _parse_headings(value)
-        elif keyword == "input":
-            fields[part] = _parse_entries(
-                value, "input", "(<medium> <parser> <vexpr>)", nodes,
-                lambda parser, vexpr: InputBinding(
-                    _require_symbol(parser, "a parser name"),
-                    _parse_vexpr(vexpr, nodes)))
-        elif keyword == "output":
-            fields[part] = _parse_entries(
-                value, "output", "(<medium> <formatter>)", nodes,
-                lambda formatter: _require_symbol(formatter, "a formatter name"))
-        else:
-            fields[part] = _require_symbol(value, f"a {keyword} name")
-    return WidgetSpec(**fields), nodes
 
+    def __init__(self, tokens: list[str], ends: list[int], clauses: _Clauses):
+        self.tokens = tokens
+        self.ends = ends
+        self.clauses = clauses
 
-def _parse_headings(node) -> dict:
-    node = _require_list(node, "heading pairs")
-    if not node.items or len(node.items) % 2 != 0:
-        raise TokenError("heading clause wants (<medium> <text> ...) pairs", node.index)
-    headings: dict = {}
-    for j in range(0, len(node.items), 2):
-        medium = _require_symbol(node.items[j], "a medium")
-        text = _require_literal(node.items[j + 1], "string", "heading text")
-        if medium in headings:
-            raise TokenError(f"duplicate heading for medium '{medium}'", node.items[j].index)
-        headings[medium] = text
-    return headings
+    def forms(self):
+        """The node of each top-level form, in order."""
+        i = 0
+        while i < len(self.tokens):
+            yield i
+            i = self.ends[i] + 1
 
+    def items(self, i: int) -> list[int]:
+        """The nodes inside the form at ``i``; none if ``i`` is not a form."""
+        ends = self.ends
+        end = ends[i]
+        items = []
+        j = i + 1
+        while j < end:
+            items.append(j)
+            j = ends[j] + 1
+        return items
 
-def _parse_entries(node, clause: str, shape: str, nodes: dict, build: Callable) -> dict:
-    """The medium map of an ``:input`` or ``:output`` clause, ``((<medium> ...) ...)``.
+    def is_symbol(self, i: int) -> bool:
+        return classify(self.tokens[i], i)[0] == "atom"
 
-    Every entry has the slots that ``shape`` spells. ``build`` makes the
-    entry's value from the nodes after the medium; the first of them (the
-    parser or formatter name) is recorded as ``(clause, medium)``.
-    """
-    node = _require_list(node, f"{clause} entries")
-    if not node.items:
-        raise TokenError(f"{clause} clause must not be empty", node.index)
-    arity = shape.count("<")
-    what = f"an {clause} entry {shape}"
-    entries: dict = {}
-    for entry in node.items:
-        entry = _require_list(entry, what)
-        if len(entry.items) != arity:
-            raise TokenError(f"{clause} entry is {shape}", entry.index)
-        medium = _require_symbol(entry.items[0], "a medium")
-        value = build(*entry.items[1:])
-        if medium in entries:
-            raise TokenError(f"duplicate {clause} entry for medium '{medium}'", entry.index)
-        entries[medium] = value
-        nodes[(clause, medium)] = entry.items[1]
-    return entries
+    def head_symbol(self, form: int) -> str:
+        if self.ends[form] == form + 1 or not self.is_symbol(form + 1):
+            raise TokenError("form must start with a symbol", form)
+        return normalize_symbol(self.tokens[form + 1])
 
+    def symbol(self, i: int, what: str) -> str:
+        if not self.is_symbol(i):
+            raise TokenError(f"expected {what} (a symbol)", i)
+        return normalize_symbol(self.tokens[i])
 
-def _parse_vexpr(node, nodes: dict) -> ValidatorExpr:
-    """Parse one validator expression, recording the node of each base validator.
+    def literal(self, i: int, kind: str, what: str):
+        """The value of a ``kind`` token, "string" or "int"."""
+        found, value = classify(self.tokens[i], i)
+        if found != kind:
+            noun = "a string" if kind == "string" else "an integer"
+            raise TokenError(f"expected {what} ({noun})", i)
+        return value
 
-    Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
-    | (not vexpr msg). Names and arities are checked by ``_install``.
-    """
-    if _is_atom(node):
-        expr = Base(normalize_symbol(str(node.value)))
-        nodes[id(expr)] = node
+    def list_items(self, i: int, what: str) -> list[int]:
+        if self.tokens[i] != "(":
+            raise TokenError(f"expected {what} (a parenthesized list)", i)
+        return self.items(i)
+
+    def locale_form(self, form: int) -> tuple[str, Optional[str]]:
+        """The locale a locale form names, and its parent (None for 'none')."""
+        items = self.items(form)
+        if len(items) != 4:
+            raise TokenError("locale form is (locale <name> :parent <name>|none)", form)
+        child = self.symbol(items[1], "a locale name")
+        keyword = self.symbol(items[2], "':parent'")
+        if keyword != "parent" or not self.tokens[items[2]].startswith(":"):
+            raise TokenError("expected ':parent'", items[2])
+        parent = self.symbol(items[3], "a parent locale or 'none'")
+        return child, None if parent == "none" else parent
+
+    def widget_form(self, form: int) -> tuple[WidgetSpec, dict]:
+        """The spec a widget form spells, and the node that spelled each part of it.
+
+        The parts are keyed as ``_install`` names them: a field name, or
+        ``("input", medium)`` and ``("output", medium)`` for the parser and
+        formatter names, or the ``id()`` of a base validator.
+        """
+        items = self.items(form)
+        if len(items) < 3:
+            raise TokenError("widget form is (widget <name> <locale> clauses...)", form)
+        fields: dict = {"name": self.symbol(items[1], "a widget name"),
+                        "locale": self.symbol(items[2], "a locale name")}
+        nodes: dict = {"name": items[1], "locale": items[2]}
+        k = 3
+        while k < len(items):
+            node = items[k]
+            if not self.tokens[node].startswith(":"):  # so it is a symbol
+                raise TokenError("expected a clause keyword like ':table'", node)
+            keyword = normalize_symbol(self.tokens[node])
+            part = _CLAUSE_PARTS.get(keyword)
+            if part is None:
+                raise TokenError(f"unknown clause ':{keyword}'", node)
+            if part in nodes:  # each clause read records its value's node
+                raise TokenError(f"duplicate clause ':{keyword}'", node)
+            if k + 1 >= len(items):
+                raise TokenError(f"clause ':{keyword}' needs a value", node)
+            value = nodes[part] = items[k + 1]
+            k += 2
+            if keyword == "index":
+                fields[part] = self.literal(value, "int", "an occurrence bound")
+            elif keyword == "doc":
+                fields[part] = self.literal(value, "string", "documentation text")
+            elif part in ("headings", "inputs", "outputs"):
+                fields[part] = self.shared(part, value, nodes)
+            else:
+                fields[part] = self.symbol(value, f"a {keyword} name")
+        return WidgetSpec(**fields), nodes
+
+    def shared(self, part: str, i: int, nodes: dict) -> dict:
+        """A copy of the medium map of the clause for ``part`` whose value is at
+        ``i``, read by the method named ``part`` once per load and spelling;
+        ``nodes`` gets the node of each of its parts."""
+        key = (part, tuple(self.tokens[i:self.ends[i] + 1]))
+        memo = self.clauses.get(key)
+        if memo is None:
+            found: dict = {}
+            entries = getattr(self, part)(i, found)
+            memo = self.clauses[key] = (
+                entries, tuple((part, j - i) for part, j in found.items()))
+        entries, parts = memo
+        for part, offset in parts:
+            nodes[part] = i + offset
+        return dict(entries)
+
+    def headings(self, i: int, nodes: dict) -> dict:
+        items = self.list_items(i, "heading pairs")
+        if not items or len(items) % 2 != 0:
+            raise TokenError("heading clause wants (<medium> <text> ...) pairs", i)
+        headings: dict = {}
+        for j in range(0, len(items), 2):
+            medium = self.symbol(items[j], "a medium")
+            text = self.literal(items[j + 1], "string", "heading text")
+            if medium in headings:
+                raise TokenError(f"duplicate heading for medium '{medium}'", items[j])
+            headings[medium] = text
+        return headings
+
+    def inputs(self, i: int, nodes: dict) -> dict:
+        return self.entries(i, "input", "(<medium> <parser> <vexpr>)", nodes,
+                            lambda parser, vexpr: InputBinding(
+                                self.symbol(parser, "a parser name"),
+                                self.vexpr(vexpr, nodes)))
+
+    def outputs(self, i: int, nodes: dict) -> dict:
+        return self.entries(i, "output", "(<medium> <formatter>)", nodes,
+                            lambda formatter: self.symbol(formatter, "a formatter name"))
+
+    def entries(self, i: int, clause: str, shape: str, nodes: dict, build: Callable) -> dict:
+        """The medium map of an ``:input`` or ``:output`` clause, ``((<medium> ...) ...)``.
+
+        Every entry has the slots that ``shape`` spells. ``build`` makes the
+        entry's value from the nodes after the medium; the first of them (the
+        parser or formatter name) is recorded as ``(clause, medium)``.
+        """
+        items = self.list_items(i, f"{clause} entries")
+        if not items:
+            raise TokenError(f"{clause} clause must not be empty", i)
+        arity = shape.count("<")
+        what = f"an {clause} entry {shape}"
+        entries: dict = {}
+        for entry in items:
+            slots = self.list_items(entry, what)
+            if len(slots) != arity:
+                raise TokenError(f"{clause} entry is {shape}", entry)
+            medium = self.symbol(slots[0], "a medium")
+            value = build(*slots[1:])
+            if medium in entries:
+                raise TokenError(f"duplicate {clause} entry for medium '{medium}'", entry)
+            entries[medium] = value
+            nodes[(clause, medium)] = slots[1]
+        return entries
+
+    def vexpr(self, i: int, nodes: dict) -> ValidatorExpr:
+        """Parse one validator expression, recording the node of each base validator.
+
+        Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
+        | (not vexpr msg). Names and arities are checked by ``_install``.
+        """
+        if self.is_symbol(i):
+            expr = Base(normalize_symbol(self.tokens[i]))
+            nodes[id(expr)] = i
+            return expr
+        items = self.list_items(i, "a validator expression")
+        if not items:
+            raise TokenError("empty validator expression", i)
+        head = self.symbol(items[0], "a validator or combinator name")
+        rest = items[1:]
+        if head == "and":
+            if not rest:
+                raise TokenError("'and' needs at least one child", i)
+            return And(tuple(self.vexpr(child, nodes) for child in rest))
+        if head == "or":
+            if len(rest) < 2:
+                raise TokenError("'or' needs at least one child and a message", i)
+            message = self.literal(rest[-1], "string", "the 'or' failure message")
+            children = tuple(self.vexpr(child, nodes) for child in rest[:-1])
+            return Or(children, message)
+        if head == "not":
+            if len(rest) != 2:
+                raise TokenError("'not' wants exactly a child and a message", i)
+            message = self.literal(rest[1], "string", "the 'not' failure message")
+            return Not(self.vexpr(rest[0], nodes), message)
+        args = []
+        for arg in rest:
+            kind, value = classify(self.tokens[arg], arg)
+            if kind not in ("int", "string"):
+                raise TokenError("validator arguments must be integers or strings", arg)
+            args.append(value)
+        expr = Base(head, tuple(args))
+        nodes[id(expr)] = i
         return expr
-    node = _require_list(node, "a validator expression")
-    if not node.items:
-        raise TokenError("empty validator expression", node.index)
-    head = _require_symbol(node.items[0], "a validator or combinator name")
-    rest = node.items[1:]
-    if head == "and":
-        if not rest:
-            raise TokenError("'and' needs at least one child", node.index)
-        return And(tuple(_parse_vexpr(child, nodes) for child in rest))
-    if head == "or":
-        if len(rest) < 2:
-            raise TokenError("'or' needs at least one child and a message", node.index)
-        message = _require_literal(rest[-1], "string", "the 'or' failure message")
-        children = tuple(_parse_vexpr(child, nodes) for child in rest[:-1])
-        return Or(children, message)
-    if head == "not":
-        if len(rest) != 2:
-            raise TokenError("'not' wants exactly a child and a message", node.index)
-        message = _require_literal(rest[1], "string", "the 'not' failure message")
-        return Not(_parse_vexpr(rest[0], nodes), message)
-    args = []
-    for arg in rest:
-        if isinstance(arg, Token) and arg.kind in ("int", "string"):
-            args.append(arg.value)
-        else:
-            raise TokenError("validator arguments must be integers or strings", arg.index)
-    expr = Base(head, tuple(args))
-    nodes[id(expr)] = node
-    return expr
 
 
 # -- state serialization ------------------------------------------------------

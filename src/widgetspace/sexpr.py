@@ -15,18 +15,22 @@ is a fault, diagnosed where it stands.
 
 Every text is scanned without positions: ``tokenize`` is one ``findall``
 that returns the spellings, and a reader of spellings raises
-``TokenError`` with the index of the token at fault. The schema reader
-``read_forms`` builds its tree from the spellings with an explicit stack,
-and each node keeps its token index. Only when an error is raised is it
-placed: ``position`` runs the pattern again up to that token, and one
-helper turns its character index into a byte offset, line and column, as
-it does for a lexical fault and for the first byte that is not UTF-8.
-The byte offset counts a lone surrogate as the three bytes that
-``surrogatepass`` encodes it to, so text that is not from a file can
-still be placed.
+``TokenError`` with the index of the token at fault. Schema text is read
+without a node tree: ``read_spans`` makes one pass over the spellings
+that checks their structure and records where each form ends, so a form,
+or any item in it, is just the index of its first token. Only when an
+error is raised is it placed: ``position`` runs the pattern again up to
+that token, and one helper turns its character index into a byte offset,
+line and column, as it does for a lexical fault and for the first byte
+that is not UTF-8. The byte offset counts a lone surrogate as the three
+bytes that ``surrogatepass`` encodes it to, so text that is not from a
+file can still be placed.
 
 Schema forms and datum sequences nest at most ``MAX_DEPTH`` deep, so no
-reader of the trees they make can exhaust Python's recursion.
+reader of the forms they make can exhaust Python's recursion. Integers
+convert to and from text without the interpreter's own limit on such
+conversions (``sys.set_int_max_str_digits``); ``MAX_INT_DIGITS`` is the
+program's bound.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ _TOKEN_RE = re.compile(rf"""
     (?:([()\[\]]|"{_STRING_BODY}"|[^ \t\r\n()\[\]";]+|")|\Z)""", re.VERBOSE)
 _FAULTS = ('"', "\\")  # the spellings that start no token
 
-# How deep schema forms and datum sequences may nest. ``read_forms``
+# How deep schema forms and datum sequences may nest. ``read_spans``
 # refuses a deeper form, so the recursive readers of validator
 # expressions never exhaust the stack; ``datum.require_valid`` refuses a
 # deeper value and ``datum.read_datum`` a deeper text, so neither a
@@ -61,10 +65,18 @@ _FAULTS = ('"', "\\")  # the spellings that start no token
 MAX_DEPTH = 100
 
 # How many digits an integer literal may have: CPython's default limit on
-# converting between ``str`` and ``int``. A longer literal is a fault at its
+# converting between ``str`` and ``int``, kept as the program's own bound
+# whatever the interpreter's limit is. A longer literal is a fault at its
 # token, and ``datum.require_valid`` refuses an integer that would dump to
 # one, so every integer read or stored converts both ways.
 MAX_INT_DIGITS = 4300
+
+# ``read_int`` and ``int_text`` convert an integer of more digits than this
+# in pieces of this many: fewer than the least limit that
+# ``sys.set_int_max_str_digits`` accepts (640), so each piece converts
+# whatever the interpreter's limit is.
+_INT_CHUNK = 600
+_INT_CHUNK_BOUND = 10 ** _INT_CHUNK
 
 
 class SexprError(Exception):
@@ -84,33 +96,6 @@ class TokenError(Exception):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
-
-
-class Token:
-    """A string, integer or atom of a form; ``position(text, index)`` places it."""
-
-    __slots__ = ("kind", "value", "index")
-
-    def __init__(self, kind: str, value: object, index: int):
-        self.kind = kind  # one of string int atom
-        self.value = value
-        self.index = index  # the token's index in ``tokenize(text)``
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.value!r}, {self.index})"
-
-
-class ListNode:
-    """A parenthesized form; ``index`` is its '(' token's, as for a Token."""
-
-    __slots__ = ("items", "index")
-
-    def __init__(self, items: tuple, index: int):
-        self.items = items
-        self.index = index
-
-    def __repr__(self):
-        return f"ListNode({self.items!r}, {self.index})"
 
 
 def normalize_symbol(text: str) -> str:
@@ -181,9 +166,28 @@ def read_int(tok: str, i: int) -> int:
 
     A literal of more than ``MAX_INT_DIGITS`` digits raises TokenError at ``i``.
     """
-    if len(tok) - (tok[0] == "-") > MAX_INT_DIGITS:
+    digits = len(tok) - (tok[0] == "-")
+    if digits > MAX_INT_DIGITS:
         raise TokenError(f"integer literal longer than {MAX_INT_DIGITS} digits", i)
-    return int(tok)
+    if digits <= _INT_CHUNK:
+        return int(tok)
+    value = 0
+    for k in range(len(tok) - digits, len(tok), _INT_CHUNK):
+        chunk = tok[k:k + _INT_CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if tok[0] == "-" else value
+
+
+def int_text(n: int) -> str:
+    """``str(n)``, for any number of digits, whatever the interpreter's limit."""
+    if -_INT_CHUNK_BOUND < n < _INT_CHUNK_BOUND:
+        return str(n)
+    rest, chunks = abs(n), []
+    while rest >= _INT_CHUNK_BOUND:
+        rest, low = divmod(rest, _INT_CHUNK_BOUND)
+        chunks.append(f"{low:0{_INT_CHUNK}d}")
+    chunks.append(str(rest))
+    return ("-" if n < 0 else "") + "".join(reversed(chunks))
 
 
 def unquote(tok: str) -> str:
@@ -198,7 +202,7 @@ def describe(tok: str, i: int = 0) -> str:
     if kind == "string":
         return "a string"
     if kind == "int":
-        return f"integer {value}"
+        return f"integer {int_text(value)}"
     return f"'{tok}'"
 
 
@@ -223,49 +227,47 @@ def _at(text: str, char: int) -> tuple[int, int, int]:
     return offset, before.count("\n") + 1, char - before.rfind("\n")
 
 
-def read_forms(text: str) -> list[ListNode]:
-    """Read schema-style source as a list of parenthesized top-level forms.
+def read_spans(text: str) -> tuple[list[str], list[int]]:
+    """The spellings of schema-style source and where each of its nodes ends.
 
-    Forms nest at most ``MAX_DEPTH`` deep. A fault raises SexprError at
-    its position.
+    ``ends[i]`` is the index of the ')' that closes a '(' at ``i``, and ``i``
+    itself for any other token, so the items of the form at ``i`` start at
+    ``i + 1`` and each next one at ``ends[j] + 1``, up to ``ends[i]``.
+    Structural faults raise SexprError at their position, in token order:
+    a form nested deeper than ``MAX_DEPTH``, an unbalanced ')' or ']', a
+    '[', a token outside any form, an integer literal that is too long, and
+    last an unclosed '(' (the innermost).
     """
     tokens = tokenize(text)
     try:
-        return _read_forms(tokens)
+        return tokens, _spans(tokens)
     except TokenError as e:
         raise SexprError(str(e), *position(text, e.index)) from None
 
 
-def _read_forms(tokens: list[str]) -> list[ListNode]:
-    forms: list[ListNode] = []
-    items: list = forms  # the items read so far of the innermost open form
-    open_forms = []  # (index of the '(', the enclosing items) of each open form
+def _spans(tokens: list[str]) -> list[int]:
+    ends = list(range(len(tokens)))
+    opened = []  # the index of the '(' of each open form, innermost last
     for i, tok in enumerate(tokens):
-        first = tok[0]
-        if first == "(":
-            if len(open_forms) == MAX_DEPTH:
+        if tok == "(":
+            if len(opened) == MAX_DEPTH:
                 raise TokenError(f"forms nested deeper than {MAX_DEPTH}", i)
-            open_forms.append((i, items))
-            items = []
-        elif first == ")" or first == "]":
-            if first == "]" or not open_forms:
-                raise TokenError(f"unbalanced '{tok}'", i)
-            start, outer = open_forms.pop()
-            outer.append(ListNode(tuple(items), start))
-            items = outer
-        elif first == "[":
+            opened.append(i)
+        elif tok == ")":
+            if not opened:
+                raise TokenError("unbalanced ')'", i)
+            ends[opened.pop()] = i
+        elif tok == "]":
+            raise TokenError("unbalanced ']'", i)
+        elif tok == "[":
             raise TokenError("brackets are not part of this grammar", i)
-        elif not open_forms:
+        elif not opened:
             raise TokenError("expected a parenthesized form at top level", i)
-        elif first == '"':
-            items.append(Token("string", unquote(tok), i))
-        elif first in "-0123456789" and _INT_RE.match(tok):
-            items.append(Token("int", read_int(tok, i), i))
-        else:
-            items.append(Token("atom", tok, i))
-    if open_forms:
-        raise TokenError("unclosed '('", open_forms[-1][0])
-    return forms
+        elif len(tok) > MAX_INT_DIGITS and _INT_RE.match(tok):
+            read_int(tok, i)  # refuses one of more than MAX_INT_DIGITS digits
+    if opened:
+        raise TokenError("unclosed '('", opened[-1])
+    return ends
 
 
 def _fault(text: str, i: int) -> SexprError:

@@ -120,6 +120,16 @@ class TestSchemaLoad:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}:2:20: integer literal longer than 4300 digits\n"
 
+    def test_index_bound_too_large_exit_2(self, tmp_path):
+        bad = tmp_path / "wide.scm"
+        bad.write_text("(locale a :parent none)\n(widget w a :table t :index 10000000000000)\n")
+        code, out, err = run_cli(["schema", "load", str(bad), "--workspace",
+                                  str(tmp_path / "w.ws")], cwd=tmp_path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad}:2:29: max_index must be at most 10000,"
+                       " got 10000000000000\n")
+        assert not (tmp_path / "w.ws").exists()
+
     def test_missing_file_exit_3(self, tmp_path):
         code, _, err = run_cli(
             ["schema", "load", str(tmp_path / "absent.scm"),
@@ -783,6 +793,21 @@ class TestDumpRestore:
         assert code == 3
         assert err == "error: t.tbl: integer literal longer than 4300 digits (byte 13)\n"
         assert not out.exists()
+
+    def test_dump_of_long_integers_under_a_lowered_interpreter_limit(self, tmp_path):
+        root = tmp_path / "db"
+        root.mkdir()
+        values = ["-" + "1234567890" * 200, "1" + "0" * 2999, "9" * 4300, "-7"]
+        (root / "t.tbl").write_text("(table t)\n" + "".join(
+            f"(k{i} [{v} 0])\n" if i % 2 else f"(k{i} {v})\n" for i, v in enumerate(values)))
+        dumps = []
+        for limit in ("0", "1000"):  # no limit, then one below the values' lengths
+            code, out, err = run_cli(["dump", "--db", str(root), "/dev/stdout"], cwd=tmp_path,
+                                     env_extra={"PYTHONINTMAXSTRDIGITS": limit})
+            assert (code, err) == (0, "")
+            dumps.append(out)
+        assert dumps[0] == dumps[1]
+        assert all(v in dumps[0] for v in values)
 
     def test_restore_corrupt_dump_exit_3(self, ws, tmp_path):
         bad = tmp_path / "bad.widgetdump"

@@ -15,6 +15,8 @@ from widgetspace import (
     SchemaSyntaxError, SimpleDate, UnknownLocaleError, UnresolvedReferenceError, ValidationError,
     WidgetCoord, WidgetRegistry, WidgetSpec, standard_registries,
 )
+from widgetspace.registry import MAX_INDEX
+from widgetspace.validators import ValidatorRegistry
 
 
 def tiny_registry():
@@ -40,6 +42,16 @@ class TestDefineWidget:
             reg.define_widget(WidgetSpec(name="w", locale="root", max_index=0))
         with pytest.raises(InvalidSpecError):
             reg.define_widget(WidgetSpec(name="w", locale="root", table="no/good"))
+
+    def test_index_bound(self):
+        reg = tiny_registry()
+        reg.define_widget(WidgetSpec(name="w", locale="root", table="t", max_index=MAX_INDEX))
+        assert reg.resolve_storage("w", "leaf").max_index == MAX_INDEX
+        for bound in (MAX_INDEX + 1, 10_000_000_000_000):
+            with pytest.raises(InvalidSpecError, match=f"max_index must be at most {MAX_INDEX}"):
+                reg.define_widget(WidgetSpec(name="v", locale="root", table="t",
+                                             max_index=bound))
+        assert reg.spec_at("v", "root") is None
 
     def test_unknown_references(self):
         reg = tiny_registry()
@@ -491,6 +503,15 @@ class TestStateRoundTrip:
                 reg.import_state(state)
             assert str(exc.value) == message
 
+    def test_import_checks_the_index_bound(self, registry):
+        state = registry.export_state()
+        state["widgets"].append(dict(state["widgets"][0], name="huge",
+                                     max_index=10_000_000_000_000))
+        clone = WidgetRegistry()
+        with pytest.raises(InvalidSpecError, match=f"max_index must be at most {MAX_INDEX}"):
+            clone.import_state(state)
+        assert clone.export_state() == {"locales": [], "widgets": []}
+
     def test_import_is_all_or_nothing(self, registry):
         before = registry.export_state()
         sid = next(obj for obj in before["widgets"] if obj["name"] == "sid")
@@ -785,3 +806,56 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestSharedClauses:
+    """Within one load, a clause spelled alike by many widgets is parsed and
+    checked once, and its bindings are shared; nothing outlives the load."""
+
+    CLAUSE = ":input ((m identity (and required (length 1 9) (not numeric \"digits\"))))"
+    BASES = 3  # required, length, numeric
+
+    def _schema(self, widgets=200):
+        return "(locale root :parent none)\n" + "".join(
+            f"(widget w{i} root :table t {self.CLAUSE})\n" for i in range(widgets))
+
+    def _counting_checks(self, monkeypatch):
+        checked = []
+        check_base = ValidatorRegistry.check_base
+
+        def counting(registry, base):
+            checked.append(base)
+            return check_base(registry, base)
+
+        monkeypatch.setattr(ValidatorRegistry, "check_base", counting)
+        return checked
+
+    def test_one_parse_and_one_check_per_distinct_clause(self, monkeypatch):
+        checked = self._counting_checks(monkeypatch)
+        reg = WidgetRegistry()
+        assert reg.load_schema(self._schema()).widgets == 200
+        assert [base.name for base in checked] == ["required", "length", "numeric"]
+        specs = [reg.spec_at(f"w{i}", "root") for i in range(200)]
+        binding = specs[0].inputs["m"]
+        assert all(spec.inputs["m"] is binding for spec in specs)
+        assert len({id(spec.inputs) for spec in specs}) == 200  # each spec its own map
+
+    def test_a_second_load_does_not_reuse_the_memo(self, monkeypatch):
+        checked = self._counting_checks(monkeypatch)
+        first, second = WidgetRegistry(), WidgetRegistry()
+        first.load_schema(self._schema())
+        second.load_schema(self._schema())
+        assert len(checked) == 2 * self.BASES
+        assert first.spec_at("w0", "root").inputs["m"] is not \
+            second.spec_at("w0", "root").inputs["m"]
+        second.load_schema("(widget extra root :table t " + self.CLAUSE + ")")
+        assert len(checked) == 3 * self.BASES
+        assert second.spec_at("extra", "root").inputs["m"] is not \
+            second.spec_at("w0", "root").inputs["m"]
+
+    def test_a_repeat_with_a_bad_reference_is_placed_at_the_repeat(self):
+        text = (self._schema(3) + "(widget late root :table t\n  "
+                + self.CLAUSE.replace("numeric", "ghost") + ")\n")
+        with pytest.raises(SchemaError) as exc:
+            WidgetRegistry().load_schema(text, filename="s.scm")
+        assert str(exc.value) == "s.scm:6:55: unknown validator 'ghost'"

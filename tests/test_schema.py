@@ -10,6 +10,7 @@ from widgetspace import (
     SchemaSyntaxError, UnknownLocaleError, UnknownParentError, UnknownValidatorError,
     UnresolvedReferenceError, ValidationError, WidgetCoord, WidgetRegistry, fixture_paths,
 )
+from widgetspace.registry import MAX_INDEX
 from widgetspace.sexpr import MAX_DEPTH
 
 PRELUDE = "(locale root :parent none)\n(locale mid :parent root)\n"
@@ -178,6 +179,22 @@ class TestFormErrors:
         # only declared later in the load
         with pytest.raises(UnknownLocaleError):
             load("(widget w root :table t)(locale root :parent none)")
+
+
+class TestIndexBound:
+    def test_largest_bound_loads(self):
+        reg, _ = load(PRELUDE + f"(widget w root :table t :index {MAX_INDEX})")
+        assert reg.resolve_storage("w", "mid").max_index == MAX_INDEX
+
+    def test_larger_bound_is_placed_at_its_value(self):
+        reg = WidgetRegistry()
+        reg.load_schema(PRELUDE)
+        with pytest.raises(InvalidSpecError) as exc:
+            reg.load_schema(f"(widget w root :table t\n  :index {MAX_INDEX + 1})",
+                            filename="s.scm")
+        assert str(exc.value) == (f"s.scm:2:10: max_index must be at most {MAX_INDEX},"
+                                  f" got {MAX_INDEX + 1}")
+        assert reg.spec_at("w", "root") is None
 
 
 class TestVexprForms:

@@ -2,25 +2,35 @@
 
 The references below are earlier implementations, kept verbatim apart
 from their names: the per-character tokenizer, and the table parser,
-datum reader and schema reader over positioned tokens. On any input, the
-position-free scan placed by ``position`` must give the reference's
-tokens and positions, and the table parser, ``datum.loads`` and
-``read_forms`` the same values, or the same errors at the same
-positions. The one exception is a schema form nested deeper than
-``MAX_DEPTH``, which only the current reader refuses.
+datum reader and schema reader over positioned tokens; and the schema
+reader that built a node tree from spellings, with the form parsers that
+walked that tree. On any input, the position-free scan placed by
+``position`` must give the reference's tokens and positions, and the table
+parser, ``datum.loads`` and ``read_spans`` the same values, or the same
+errors at the same positions. The one exception is a schema form nested
+deeper than ``MAX_DEPTH``, which only the current reader refuses. A schema
+load must build the same registry as one through the tree reader, or raise
+the same error at the same place.
 """
 
 import re
+import sys
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from widgetspace import (UNINITIALIZED, CorruptTableError, Database, MalformedEncodingError,
-                         PersonName, SchemaSyntaxError, SimpleDate, WidgetRegistry)
+                         PersonName, SchemaError, SchemaSyntaxError, SimpleDate, WidgetRegistry)
 from widgetspace import datum, fixture_paths, sexpr, store
 from widgetspace.datum import Datum
-from widgetspace.sexpr import MAX_DEPTH, SexprError, is_valid_symbol, normalize_symbol
+from widgetspace.locales import LocaleTree
+from widgetspace.registry import (InputBinding, LoadReport, WidgetSpec, _orphans,
+                                  _syntax_error)
+from widgetspace.sexpr import (MAX_DEPTH, SexprError, TokenError, is_valid_symbol,
+                               normalize_symbol, position, read_int, tokenize, unquote)
+from widgetspace.validators import And, Base, Not, Or, ValidatorExpr
 
 # -- the reference ---------------------------------------------------------------
 
@@ -340,6 +350,317 @@ def ref_read_node(tokens: list[Token], i: int):
     return tok, i
 
 
+# -- the reference: the tree reader over spellings and its form parsers ----------
+
+
+class TreeToken:
+    """A string, integer or atom of a form; ``position(text, index)`` places it."""
+
+    __slots__ = ("kind", "value", "index")
+
+    def __init__(self, kind: str, value: object, index: int):
+        self.kind = kind  # one of string int atom
+        self.value = value
+        self.index = index  # the token's index in ``tokenize(text)``
+
+    def __repr__(self):
+        return f"TreeToken({self.kind!r}, {self.value!r}, {self.index})"
+
+
+class TreeList:
+    """A parenthesized form; ``index`` is its '(' token's, as for a TreeToken."""
+
+    __slots__ = ("items", "index")
+
+    def __init__(self, items: tuple, index: int):
+        self.items = items
+        self.index = index
+
+    def __repr__(self):
+        return f"TreeList({self.items!r}, {self.index})"
+
+
+def tree_read_forms(text: str) -> list[TreeList]:
+    """Read schema-style source as a list of parenthesized top-level forms.
+
+    Forms nest at most ``MAX_DEPTH`` deep. A fault raises SexprError at
+    its position.
+    """
+    tokens = tokenize(text)
+    try:
+        return _tree_read_forms(tokens)
+    except TokenError as e:
+        raise SexprError(str(e), *position(text, e.index)) from None
+
+
+def _tree_read_forms(tokens: list[str]) -> list[TreeList]:
+    forms: list[TreeList] = []
+    items: list = forms  # the items read so far of the innermost open form
+    open_forms = []  # (index of the '(', the enclosing items) of each open form
+    for i, tok in enumerate(tokens):
+        first = tok[0]
+        if first == "(":
+            if len(open_forms) == MAX_DEPTH:
+                raise TokenError(f"forms nested deeper than {MAX_DEPTH}", i)
+            open_forms.append((i, items))
+            items = []
+        elif first == ")" or first == "]":
+            if first == "]" or not open_forms:
+                raise TokenError(f"unbalanced '{tok}'", i)
+            start, outer = open_forms.pop()
+            outer.append(TreeList(tuple(items), start))
+            items = outer
+        elif first == "[":
+            raise TokenError("brackets are not part of this grammar", i)
+        elif not open_forms:
+            raise TokenError("expected a parenthesized form at top level", i)
+        elif first == '"':
+            items.append(TreeToken("string", unquote(tok), i))
+        elif first in "-0123456789" and _INT_RE.match(tok):
+            items.append(TreeToken("int", read_int(tok, i), i))
+        else:
+            items.append(TreeToken("atom", tok, i))
+    if open_forms:
+        raise TokenError("unclosed '('", open_forms[-1][0])
+    return forms
+
+
+def tree_head_symbol(form: TreeList) -> str:
+    if not form.items or not tree_is_atom(form.items[0]):
+        raise TokenError("form must start with a symbol", form.index)
+    return normalize_symbol(str(form.items[0].value))
+
+
+def tree_is_atom(node) -> bool:
+    return isinstance(node, TreeToken) and node.kind == "atom"
+
+
+def tree_require_symbol(node, what: str) -> str:
+    if not tree_is_atom(node):
+        raise TokenError(f"expected {what} (a symbol)", node.index)
+    return normalize_symbol(str(node.value))
+
+
+def tree_require_literal(node, kind: str, what: str):
+    """The value of a ``kind`` token, "string" or "int"."""
+    if not (isinstance(node, TreeToken) and node.kind == kind):
+        noun = "a string" if kind == "string" else "an integer"
+        raise TokenError(f"expected {what} ({noun})", node.index)
+    return node.value
+
+
+def tree_require_list(node, what: str) -> TreeList:
+    if not isinstance(node, TreeList):
+        raise TokenError(f"expected {what} (a parenthesized list)", node.index)
+    return node
+
+
+def tree_parse_locale_form(form: TreeList) -> tuple[str, Optional[str]]:
+    """The locale a locale form names, and its parent (None for 'none')."""
+    if len(form.items) != 4:
+        raise TokenError("locale form is (locale <name> :parent <name>|none)", form.index)
+    child = tree_require_symbol(form.items[1], "a locale name")
+    keyword = tree_require_symbol(form.items[2], "':parent'")
+    if keyword != "parent" or not str(form.items[2].value).startswith(":"):
+        raise TokenError("expected ':parent'", form.items[2].index)
+    parent = tree_require_symbol(form.items[3], "a parent locale or 'none'")
+    return child, None if parent == "none" else parent
+
+
+# clause keyword -> the WidgetSpec field it sets
+TREE_CLAUSE_PARTS = {
+    "index": "max_index", "table": "table", "getter": "getter", "setter": "setter",
+    "doc": "doc", "type": "datatype", "generator": "generator",
+    "heading": "headings", "input": "inputs", "output": "outputs"}
+
+
+def tree_parse_widget_form(form: TreeList) -> tuple[WidgetSpec, dict]:
+    """The spec a widget form spells, and the node that spelled each part of it.
+
+    The parts are keyed as ``_install`` names them: a field name, or
+    ``("input", medium)`` and ``("output", medium)`` for the parser and
+    formatter names, or the ``id()`` of a base validator.
+    """
+    if len(form.items) < 3:
+        raise TokenError("widget form is (widget <name> <locale> clauses...)", form.index)
+    items = form.items
+    fields: dict = {"name": tree_require_symbol(items[1], "a widget name"),
+                    "locale": tree_require_symbol(items[2], "a locale name")}
+    nodes: dict = {"name": items[1], "locale": items[2]}
+    i = 3
+    while i < len(items):
+        node = items[i]
+        if not (tree_is_atom(node) and str(node.value).startswith(":")):
+            raise TokenError("expected a clause keyword like ':table'", node.index)
+        keyword = normalize_symbol(str(node.value))
+        part = TREE_CLAUSE_PARTS.get(keyword)
+        if part is None:
+            raise TokenError(f"unknown clause ':{keyword}'", node.index)
+        if part in nodes:  # each clause read records its value's node
+            raise TokenError(f"duplicate clause ':{keyword}'", node.index)
+        if i + 1 >= len(items):
+            raise TokenError(f"clause ':{keyword}' needs a value", node.index)
+        value = nodes[part] = items[i + 1]
+        i += 2
+        if keyword == "index":
+            fields[part] = tree_require_literal(value, "int", "an occurrence bound")
+        elif keyword == "doc":
+            fields[part] = tree_require_literal(value, "string", "documentation text")
+        elif keyword == "heading":
+            fields[part] = tree_parse_headings(value)
+        elif keyword == "input":
+            fields[part] = tree_parse_entries(
+                value, "input", "(<medium> <parser> <vexpr>)", nodes,
+                lambda parser, vexpr: InputBinding(
+                    tree_require_symbol(parser, "a parser name"),
+                    tree_parse_vexpr(vexpr, nodes)))
+        elif keyword == "output":
+            fields[part] = tree_parse_entries(
+                value, "output", "(<medium> <formatter>)", nodes,
+                lambda formatter: tree_require_symbol(formatter, "a formatter name"))
+        else:
+            fields[part] = tree_require_symbol(value, f"a {keyword} name")
+    return WidgetSpec(**fields), nodes
+
+
+def tree_parse_headings(node) -> dict:
+    node = tree_require_list(node, "heading pairs")
+    if not node.items or len(node.items) % 2 != 0:
+        raise TokenError("heading clause wants (<medium> <text> ...) pairs", node.index)
+    headings: dict = {}
+    for j in range(0, len(node.items), 2):
+        medium = tree_require_symbol(node.items[j], "a medium")
+        text = tree_require_literal(node.items[j + 1], "string", "heading text")
+        if medium in headings:
+            raise TokenError(f"duplicate heading for medium '{medium}'", node.items[j].index)
+        headings[medium] = text
+    return headings
+
+
+def tree_parse_entries(node, clause: str, shape: str, nodes: dict, build: Callable) -> dict:
+    """The medium map of an ``:input`` or ``:output`` clause, ``((<medium> ...) ...)``.
+
+    Every entry has the slots that ``shape`` spells. ``build`` makes the
+    entry's value from the nodes after the medium; the first of them (the
+    parser or formatter name) is recorded as ``(clause, medium)``.
+    """
+    node = tree_require_list(node, f"{clause} entries")
+    if not node.items:
+        raise TokenError(f"{clause} clause must not be empty", node.index)
+    arity = shape.count("<")
+    what = f"an {clause} entry {shape}"
+    entries: dict = {}
+    for entry in node.items:
+        entry = tree_require_list(entry, what)
+        if len(entry.items) != arity:
+            raise TokenError(f"{clause} entry is {shape}", entry.index)
+        medium = tree_require_symbol(entry.items[0], "a medium")
+        value = build(*entry.items[1:])
+        if medium in entries:
+            raise TokenError(f"duplicate {clause} entry for medium '{medium}'", entry.index)
+        entries[medium] = value
+        nodes[(clause, medium)] = entry.items[1]
+    return entries
+
+
+def tree_parse_vexpr(node, nodes: dict) -> ValidatorExpr:
+    """Parse one validator expression, recording the node of each base validator.
+
+    Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
+    | (not vexpr msg). Names and arities are checked by ``_install``.
+    """
+    if tree_is_atom(node):
+        expr = Base(normalize_symbol(str(node.value)))
+        nodes[id(expr)] = node
+        return expr
+    node = tree_require_list(node, "a validator expression")
+    if not node.items:
+        raise TokenError("empty validator expression", node.index)
+    head = tree_require_symbol(node.items[0], "a validator or combinator name")
+    rest = node.items[1:]
+    if head == "and":
+        if not rest:
+            raise TokenError("'and' needs at least one child", node.index)
+        return And(tuple(tree_parse_vexpr(child, nodes) for child in rest))
+    if head == "or":
+        if len(rest) < 2:
+            raise TokenError("'or' needs at least one child and a message", node.index)
+        message = tree_require_literal(rest[-1], "string", "the 'or' failure message")
+        children = tuple(tree_parse_vexpr(child, nodes) for child in rest[:-1])
+        return Or(children, message)
+    if head == "not":
+        if len(rest) != 2:
+            raise TokenError("'not' wants exactly a child and a message", node.index)
+        message = tree_require_literal(rest[1], "string", "the 'not' failure message")
+        return Not(tree_parse_vexpr(rest[0], nodes), message)
+    args = []
+    for arg in rest:
+        if isinstance(arg, TreeToken) and arg.kind in ("int", "string"):
+            args.append(arg.value)
+        else:
+            raise TokenError("validator arguments must be integers or strings", arg.index)
+    expr = Base(head, tuple(args))
+    nodes[id(expr)] = node
+    return expr
+
+
+class TreeRegistry(WidgetRegistry):
+    """A registry that reads schema text through the tree reader."""
+
+    def _load_sources(self, sources, replace: bool) -> LoadReport:
+        """Load ``(filename, text)`` sources into one staged snapshot."""
+        n_locales = 0
+        n_widgets = 0
+        with self._staged() as (tree, specs):
+            for filename, text in sources:
+                locales, widgets = self._load_source(filename, text, tree, specs, replace)
+                n_locales += locales
+                n_widgets += widgets
+        return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
+
+    def _load_source(self, filename: str, text: str, tree: LocaleTree, specs: dict,
+                     replace: bool) -> tuple[int, int]:
+        """Add one source's forms to a staged snapshot; the locales and widgets it added.
+
+        The one place that positions an error in schema text: the form
+        readers raise TokenError at a node's token index, and an error of
+        ``tree.add`` or ``_install`` is placed at its form or its node. The
+        form tree is dropped on return, while the collector is still paused.
+        """
+        try:
+            forms = tree_read_forms(text)
+        except SexprError as e:
+            raise _syntax_error(e, filename) from None
+
+        def place(cls, message: str, index: int) -> SchemaError:
+            _, line, col = position(text, index)
+            return cls(message, filename=filename, line=line, col=col)
+
+        n_locales = 0
+        n_widgets = 0
+        for form in forms:
+            try:
+                head = tree_head_symbol(form)
+                if head == "locale":
+                    child, parent = tree_parse_locale_form(form)
+                    try:
+                        tree.add(child, parent, replace=replace)
+                    except SchemaError as e:
+                        raise place(type(e), str(e), form.index) from None
+                    n_locales += 1
+                elif head == "widget":
+                    spec, nodes = tree_parse_widget_form(form)
+                    # the one change: ``_install`` now takes token indices
+                    self._install(spec, tree, specs,
+                                  (place, {part: n.index for part, n in nodes.items()}))
+                    n_widgets += 1
+                else:
+                    raise TokenError(f"unknown form '{head}'", form.index)
+            except TokenError as e:
+                raise place(SchemaSyntaxError, str(e), e.index) from None
+        return n_locales, n_widgets
+
+
 # -- the scanners against the reference -----------------------------------------
 
 FRAGMENTS = ["(", ")", "[", "]", '"', "\\", ";", " ", "\t", "\n", "\r\n", "\r",
@@ -476,6 +797,45 @@ def nested_form(draw):
 schema_text = st.one_of(mutated_fixture(), nested_form(), sexpr_text)
 
 
+@dataclass(frozen=True)
+class SpanList:
+    items: tuple
+    index: int
+
+
+@dataclass(frozen=True)
+class SpanToken:
+    kind: str
+    value: object
+    index: int
+
+
+def span_forms(text: str) -> list[SpanList]:
+    """The forms ``read_spans`` finds in ``text``, as nodes: each list node
+    is walked through ``ends``, and each token is classified."""
+    tokens, ends = sexpr.read_spans(text)
+
+    def node(i):
+        if tokens[i] != "(":
+            assert ends[i] == i
+            return SpanToken(*sexpr.classify(tokens[i], i), i)
+        assert tokens[ends[i]] == ")"
+        items = []
+        j = i + 1
+        while j < ends[i]:
+            items.append(node(j))
+            j = ends[j] + 1
+        assert j == ends[i]
+        return SpanList(tuple(items), i)
+
+    forms = []
+    i = 0
+    while i < len(tokens):
+        forms.append(node(i))
+        i = ends[i] + 1
+    return forms
+
+
 def _forms(read_forms, text, place):
     """The forms of ``text`` as nested tuples, each node with its kind, value
     and ``place(node)``; or the error with its position."""
@@ -485,7 +845,7 @@ def _forms(read_forms, text, place):
         return ("error", str(e), e.offset, e.line, e.col)
 
     def node(n):
-        if isinstance(n, (sexpr.ListNode, RefListNode)):
+        if isinstance(n, (SpanList, RefListNode)):
             return ("(", place(n), [node(item) for item in n.items])
         return (n.kind, type(n.value), n.value, place(n))
     return [node(form) for form in forms]
@@ -494,7 +854,7 @@ def _forms(read_forms, text, place):
 @settings(max_examples=300, deadline=None)
 @given(schema_text)
 def test_read_forms_matches_reference(text):
-    got = _forms(sexpr.read_forms, text, lambda n: sexpr.position(text, n.index))
+    got = _forms(span_forms, text, lambda n: sexpr.position(text, n.index))
     if got[:2] == ("error", f"forms nested deeper than {MAX_DEPTH}"):
         # the reference reads on; up to the refused '(', it finds only open forms
         opened = text.encode("utf-8")[:got[2]].decode("utf-8")
@@ -505,6 +865,96 @@ def test_read_forms_matches_reference(text):
             == MAX_DEPTH
         return
     assert got == _forms(ref_read_forms, text, lambda n: (n.offset, n.line, n.col))
+
+
+WHOLE_FIXTURES = "".join(path.read_text(encoding="utf-8") for path in fixture_paths())
+
+
+@st.composite
+def spliced_fixtures(draw):
+    """Every fixture schema, in load order, with a few splices."""
+    text = WHOLE_FIXTURES
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(SCHEMA_INSERTS)) + text[at + cut:]
+    return text
+
+
+REPEAT_PRELUDE = "(locale root :parent none)\n(locale mid :parent root)\n"
+REPEAT_LOCALES = ["root", "mid", "MID", ":root"]
+REPEAT_CLAUSES = [
+    ":input ((default identity (and required alphabetic (length 1 23))))",
+    ":input ((default parse-date-fbi (and required date)) (m1 identity numeric))",
+    ':input ((m identity (or (not required "Must be absent")'
+    ' (and alphabetic (length 1 28)) "say \\"no\\"")))',
+    ":output ((m2 identity) (m3 identity) (default string-upcase))",
+    ":output ((default format-simple-date-long))",
+    ':heading (default "Field 9" m1 "a\\\\b")',
+    ':heading (default "Field 9")',
+    ":table t", ":index 2", ':doc "d"', ":generator gen-sid",
+]
+# (old, new): one small edit to one clause, made at the first ``old``
+REPEAT_EDITS = [
+    ("default", "DEFAULT"), ("default", ":default"), ("identity", "Identity"),
+    ("identity", ":identity"), ("Field", "FIELD"), ("Field", 'Fi\\"eld'), ("Must", "M\\\\ust"),
+    ("required", "ghost"), ("(length 1 23)", "(length 1)"), ("23", '"23"'), ("23", "x"),
+    ("alphabetic", "(alphabetic)"), ("m2", "m3"), ("identity", "format-ghost"),
+    ("(and", "(and)"), ("date)", "date 1)"), ("9", "9 m1"), (":table t", ":table"),
+    (":index 2", ":index 0"), (":index 2", ":index 10001"), ("(m", "(m m"),
+    ('"', "'"), ("))", ")"), (" (", " )("), (":output", ":input"), (":input", ":output"),
+]
+
+
+@st.composite
+def repeated_clauses(draw):
+    """Widget forms that repeat a few clauses, some with a small edit, split
+    between two sources."""
+    forms = []
+    for k in range(draw(st.integers(1, 10))):
+        clauses = draw(st.lists(st.sampled_from(REPEAT_CLAUSES), max_size=4,
+                                unique_by=lambda clause: clause.split()[0]))
+        if clauses and draw(st.integers(0, 5)) == 0:
+            at = draw(st.integers(0, len(clauses) - 1))
+            old, new = draw(st.sampled_from(REPEAT_EDITS))
+            clauses[at] = clauses[at].replace(old, new, 1)
+        locale = draw(st.sampled_from(REPEAT_LOCALES))
+        forms.append(f"(widget w{k % 4} {locale}\n  " + "\n  ".join(clauses) + ")\n")
+    cut = draw(st.integers(0, len(forms)))
+    return [REPEAT_PRELUDE + "".join(forms[:cut]), "".join(forms[cut:])]
+
+
+schema_sources = st.one_of(
+    schema_text.map(lambda text: [text]),
+    spliced_fixtures().map(lambda text: [text]),
+    repeated_clauses())
+
+
+def _registry(registry_class, texts):
+    """What loading ``texts`` as one batch of files builds, or the error."""
+    reg = registry_class()
+    try:
+        report = reg._load_sources([(f"s{k}.scm", text) for k, text in enumerate(texts)],
+                                   False)
+    except SchemaError as e:
+        return ("error", type(e), str(e), e.filename, e.line, e.col)
+    return (reg.export_state(), report.locales, report.widgets, report.warnings)
+
+
+@settings(max_examples=400, deadline=None)
+@given(schema_sources)
+def test_load_matches_tree_reader(texts):
+    assert _registry(WidgetRegistry, texts) == _registry(TreeRegistry, texts)
+
+
+def test_repeated_clauses_load_like_the_tree_reader():
+    # every clause, every edit, and each edit in a later repeat of its clause
+    for clause in REPEAT_CLAUSES:
+        for old, new in REPEAT_EDITS + [("", "")]:
+            edited = clause.replace(old, new, 1)
+            texts = [REPEAT_PRELUDE + f"(widget a root {clause})\n(widget b mid :table u)\n",
+                     f"(widget c mid {clause})\n(widget d root :index 1 {edited})\n"]
+            assert _registry(WidgetRegistry, texts) == _registry(TreeRegistry, texts)
 
 
 # -- pinned behaviour -------------------------------------------------------------
@@ -566,5 +1016,31 @@ def test_integer_literal_longer_than_the_limit_is_placed():
         assert (str(exc.value), exc.value.index) == (
             f"integer literal longer than {limit} digits", 7)
     with pytest.raises(SexprError) as exc:
-        sexpr.read_forms(f"(a {longest})\n(b\n  {longer})")
+        sexpr.read_spans(f"(a {longest})\n(b\n  {longer})")
     assert (exc.value.offset, exc.value.line, exc.value.col) == (len(longest) + 10, 3, 3)
+
+
+LONG_INTEGERS = st.one_of(
+    st.integers(0, sexpr.MAX_INT_DIGITS - 1).map(lambda n: 10 ** n),
+    st.integers(1, sexpr.MAX_INT_DIGITS).map(lambda n: 10 ** n - 1),
+    st.integers(-(10 ** sexpr.MAX_INT_DIGITS - 1), 10 ** sexpr.MAX_INT_DIGITS - 1),
+    st.builds(lambda digits, sign: sign * int("".join(digits) or "0"),
+              st.lists(st.sampled_from(["0", "1", "9"]), max_size=sexpr.MAX_INT_DIGITS),
+              st.sampled_from([1, -1])))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int conversion")
+@settings(max_examples=200)
+@given(LONG_INTEGERS)
+def test_integers_convert_under_the_least_interpreter_limit(n):
+    text = str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least the interpreter accepts
+    try:
+        assert sexpr.int_text(n) == text
+        assert sexpr.read_int(text, 0) == n
+        assert datum.dumps((n,)) == f"[{text}]"
+        assert datum.loads(text) == n
+    finally:
+        sys.set_int_max_str_digits(limit)
