@@ -26,6 +26,7 @@ from .datum import dumps, is_uninitialized
 from .errors import (DatabaseLockedError, MalformedEncodingError, ParseError,
                      ResolutionError, SchemaError, StoreError, ValidationError)
 from .registry import WidgetCoord, WidgetRegistry
+from .sexpr import TokenError, read_int
 from .store import Database, read_text, replace_file
 
 EXIT_OK = 0
@@ -199,14 +200,34 @@ def _load_workspace(args) -> WidgetRegistry:
         raise SchemaError(
             f"no schema workspace at '{path}' (run 'widgetspace schema load' first)")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        data = json.loads(path.read_text(encoding="utf-8"), parse_int=_json_int)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, TokenError) as e:
         raise SchemaError(f"workspace '{path}' is unreadable: {e}") from None
     if not isinstance(data, dict) or data.get("version") != 1 or "state" not in data:
         raise SchemaError(f"workspace '{path}' has an unsupported layout")
     registry = WidgetRegistry()
     registry.import_state(data["state"])
     return registry
+
+
+def _json_int(text: str) -> int:
+    """A workspace integer, read whatever the interpreter's conversion limit."""
+    return read_int(text, 0)
+
+
+def _workspace_json(payload: dict) -> str:
+    """``payload`` as workspace JSON, whatever the interpreter's conversion limit.
+
+    Schema text allows integers of up to ``sexpr.MAX_INT_DIGITS`` digits, and
+    ``json`` writes them with ``int.__repr__``, so the limit is lifted while
+    it writes. The limit is process-wide; a command runs in one thread.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, indent=1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @contextmanager
@@ -228,17 +249,18 @@ def _locked_db(args):
 
 
 def cmd_schema_load(args) -> int:
+    """Load the sources, write the workspace, and only then report the load."""
     registry = WidgetRegistry()
     report = registry.load_schema_files(args.files)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(report.summary())
     if not args.check_only:
         path = _workspace_path(args)
         payload = {"version": 1,
                    "summary": {"locales": report.locales, "widgets": report.widgets},
                    "state": registry.export_state()}
-        replace_file(path, json.dumps(payload, indent=1))
+        replace_file(path, _workspace_json(payload))
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(report.summary())
     return EXIT_OK
 
 

@@ -27,12 +27,15 @@ Schema files are s-expressions::
 
 A load is all-or-nothing: any error leaves the registry untouched. Within
 one load, each distinct ``:input``, ``:output`` and ``:heading`` clause is
-parsed once, and specs that spell it alike share its parsed bindings.
+parsed once, and specs that spell it alike share its parsed bindings. An
+import of an exported state does the same for each distinct ``inputs`` map.
+Both keep one string object per symbol spelling.
 """
 
 from __future__ import annotations
 
 import gc
+import marshal
 import random
 import threading
 from contextlib import contextmanager
@@ -414,17 +417,17 @@ class WidgetRegistry:
         n_locales = 0
         n_widgets = 0
         with self._staged() as (tree, specs):
-            clauses = _Clauses()
+            shared = _Shared()
             for filename, text in sources:
                 locales, widgets = self._load_source(filename, text, tree, specs, replace,
-                                                     clauses)
+                                                     shared)
                 n_locales += locales
                 n_widgets += widgets
-            del clauses  # the memo lives for one load, and goes before the collector resumes
+            del shared  # the memo lives for one load, and goes before the collector resumes
         return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
 
     def _load_source(self, filename: str, text: str, tree: LocaleTree, specs: dict,
-                     replace: bool, clauses: _Clauses) -> tuple[int, int]:
+                     replace: bool, shared: _Shared) -> tuple[int, int]:
         """Add one source's forms to a staged snapshot; the locales and widgets it added.
 
         The one place that positions an error in schema text: the form
@@ -432,7 +435,7 @@ class WidgetRegistry:
         ``tree.add`` or ``_install`` is placed at its form or its node.
         """
         try:
-            reader = _FormReader(*read_spans(text), clauses)
+            reader = _FormReader(*read_spans(text), shared)
         except SexprError as e:
             raise _syntax_error(e, filename) from None
 
@@ -454,7 +457,7 @@ class WidgetRegistry:
                     n_locales += 1
                 elif head == "widget":
                     spec, nodes = reader.widget_form(form)
-                    self._install(spec, tree, specs, (place, nodes), clauses.checked)
+                    self._install(spec, tree, specs, (place, nodes), shared.checked)
                     n_widgets += 1
                 else:
                     raise TokenError(f"unknown form '{head}'", form)
@@ -473,7 +476,11 @@ class WidgetRegistry:
         }
 
     def import_state(self, state: dict) -> None:
-        """Add an exported state, re-checking references; all-or-nothing, like a load."""
+        """Add an exported state, re-checking references; all-or-nothing, like a load.
+
+        As in a load, each distinct ``inputs`` map is built and checked once,
+        and the specs that repeat it share its bindings.
+        """
         with self._staged() as (tree, specs):
             try:
                 widgets = list(state["widgets"])
@@ -481,8 +488,10 @@ class WidgetRegistry:
                     tree.add(child, parent)
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise SchemaError(f"malformed registry state: {e}") from None
+            shared = _Shared()
             for obj in widgets:
-                self._install(_spec_from_obj(obj), tree, specs)
+                self._install(_spec_from_obj(obj, shared), tree, specs, checked=shared.checked)
+            del shared  # as in a load
 
 
 _collector_lock = threading.Lock()  # makes each save-and-disable one step
@@ -674,16 +683,50 @@ def _syntax_error(e: SexprError, filename: str) -> SchemaSyntaxError:
     return SchemaSyntaxError(str(e), filename=filename, line=e.line, col=e.col)
 
 
-class _Clauses(dict):
-    """One load's memo: ``(part, spellings)`` of each ``:input``, ``:output``
-    and ``:heading`` clause -> ``(entries, parts)``, its medium map and the
-    offset from its first token of each part ``_install`` may place an error
-    at. ``checked`` is the ``checked`` of ``_install`` for the whole load.
+class _Shared:
+    """One build's memo, so that the specs it builds share their equal parts.
+
+    A load or an import makes one inside ``_staged`` and drops it before
+    the collector resumes. ``clauses`` maps ``(part, spellings)`` of each
+    ``:input``, ``:output`` and ``:heading`` clause of schema text to
+    ``(entries, parts)``: its medium map, and the offset from its first
+    token of each part ``_install`` may place an error at. ``inputs`` maps
+    the ``marshal`` bytes of each exported ``inputs`` value to its medium
+    map. ``checked`` is the ``checked`` of ``_install`` for the whole build,
+    and ``symbols`` maps each symbol spelling to its canonical string.
     """
 
     def __init__(self):
-        super().__init__()
+        self.clauses: dict[tuple, tuple[dict, tuple]] = {}
+        self.inputs: dict[bytes, dict] = {}
         self.checked: dict[int, InputBinding] = {}
+        self.symbols: dict[str, str] = {}
+
+    def symbol(self, text: str) -> str:
+        """``normalize_symbol(text)``, as one string object per canonical spelling."""
+        if type(text) is not str:  # normalized, or refused, as it would be without the memo
+            return normalize_symbol(text)
+        canonical = self.symbols.get(text)
+        if canonical is None:
+            canonical = normalize_symbol(text)
+            canonical = self.symbols[text] = self.symbols.setdefault(canonical, canonical)
+        return canonical
+
+    def inputs_of(self, value) -> dict:
+        """A copy of the medium map an exported ``inputs`` value describes, built once.
+
+        Equal ``marshal`` bytes decode to equal values of the same types, so
+        a hit is never false. A value marshal refuses (a subclass of ``str``
+        or ``int``, say) is built afresh.
+        """
+        try:
+            key = marshal.dumps(value)
+        except ValueError:
+            return _inputs_of(value, self.symbol)
+        entries = self.inputs.get(key)
+        if entries is None:
+            entries = self.inputs[key] = _inputs_of(value, self.symbol)
+        return dict(entries)
 
 
 # clause keyword -> the WidgetSpec field it sets
@@ -700,10 +743,10 @@ class _FormReader:
     so the items of a form are walked without a node tree.
     """
 
-    def __init__(self, tokens: list[str], ends: list[int], clauses: _Clauses):
+    def __init__(self, tokens: list[str], ends: list[int], shared: _Shared):
         self.tokens = tokens
         self.ends = ends
-        self.clauses = clauses
+        self.shared = shared
 
     def forms(self):
         """The node of each top-level form, in order."""
@@ -734,7 +777,7 @@ class _FormReader:
     def symbol(self, i: int, what: str) -> str:
         if not self.is_symbol(i):
             raise TokenError(f"expected {what} (a symbol)", i)
-        return normalize_symbol(self.tokens[i])
+        return self.shared.symbol(self.tokens[i])
 
     def literal(self, i: int, kind: str, what: str):
         """The value of a ``kind`` token, "string" or "int"."""
@@ -794,21 +837,21 @@ class _FormReader:
             elif keyword == "doc":
                 fields[part] = self.literal(value, "string", "documentation text")
             elif part in ("headings", "inputs", "outputs"):
-                fields[part] = self.shared(part, value, nodes)
+                fields[part] = self.clause(part, value, nodes)
             else:
                 fields[part] = self.symbol(value, f"a {keyword} name")
         return WidgetSpec(**fields), nodes
 
-    def shared(self, part: str, i: int, nodes: dict) -> dict:
+    def clause(self, part: str, i: int, nodes: dict) -> dict:
         """A copy of the medium map of the clause for ``part`` whose value is at
         ``i``, read by the method named ``part`` once per load and spelling;
         ``nodes`` gets the node of each of its parts."""
         key = (part, tuple(self.tokens[i:self.ends[i] + 1]))
-        memo = self.clauses.get(key)
+        memo = self.shared.clauses.get(key)
         if memo is None:
             found: dict = {}
             entries = getattr(self, part)(i, found)
-            memo = self.clauses[key] = (
+            memo = self.shared.clauses[key] = (
                 entries, tuple((part, j - i) for part, j in found.items()))
         entries, parts = memo
         for part, offset in parts:
@@ -951,23 +994,30 @@ def _spec_to_obj(spec: WidgetSpec) -> dict:
     }
 
 
-def _spec_from_obj(obj: dict) -> WidgetSpec:
+def _spec_from_obj(obj: dict, shared: _Shared) -> WidgetSpec:
     """The normalized spec an exported object describes; ``_install`` checks it.
 
-    A symbol that is not a string leaves every symbol as it is, as
-    ``_normalized`` does, so that ``_install`` reports the same fault.
+    Its symbols and its ``inputs`` map come from the build's ``shared``
+    memo. A symbol that is not a string leaves every symbol as it is, as
+    ``_normalized`` does, so that ``_install`` reports the same fault; that
+    spec is built afresh, for the memo holds only normalized parts.
     """
     try:
         try:
-            return _spec_of(obj, normalize_symbol)
+            return _spec_of(obj, shared.symbol, shared.inputs_of)
         except AttributeError:  # a symbol is not a string
-            return _spec_of(obj, lambda symbol: symbol)
+            return _spec_of(obj, _as_is, lambda value: _inputs_of(value, _as_is))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed widget spec: {e}") from None
 
 
-def _spec_of(obj: dict, sym: Callable) -> WidgetSpec:
-    """The spec ``obj`` describes, with ``sym`` applied to each symbol in it."""
+def _as_is(symbol):
+    return symbol
+
+
+def _spec_of(obj: dict, sym: Callable, inputs_of: Callable) -> WidgetSpec:
+    """The spec ``obj`` describes, with ``sym`` applied to each symbol in it
+    and its ``inputs`` value built by ``inputs_of``."""
     def opt(key):
         value = obj.get(key)
         return None if value is None else sym(value)
@@ -979,11 +1029,17 @@ def _spec_of(obj: dict, sym: Callable) -> WidgetSpec:
         table=opt("table"),
         getter=opt("getter"),
         setter=opt("setter"),
-        inputs={sym(m): InputBinding(sym(pair[0]), _vexpr_from_obj(pair[1]))
-                for m, pair in obj.get("inputs", {}).items()},
+        inputs=inputs_of(obj.get("inputs", {})),
         outputs={sym(m): sym(f) for m, f in dict(obj.get("outputs", {})).items()},
         headings={sym(m): t for m, t in dict(obj.get("headings", {})).items()},
         doc=obj.get("doc"),
         datatype=opt("datatype"),
         generator=opt("generator"),
     )
+
+
+def _inputs_of(value, sym: Callable) -> dict:
+    """The medium map an exported ``inputs`` value describes, with ``sym``
+    applied to each symbol in it."""
+    return {sym(m): InputBinding(sym(pair[0]), _vexpr_from_obj(pair[1]))
+            for m, pair in value.items()}

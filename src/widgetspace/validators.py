@@ -19,6 +19,7 @@ from typing import Callable, Union
 
 from .errors import (DuplicateNameError, InvalidSpecError, UnknownValidatorError,
                      ValidationError)
+from .sexpr import int_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +87,10 @@ def bases(expr: ValidatorExpr):
 
 
 def expand_template(template: str, *args) -> str:
-    """Minimal positional template substitution: ~A and ~D insert the next argument."""
+    """Minimal positional template substitution: ~A and ~D insert the next argument.
+
+    An integer is written in full, whatever the interpreter's conversion limit.
+    """
     out: list[str] = []
     values = iter(args)
     i = 0
@@ -94,9 +98,10 @@ def expand_template(template: str, *args) -> str:
         ch = template[i]
         if ch == "~" and i + 1 < len(template) and template[i + 1] in "AaDd":
             try:
-                out.append(str(next(values)))
+                value = next(values)
             except StopIteration:
                 raise ValueError(f"template {template!r} needs more arguments") from None
+            out.append(int_text(value) if isinstance(value, int) else str(value))
             i += 2
         else:
             out.append(ch)

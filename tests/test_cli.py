@@ -45,6 +45,13 @@ def ws_args(ws):
     return ["--workspace", str(ws)]
 
 
+# a validator argument longer than the least integer conversion limit (640)
+LONG_ARGUMENT = "9" * 2000
+LONG_ARGUMENT_SCHEMA = (
+    "(locale a :parent none)\n"
+    f"(widget w a :table t :input ((m identity (length {LONG_ARGUMENT} 5))))\n")
+
+
 class TestSchemaLoad:
     def test_report_two_files(self, tmp_path):
         code, out, err = run_cli(
@@ -149,6 +156,27 @@ class TestSchemaLoad:
         assert target.read_bytes() == before
         assert temp_files(tmp_path) == []
 
+    def test_failed_write_prints_no_report(self, tmp_path):
+        target = tmp_path / "w.ws"
+        target.mkdir()  # a directory: the workspace cannot be written there
+        code, out, err = run_cli(["schema", "load", *ALL_FIXTURES, "--workspace", str(target)],
+                                 cwd=tmp_path)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert list(target.iterdir()) == []
+
+    def test_long_integer_under_a_lowered_interpreter_limit(self, tmp_path):
+        (tmp_path / "big.scm").write_text(LONG_ARGUMENT_SCHEMA)
+        written = []
+        for limit in ("0", "1000"):  # no limit, then one below the argument's length
+            target = tmp_path / f"w{limit}.ws"
+            code, out, err = run_cli(["schema", "load", "big.scm", "--workspace", str(target)],
+                                     cwd=tmp_path, env_extra={"PYTHONINTMAXSTRDIGITS": limit})
+            assert (code, out, err) == (0, "locales: 1, widgets: 1\n", "")
+            written.append(target.read_bytes())
+        assert written[0] == written[1]
+        assert LONG_ARGUMENT.encode() in written[0]
+
     def test_lint_reports_warnings_without_writing(self, tmp_path):
         src = tmp_path / "s.scm"
         src.write_text("(locale root :parent none)\n"
@@ -204,6 +232,29 @@ class TestLocales:
         code, _, err = run_cli(["locales", "--workspace", str(bad)], cwd=tmp_path)
         assert code == 2
         assert "unreadable" in err
+
+    def test_long_integer_read_under_a_lowered_interpreter_limit(self, tmp_path):
+        (tmp_path / "big.scm").write_text(LONG_ARGUMENT_SCHEMA)
+        ws = tmp_path / "w.ws"
+        code, _, err = run_cli(["schema", "load", "big.scm", *ws_args(ws)], cwd=tmp_path,
+                               env_extra={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert code == 0, err
+        lowered = {"PYTHONINTMAXSTRDIGITS": "1000"}
+        code, out, err = run_cli(["locales", *ws_args(ws)], cwd=tmp_path, env_extra=lowered)
+        assert (code, out, err) == (0, "a\n", "")
+        code, out, err = run_cli(["set", *ws_args(ws), "--db", str(tmp_path / "db"),
+                                  "--locale", "a", "--field", "w", "--medium", "m", "x"],
+                                 cwd=tmp_path, env_extra=lowered)
+        assert (code, out) == (1, "")
+        assert err == f"Length must be larger than {LONG_ARGUMENT}\n"
+
+    def test_workspace_integer_too_long_exit_2(self, tmp_path):
+        bad = tmp_path / "long.ws"
+        bad.write_text('{"version": 1, "state": {"locales": [], "widgets": [%s]}}' % ("9" * 5000))
+        code, out, err = run_cli(["locales", "--workspace", str(bad)], cwd=tmp_path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: workspace '{bad}' is unreadable:"
+                       " integer literal longer than 4300 digits\n")
 
     def test_too_deeply_nested_workspace_exit_2(self, tmp_path):
         bad = tmp_path / "deep.ws"

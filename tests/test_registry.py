@@ -1,10 +1,15 @@
 """Widget registry: definition checks, per-property resolution, fused operations."""
 
+import copy
 import gc
+import json
 import random
 import sys
 import tempfile
 import threading
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +18,11 @@ from widgetspace import (
     UNINITIALIZED, Base, Database, IndexOutOfRangeError, InputBinding, InvalidSpecError,
     LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName, ResolutionError, SchemaError,
     SchemaSyntaxError, SimpleDate, UnknownLocaleError, UnresolvedReferenceError, ValidationError,
-    WidgetCoord, WidgetRegistry, WidgetSpec, standard_registries,
+    WidgetCoord, WidgetRegistry, WidgetSpec, load_fixture_registry, standard_registries,
 )
 from widgetspace.registry import MAX_INDEX
-from widgetspace.validators import ValidatorRegistry
+from widgetspace.sexpr import normalize_symbol
+from widgetspace.validators import And, Not, Or, ValidatorExpr, ValidatorRegistry
 
 
 def tiny_registry():
@@ -859,3 +865,295 @@ class TestSharedClauses:
         with pytest.raises(SchemaError) as exc:
             WidgetRegistry().load_schema(text, filename="s.scm")
         assert str(exc.value) == "s.scm:6:55: unknown validator 'ghost'"
+
+
+class _Shouting(str):
+    """A str subclass that spells differently when lowered: marshal refuses
+    it, and its ``repr`` is that of a plain string."""
+
+    def lower(self):
+        return str.upper(self)
+
+
+def _shared_import_state(inputs, widgets=200) -> dict:
+    """``widgets`` widgets at one locale that all repeat ``inputs``, as a
+    workspace file holds them: each widget's parts are objects of its own."""
+    return json.loads(json.dumps({"locales": [["root", None]], "widgets": [
+        {"name": f"w{i}", "locale": "root", "max_index": 1, "table": "t", "inputs": inputs}
+        for i in range(widgets)]}))
+
+
+def _counting_checks(monkeypatch) -> list:
+    """The base validators ``check_base`` is called on, from now on."""
+    checked = []
+    check_base = ValidatorRegistry.check_base
+
+    def counting(registry, base):
+        checked.append(base)
+        return check_base(registry, base)
+
+    monkeypatch.setattr(ValidatorRegistry, "check_base", counting)
+    return checked
+
+
+class TestSharedImport:
+    """Within one import, an ``inputs`` map repeated by many widgets is built
+    and checked once, and its bindings are shared; nothing outlives the import."""
+
+    INPUTS = {"m": ["identity", ["and", [["base", "required", []],
+                                         ["base", "length", [1, 9]],
+                                         ["not", ["base", "numeric", []], "digits"]]]]}
+    BASES = 3  # required, length, numeric
+
+    def test_one_build_and_one_check_per_distinct_map(self, monkeypatch):
+        checked = _counting_checks(monkeypatch)
+        reg = WidgetRegistry()
+        reg.import_state(_shared_import_state(self.INPUTS))
+        assert [base.name for base in checked] == ["required", "length", "numeric"]
+        specs = [reg.spec_at(f"w{i}", "root") for i in range(200)]
+        binding = specs[0].inputs["m"]
+        assert all(spec.inputs["m"] is binding for spec in specs)
+        assert len({id(spec.inputs) for spec in specs}) == 200  # each spec its own map
+        assert all(spec.locale is specs[0].locale for spec in specs)
+        assert all(spec.table is specs[0].table for spec in specs)
+
+    def test_a_second_import_shares_nothing_with_the_first(self, monkeypatch):
+        checked = _counting_checks(monkeypatch)
+        first, second = WidgetRegistry(), WidgetRegistry()
+        first.import_state(_shared_import_state(self.INPUTS))
+        second.import_state(_shared_import_state(self.INPUTS))
+        assert len(checked) == 2 * self.BASES
+        assert first.spec_at("w0", "root").inputs["m"] is not \
+            second.spec_at("w0", "root").inputs["m"]
+        second.import_state({"locales": [], "widgets": [
+            {"name": "extra", "locale": "root", "max_index": 1, "table": "t",
+             "inputs": self.INPUTS}]})
+        assert len(checked) == 3 * self.BASES
+        assert second.spec_at("extra", "root").inputs["m"] is not \
+            second.spec_at("w0", "root").inputs["m"]
+
+    def test_a_spec_with_a_non_string_symbol_is_built_afresh(self):
+        inputs = {"M": [":identity", ["base", "required", []]]}
+        state = _shared_import_state(inputs, widgets=3)
+        reg = WidgetRegistry()
+        reg.import_state(state)
+        assert reg.spec_at("w1", "root").inputs == {
+            "m": InputBinding("identity", Base("required"))}
+        state["widgets"][2]["outputs"] = {"default": 7}  # so no symbol of w2 is normalized
+        with pytest.raises(UnresolvedReferenceError, match="^unknown parser ':identity'$"):
+            WidgetRegistry().import_state(state)
+
+    @pytest.mark.parametrize("spelling,parser", [
+        (_Shouting("identity"), "IDENTITY"), (type("Plain", (str,), {})("Identity"), "identity"),
+        (_Shouting("no-such-parser"), None)])
+    def test_a_value_marshal_refuses_imports_as_the_reference_does(self, spelling, parser):
+        state = _shared_import_state(self.INPUTS, widgets=3)
+        state["widgets"][1]["inputs"]["m"][0] = spelling
+        error, message, exported = _import_outcome(WidgetRegistry, state)
+        assert (error, message, exported) == _import_outcome(ReferenceRegistry, state)
+        if parser is None:
+            assert (error, message) == (UnresolvedReferenceError,
+                                        "unknown parser 'NO-SUCH-PARSER'")
+        else:
+            assert error is None
+            assert [w["inputs"]["m"][0] for w in exported["widgets"]] == \
+                ["identity", parser, "identity"]
+
+
+# -- the unshared import, kept as the reference for the shared one ---------------
+
+
+class ReferenceRegistry(WidgetRegistry):
+    """A registry that imports an exported state without the per-import memo."""
+
+    def import_state(self, state: dict) -> None:
+        """Add an exported state, re-checking references; all-or-nothing, like a load."""
+        with self._staged() as (tree, specs):
+            try:
+                widgets = list(state["widgets"])
+                for child, parent in state["locales"]:
+                    tree.add(child, parent)
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise SchemaError(f"malformed registry state: {e}") from None
+            for obj in widgets:
+                self._install(ref_spec_from_obj(obj), tree, specs)
+
+
+def ref_vexpr_from_obj(obj) -> ValidatorExpr:
+    """The validator an exported object describes; ``_spec_from_obj`` reports faults."""
+    tag = obj[0]
+    if tag == "base":
+        return Base(obj[1], tuple(obj[2]))
+    if tag == "and":
+        return And(tuple(ref_vexpr_from_obj(c) for c in obj[1]))
+    if tag == "or":
+        return Or(tuple(ref_vexpr_from_obj(c) for c in obj[1]), obj[2])
+    if tag == "not":
+        return Not(ref_vexpr_from_obj(obj[1]), obj[2])
+    raise SchemaError(f"malformed validator expression: {obj!r}")
+
+
+def ref_spec_from_obj(obj: dict) -> WidgetSpec:
+    """The normalized spec an exported object describes; ``_install`` checks it.
+
+    A symbol that is not a string leaves every symbol as it is, as
+    ``_normalized`` does, so that ``_install`` reports the same fault.
+    """
+    try:
+        try:
+            return ref_spec_of(obj, normalize_symbol)
+        except AttributeError:  # a symbol is not a string
+            return ref_spec_of(obj, lambda symbol: symbol)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+        raise SchemaError(f"malformed widget spec: {e}") from None
+
+
+def ref_spec_of(obj: dict, sym: Callable) -> WidgetSpec:
+    """The spec ``obj`` describes, with ``sym`` applied to each symbol in it."""
+    def opt(key):
+        value = obj.get(key)
+        return None if value is None else sym(value)
+
+    return WidgetSpec(
+        name=sym(obj["name"]),
+        locale=sym(obj["locale"]),
+        max_index=obj["max_index"],
+        table=opt("table"),
+        getter=opt("getter"),
+        setter=opt("setter"),
+        inputs={sym(m): InputBinding(sym(pair[0]), ref_vexpr_from_obj(pair[1]))
+                for m, pair in obj.get("inputs", {}).items()},
+        outputs={sym(m): sym(f) for m, f in dict(obj.get("outputs", {})).items()},
+        headings={sym(m): t for m, t in dict(obj.get("headings", {})).items()},
+        doc=obj.get("doc"),
+        datatype=opt("datatype"),
+        generator=opt("generator"),
+    )
+
+
+def _import_outcome(cls, state) -> tuple:
+    """``(error class or None, message, exported state)`` of importing a copy
+    of ``state`` into a new ``cls`` registry."""
+    reg = cls()
+    try:
+        reg.import_state(copy.deepcopy(state))
+    except Exception as e:
+        return type(e), str(e), reg.export_state()
+    return None, "", reg.export_state()
+
+
+# -- the shared import against the reference --------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@lru_cache(maxsize=None)
+def _exported_workspaces() -> tuple[str, ...]:
+    """The JSON of the fixture workspace and of a small generated catalog."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    catalog = WidgetRegistry()
+    catalog.load_schema(gen.Catalog(random.Random(12), 60, 30, 13, 2).schema_text)
+    return tuple(json.dumps(reg.export_state())
+                 for reg in (load_fixture_registry()[0], catalog))
+
+
+def _bases_in(vexpr) -> list:
+    """The ``["base", name, args]`` lists of an exported validator, outermost first."""
+    if not isinstance(vexpr, list) or not vexpr:
+        return []
+    if vexpr[0] == "base":
+        return [vexpr]
+    children = vexpr[1:2] if vexpr[0] == "not" else vexpr[1] if len(vexpr) > 1 else []
+    return [base for child in children for base in _bases_in(child)]
+
+
+def _swaps(arg) -> list:
+    """Values of other types that could stand where the validator argument ``arg`` is."""
+    if isinstance(arg, str):
+        return [len(arg), True, 1.0, _Shouting(arg)]
+    return [str(arg), float(arg), not arg, int(arg) + 1, _Shouting(int(arg))]
+
+
+def _well_formed(inputs) -> bool:
+    """Whether an exported ``inputs`` map still has the shape ``_edited_inputs`` edits."""
+    return isinstance(inputs, dict) and bool(inputs) and all(
+        isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], list)
+        for pair in inputs.values())
+
+
+@st.composite
+def _edited_inputs(draw, inputs: dict) -> dict:
+    """``inputs``, an exported ``inputs`` map, with one part changed."""
+    if not _well_formed(inputs):
+        return inputs
+    inputs = copy.deepcopy(inputs)
+    medium = draw(st.sampled_from(list(inputs)))
+    pair = inputs[medium]
+    bases = _bases_in(pair[1])
+    # A ':' prefix is the spelling that only normalization makes valid, so it
+    # is drawn most often.
+    kind = draw(st.sampled_from(["case", "colon", "colon", "shout", "swap", "shape", "arity",
+                                 "unknown"]))
+    if kind in ("case", "colon", "shout"):
+        spell = {"case": str.upper, "colon": lambda s: ":" + s, "shout": _Shouting}[kind]
+        where = draw(st.sampled_from(["medium", "parser"] + ["validator"] * bool(bases)))
+        if where == "medium":
+            return {spell(m) if m == medium else m: p for m, p in inputs.items()}
+        if where == "parser":
+            pair[0] = spell(pair[0])
+        else:
+            base = draw(st.sampled_from(bases))
+            base[1] = spell(base[1])
+    elif kind == "swap" and any(base[2] for base in bases):
+        args = draw(st.sampled_from([base[2] for base in bases if base[2]]))
+        k = draw(st.integers(0, len(args) - 1))
+        args[k] = draw(st.sampled_from(_swaps(args[k])))
+    elif kind == "shape":  # a list where a dict was, or a dict where a list was
+        changes = [lambda: [[m, p] for m, p in inputs.items()],
+                   lambda: {**inputs, medium: dict(enumerate(pair))},
+                   lambda: {**inputs, medium: [pair[0], dict(enumerate(pair[1]))]}]
+        return draw(st.sampled_from(changes))()
+    elif kind == "arity":
+        changes = [lambda: pair.pop(), lambda: pair.append("extra"),
+                   lambda: pair[1].pop(), lambda: pair[1].append([])]
+        if bases:
+            changes.append(lambda: draw(st.sampled_from(bases))[2].append(1))
+        draw(st.sampled_from(changes))()
+    else:
+        if bases and draw(st.booleans()):
+            draw(st.sampled_from(bases))[1] = "no-such-validator"
+        else:
+            pair[0] = "no-such-parser"
+    return inputs
+
+
+@st.composite
+def _shared_import_cases(draw) -> dict:
+    """An exported state in which a few later widgets repeat one edited
+    ``inputs`` map, and one of them may have a symbol that is not a string."""
+    state = json.loads(draw(st.sampled_from(range(2)).map(
+        lambda k: _exported_workspaces()[k])))
+    widgets = state["widgets"]
+    source = draw(st.sampled_from([k for k, w in enumerate(widgets) if w["inputs"]]))
+    edited = widgets[source]["inputs"]
+    for _ in range(draw(st.integers(1, 2))):
+        edited = draw(_edited_inputs(edited))
+    targets = sorted(set(draw(st.lists(st.integers(source, len(widgets) - 1),
+                                       min_size=2, max_size=4))))
+    for k in targets:
+        widgets[k]["inputs"] = copy.deepcopy(edited)
+    if len(targets) > 1 and draw(st.booleans()):
+        odd = widgets[draw(st.sampled_from(targets[1:]))]
+        part = draw(st.sampled_from(["name", "generator", "outputs", "outputs"]))
+        odd[part] = {"default": 7} if part == "outputs" else 7
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_import_cases())
+def test_shared_import_matches_reference(state):
+    assert _import_outcome(WidgetRegistry, state) == _import_outcome(ReferenceRegistry, state)
