@@ -200,7 +200,7 @@ def _load_workspace(args) -> WidgetRegistry:
         raise SchemaError(
             f"no schema workspace at '{path}' (run 'widgetspace schema load' first)")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"), parse_int=_json_int)
+        data = _workspace_data(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, TokenError) as e:
         raise SchemaError(f"workspace '{path}' is unreadable: {e}") from None
     if not isinstance(data, dict) or data.get("version") != 1 or "state" not in data:
@@ -210,9 +210,19 @@ def _load_workspace(args) -> WidgetRegistry:
     return registry
 
 
-def _json_int(text: str) -> int:
-    """A workspace integer, read whatever the interpreter's conversion limit."""
-    return read_int(text, 0)
+def _workspace_data(text: str):
+    """``text`` decoded as JSON, whatever the interpreter's conversion limit.
+
+    Only an integer past the limit makes ``json.loads`` raise a ``ValueError``
+    that is not a ``JSONDecodeError``; then the text is decoded again with
+    each integer read by ``sexpr.read_int``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        return json.loads(text, parse_int=lambda digits: read_int(digits, 0))
 
 
 def _workspace_json(payload: dict) -> str:
@@ -222,6 +232,8 @@ def _workspace_json(payload: dict) -> str:
     ``json`` writes them with ``int.__repr__``, so the limit is lifted while
     it writes. The limit is process-wide; a command runs in one thread.
     """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        return json.dumps(payload, indent=1)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import gc
 import marshal
 import random
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -693,7 +694,8 @@ class _Shared:
     token of each part ``_install`` may place an error at. ``inputs`` maps
     the ``marshal`` bytes of each exported ``inputs`` value to its medium
     map. ``checked`` is the ``checked`` of ``_install`` for the whole build,
-    and ``symbols`` maps each symbol spelling to its canonical string.
+    and ``symbols`` maps each symbol spelling met to its interned canonical
+    spelling.
     """
 
     def __init__(self):
@@ -708,8 +710,7 @@ class _Shared:
             return normalize_symbol(text)
         canonical = self.symbols.get(text)
         if canonical is None:
-            canonical = normalize_symbol(text)
-            canonical = self.symbols[text] = self.symbols.setdefault(canonical, canonical)
+            canonical = self.symbols[text] = sys.intern(normalize_symbol(text))
         return canonical
 
     def inputs_of(self, value) -> dict:

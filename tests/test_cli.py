@@ -283,6 +283,37 @@ class TestLocales:
         assert "unsupported" in err
 
 
+class TestWorkspaceCodec:
+    """In process: the workspace JSON reader and writer around the
+    interpreter's integer conversion limit."""
+
+    def test_written_by_an_interpreter_without_the_limit(self, monkeypatch):
+        for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+            monkeypatch.delattr(sys, name, raising=False)
+        payload = {"version": 1, "state": {"widgets": [{"max_index": 12}]}}
+        assert cli._workspace_json(payload) == json.dumps(payload, indent=1)
+
+    def test_integers_take_the_fast_path_unless_one_is_past_the_limit(self, monkeypatch):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("the interpreter has no integer conversion limit")
+        read = []
+        read_int = cli.read_int
+        monkeypatch.setattr(cli, "read_int", lambda text, i: read.append(text) or read_int(text, i))
+        assert cli._workspace_data('{"a": [1, 22]}') == {"a": [1, 22]}
+        assert read == []
+        long = int(LONG_ARGUMENT)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            assert cli._workspace_data('{"a": [1, %s]}' % LONG_ARGUMENT) == {"a": [1, long]}
+            assert read == ["1", LONG_ARGUMENT]
+            with pytest.raises(json.JSONDecodeError):
+                cli._workspace_data('{"a": [1, 22')
+            assert read == ["1", LONG_ARGUMENT]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _fixture_workspace() -> dict:
     registry = WidgetRegistry()
     registry.load_schema_files(fixture_paths())

@@ -932,6 +932,19 @@ class TestSharedImport:
         assert second.spec_at("extra", "root").inputs["m"] is not \
             second.spec_at("w0", "root").inputs["m"]
 
+    def test_every_spelling_of_a_symbol_is_one_string(self):
+        spellings = ["root", "ROOT", ":root", ":Root"]
+        state = {"locales": [["root", None]], "widgets": [
+            {"name": f"w{i}", "locale": spelling, "max_index": 1, "table": "t"}
+            for i, spelling in enumerate(spellings)]}
+        imported, loaded = WidgetRegistry(), WidgetRegistry()
+        imported.import_state(state)
+        loaded.load_schema("(locale root :parent none)\n" + "".join(
+            f"(widget w{i} {spelling} :table t)\n" for i, spelling in enumerate(spellings)))
+        for reg in (imported, loaded):
+            specs = [reg.spec_at(f"w{i}", "root") for i in range(len(spellings))]
+            assert all(spec.locale is specs[0].locale for spec in specs)
+
     def test_a_spec_with_a_non_string_symbol_is_built_afresh(self):
         inputs = {"M": [":identity", ["base", "required", []]]}
         state = _shared_import_state(inputs, widgets=3)
@@ -958,6 +971,41 @@ class TestSharedImport:
             assert error is None
             assert [w["inputs"]["m"][0] for w in exported["widgets"]] == \
                 ["identity", parser, "identity"]
+
+
+class TestDoubleColonSpellings:
+    """``normalize_symbol`` drops one leading ':', so ``::html`` reads as
+    ``:html`` while a later ``:html`` still reads as ``html``, in one build."""
+
+    SCHEMA = ("(locale root :parent none)\n"
+              "(widget w1 root :table t :output ((::html identity)))\n"
+              "(widget w2 root :table t :output ((:html identity)))\n"
+              '(widget w3 root :table t :heading (::identity "x") :input ((m :identity required)))\n')
+
+    def _check(self, reg):
+        assert reg.spec_at("w1", "root").outputs == {":html": "identity"}
+        assert reg.spec_at("w2", "root").outputs == {"html": "identity"}
+        w3 = reg.spec_at("w3", "root")
+        assert (w3.headings, w3.inputs["m"].parser) == ({":identity": "x"}, "identity")
+
+    def test_load(self):
+        reg = WidgetRegistry()
+        reg.load_schema(self.SCHEMA)
+        self._check(reg)
+
+    def test_import(self):
+        state = {"locales": [["root", None]], "widgets": [
+            {"name": "w1", "locale": "root", "max_index": 1, "table": "t",
+             "outputs": {"::html": "identity"}},
+            {"name": "w2", "locale": "root", "max_index": 1, "table": "t",
+             "outputs": {":html": "identity"}},
+            {"name": "w3", "locale": "root", "max_index": 1, "table": "t",
+             "headings": {"::identity": "x"},
+             "inputs": {"m": [":identity", ["base", "required", []]]}}]}
+        reg = WidgetRegistry()
+        reg.import_state(copy.deepcopy(state))
+        self._check(reg)
+        assert _import_outcome(WidgetRegistry, state) == _import_outcome(ReferenceRegistry, state)
 
 
 # -- the unshared import, kept as the reference for the shared one ---------------
@@ -1095,11 +1143,12 @@ def _edited_inputs(draw, inputs: dict) -> dict:
     pair = inputs[medium]
     bases = _bases_in(pair[1])
     # A ':' prefix is the spelling that only normalization makes valid, so it
-    # is drawn most often.
-    kind = draw(st.sampled_from(["case", "colon", "colon", "shout", "swap", "shape", "arity",
+    # is drawn most often; normalization drops only one of two.
+    kind = draw(st.sampled_from(["case", "colon", "colons", "shout", "swap", "shape", "arity",
                                  "unknown"]))
-    if kind in ("case", "colon", "shout"):
-        spell = {"case": str.upper, "colon": lambda s: ":" + s, "shout": _Shouting}[kind]
+    if kind in ("case", "colon", "colons", "shout"):
+        spell = {"case": str.upper, "colon": lambda s: ":" + s, "colons": lambda s: "::" + s,
+                 "shout": _Shouting}[kind]
         where = draw(st.sampled_from(["medium", "parser"] + ["validator"] * bool(bases)))
         if where == "medium":
             return {spell(m) if m == medium else m: p for m, p in inputs.items()}
@@ -1131,6 +1180,17 @@ def _edited_inputs(draw, inputs: dict) -> dict:
     return inputs
 
 
+def _one_colon_less(value):
+    """A copy of ``value`` with one ':' dropped from each plain string that starts '::'."""
+    if isinstance(value, dict):
+        return {_one_colon_less(k): _one_colon_less(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_one_colon_less(v) for v in value]
+    if type(value) is str and value.startswith("::"):
+        return value[1:]
+    return value
+
+
 @st.composite
 def _shared_import_cases(draw) -> dict:
     """An exported state in which a few later widgets repeat one edited
@@ -1144,8 +1204,14 @@ def _shared_import_cases(draw) -> dict:
         edited = draw(_edited_inputs(edited))
     targets = sorted(set(draw(st.lists(st.integers(source, len(widgets) - 1),
                                        min_size=2, max_size=4))))
+    colons = isinstance(edited, dict) and bool(edited) and draw(st.integers(0, 3)) == 0
+    if colons:  # a medium spelled '::m' in the repeats, which normalization reads as ':m'
+        medium = draw(st.sampled_from(list(edited)))
+        edited = {"::" + m if m == medium else m: p for m, p in edited.items()}
     for k in targets:
         widgets[k]["inputs"] = copy.deepcopy(edited)
+    if colons:  # and ':m' in the last, which normalization reads as 'm'
+        widgets[targets[-1]]["inputs"] = _one_colon_less(edited)
     if len(targets) > 1 and draw(st.booleans()):
         odd = widgets[draw(st.sampled_from(targets[1:]))]
         part = draw(st.sampled_from(["name", "generator", "outputs", "outputs"]))

@@ -13,6 +13,7 @@ load must build the same registry as one through the tree reader, or raise
 the same error at the same place.
 """
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -896,8 +897,9 @@ REPEAT_CLAUSES = [
 ]
 # (old, new): one small edit to one clause, made at the first ``old``
 REPEAT_EDITS = [
-    ("default", "DEFAULT"), ("default", ":default"), ("identity", "Identity"),
-    ("identity", ":identity"), ("Field", "FIELD"), ("Field", 'Fi\\"eld'), ("Must", "M\\\\ust"),
+    ("default", "DEFAULT"), ("default", ":default"), ("default", "::default"),
+    ("identity", "Identity"), ("identity", ":identity"), ("identity", "::identity"),
+    ("Field", "FIELD"), ("Field", 'Fi\\"eld'), ("Must", "M\\\\ust"),
     ("required", "ghost"), ("(length 1 23)", "(length 1)"), ("23", '"23"'), ("23", "x"),
     ("alphabetic", "(alphabetic)"), ("m2", "m3"), ("identity", "format-ghost"),
     ("(and", "(and)"), ("date)", "date 1)"), ("9", "9 m1"), (":table t", ":table"),
@@ -955,6 +957,19 @@ def test_repeated_clauses_load_like_the_tree_reader():
             texts = [REPEAT_PRELUDE + f"(widget a root {clause})\n(widget b mid :table u)\n",
                      f"(widget c mid {clause})\n(widget d root :index 1 {edited})\n"]
             assert _registry(WidgetRegistry, texts) == _registry(TreeRegistry, texts)
+
+
+def test_colon_spellings_load_like_the_tree_reader():
+    # normalization drops one leading ':', so '::x' and a later ':x' read differently
+    for clause in REPEAT_CLAUSES:
+        for word in ("default", "identity", "m1", "m2", "required"):
+            if word not in clause:
+                continue
+            for first, second in itertools.product(["", ":", "::"], repeat=2):
+                texts = [REPEAT_PRELUDE
+                         + f"(widget a root {clause.replace(word, first + word, 1)})\n",
+                         f"(widget b mid {clause.replace(word, second + word, 1)})\n"]
+                assert _registry(WidgetRegistry, texts) == _registry(TreeRegistry, texts)
 
 
 # -- pinned behaviour -------------------------------------------------------------
