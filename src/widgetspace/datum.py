@@ -59,10 +59,11 @@ class SimpleDate:
     day: int
 
     def __post_init__(self):
-        for field in ("year", "month", "day"):
-            v = getattr(self, field)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"{field} must be an integer, got {v!r}")
+        if not (type(self.year) is int and type(self.month) is int and type(self.day) is int):
+            for field in ("year", "month", "day"):
+                v = getattr(self, field)
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise TypeError(f"{field} must be an integer, got {v!r}")
         if not 0 <= self.year <= 9999:
             raise ValueError(f"year out of range: {self.year}")
         if not 1 <= self.month <= 12:
@@ -155,6 +156,13 @@ def _require_printable(s: str) -> None:
 
 def dumps(d: Datum) -> str:
     """Render a datum in the dump grammar. Deterministic."""
+    kind = type(d)  # the common variants first; any other type, a subclass too, below
+    if kind is str:
+        return _quote(d)
+    if kind is SimpleDate:
+        return f"(date {d.year} {d.month} {d.day})"
+    if kind is tuple:
+        return "[" + " ".join([dumps(item) for item in d]) + "]"
     if isinstance(d, Uninitialized):
         return "#uninit"
     if isinstance(d, bool):
@@ -215,7 +223,9 @@ def read_datum(tokens: list[str], i: int) -> tuple[Datum, int]:
         tok = tokens[i]
         first = tok[0]
         if first == '"':
-            value = unquote(tok)
+            value = tok[1:-1]
+            if "\\" in value:
+                value = unquote(tok)
             i += 1
         elif first == "(":
             value, i = _read_form(tokens, i + 1)
@@ -247,10 +257,14 @@ def _read_form(tokens: list[str], i: int) -> tuple[Datum, int]:
     """A date or name, from its head at ``tokens[i]`` just past the '('."""
     head = tokens[i] if i < len(tokens) else None
     if head == "date":
-        year = _read_int_in(tokens, i + 1, "year", 0, 9999)
-        month = _read_int_in(tokens, i + 2, "month", 1, 12)
-        day = _read_int_in(tokens, i + 3, "day", 1, 31)
-        value, i = SimpleDate(year, month, day), i + 4
+        y, m, d = tokens[i + 1:i + 4] if len(tokens) > i + 3 else ("", "", "")
+        if m in _MONTHS and d in _DAYS and len(y) <= 4 and y.isascii() and y.isdigit():
+            value = SimpleDate(int(y), _MONTHS[m], _DAYS[d])
+        else:  # any other spelling, and every fault, as _read_int_in reads them
+            value = SimpleDate(_read_int_in(tokens, i + 1, "year", 0, 9999),
+                               _read_int_in(tokens, i + 2, "month", 1, 12),
+                               _read_int_in(tokens, i + 3, "day", 1, 31))
+        i += 4
     elif head == "name":
         for j in range(i + 1, i + 5):
             if j == len(tokens) or tokens[j][0] != '"':
@@ -263,6 +277,11 @@ def _read_form(tokens: list[str], i: int) -> tuple[Datum, int]:
     if i == len(tokens) or tokens[i] != ")":
         raise expected(tokens, i, "')'")
     return value, i + 1
+
+
+# The month and day spellings that ``dumps`` writes, and their values.
+_MONTHS = {str(n): n for n in range(1, 13)}
+_DAYS = {str(n): n for n in range(1, 32)}
 
 
 def _read_int_in(tokens: list[str], i: int, what: str, lo: int, hi: int) -> int:

@@ -472,7 +472,7 @@ class WidgetRegistry:
         """A JSON-ready snapshot of locales and specs, in definition order."""
         tree, specs, _ = self._snapshot
         return {
-            "locales": [[loc, tree.parent(loc)] for loc in tree.locales()],
+            "locales": [[_exported(loc), _exported(tree.parent(loc))] for loc in tree.locales()],
             "widgets": [_spec_to_obj(spec) for spec in specs.values()],
         }
 
@@ -977,21 +977,29 @@ def _vexpr_from_obj(obj) -> ValidatorExpr:
     raise SchemaError(f"malformed validator expression: {obj!r}")
 
 
+def _exported(symbol: Optional[str]) -> Optional[str]:
+    """A canonical ``symbol`` as a workspace spells it, so that ``import_state``
+    reads it back as itself: ``normalize_symbol`` drops one leading ':', so
+    one that begins with ':' gets one more."""
+    return ":" + symbol if symbol is not None and symbol.startswith(":") else symbol
+
+
 def _spec_to_obj(spec: WidgetSpec) -> dict:
+    # a widget name and a table name are valid symbols, which never begin with ':'
     return {
         "name": spec.name,
-        "locale": spec.locale,
+        "locale": _exported(spec.locale),
         "max_index": spec.max_index,
         "table": spec.table,
-        "getter": spec.getter,
-        "setter": spec.setter,
-        "inputs": {m: [b.parser, _vexpr_to_obj(b.validator)]
+        "getter": _exported(spec.getter),
+        "setter": _exported(spec.setter),
+        "inputs": {_exported(m): [_exported(b.parser), _vexpr_to_obj(b.validator)]
                    for m, b in spec.inputs.items()},
-        "outputs": dict(spec.outputs),
-        "headings": dict(spec.headings),
+        "outputs": {_exported(m): _exported(f) for m, f in spec.outputs.items()},
+        "headings": {_exported(m): t for m, t in spec.headings.items()},
         "doc": spec.doc,
-        "datatype": spec.datatype,
-        "generator": spec.generator,
+        "datatype": _exported(spec.datatype),
+        "generator": _exported(spec.generator),
     }
 
 

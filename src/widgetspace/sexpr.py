@@ -5,8 +5,9 @@ all share one token alphabet: parens, brackets, double-quoted strings
 with ``\\"`` and ``\\\\`` escapes, integers, and bare atoms. ``;`` starts
 a comment running to end of line.
 
-One compiled pattern matches one token per match. Each match skips the
-whitespace and comments before its token, and its one group is the
+One compiled pattern is searched through the text, and it serves every
+scan. Whitespace is the only text it never matches, so a search skips
+it; a comment matches with no group; every other match's one group is a
 token's spelling, which fixes the token's kind and value
 (``classify``): a bracket is itself, a string starts with ``"``, and a run
 of atom characters is an integer if it reads as one and an atom
@@ -14,17 +15,18 @@ otherwise. A ``"`` that starts no well-formed string, or a lone ``\\``,
 is a fault, diagnosed where it stands.
 
 Every text is scanned without positions: ``tokenize`` is one ``findall``
-that returns the spellings, and a reader of spellings raises
+that returns the spellings (with the comments' empty groups dropped from a
+text that holds a ``;``), and a reader of spellings raises
 ``TokenError`` with the index of the token at fault. Schema text is read
 without a node tree: ``read_spans`` makes one pass over the spellings
 that checks their structure and records where each form ends, so a form,
 or any item in it, is just the index of its first token. Only when an
-error is raised is it placed: ``position`` runs the pattern again up to
-that token, and one helper turns its character index into a byte offset,
-line and column, as it does for a lexical fault and for the first byte
-that is not UTF-8. The byte offset counts a lone surrogate as the three
-bytes that ``surrogatepass`` encodes it to, so text that is not from a
-file can still be placed.
+error is raised is it placed: ``position`` searches the pattern again up
+to that token, skipping comments, and one helper turns its character
+index into a byte offset, line and column, as it does for a lexical
+fault and for the first byte that is not UTF-8. The byte offset counts a
+lone surrogate as the three bytes that ``surrogatepass`` encodes it to,
+so text that is not from a file can still be placed.
 
 Schema forms and datum sequences nest at most ``MAX_DEPTH`` deep, so no
 reader of the forms they make can exhaust Python's recursion. Integers
@@ -46,15 +48,13 @@ _SYMBOL_RE = re.compile(r"(?![0-9]+\Z)[a-z0-9][a-z0-9_-]*\Z")
 _STRING_BODY = r'[^"\\\x00-\x1f\x7f]*(?:\\["\\][^"\\\x00-\x1f\x7f]*)*'
 _STRING_BODY_RE = re.compile(_STRING_BODY)
 _UNESCAPE_RE = re.compile(r'\\(["\\])')
-# Every position matches one alternative after the skipped text, so the
-# scan never backtracks into it and consecutive matches tile the text.
-# A '"' that starts no well-formed string matches alone, and a lone '\'
-# as a run of atom characters: both are faults. The end of input matches
-# with an empty group, twice when whitespace or a comment ends the text,
-# since ``findall`` then tries the end once more.
-_TOKEN_RE = re.compile(rf"""
-    [ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*
-    (?:([()\[\]]|"{_STRING_BODY}"|[^ \t\r\n()\[\]";]+|")|\Z)""", re.VERBOSE)
+# The pattern is searched, not anchored: whitespace is the only text that
+# no alternative matches, so a search skips it by itself. A comment
+# matches without the group, which ``findall`` gives as an empty string;
+# a token matches with its spelling, which is never empty. A '"' that
+# starts no well-formed string matches alone, and a lone '\' as a run of
+# atom characters: both are faults.
+_TOKEN_RE = re.compile(rf';[^\n]*|([()\[\]]|"{_STRING_BODY}"|[^ \t\r\n()\[\]";]+|")')
 _FAULTS = ('"', "\\")  # the spellings that start no token
 
 # How deep schema forms and datum sequences may nest. ``read_spans``
@@ -140,7 +140,8 @@ def tokenize(text: str) -> list[str]:
     A fault raises SexprError at its position, before anything is read.
     """
     tokens = _TOKEN_RE.findall(text)
-    del tokens[tokens.index(""):]  # the end of input, matched once or twice
+    if ";" in text:  # there may be comments, which match with an empty group
+        tokens = [tok for tok in tokens if tok]
     if '"' in tokens or "\\" in tokens:
         for m in _TOKEN_RE.finditer(text):
             if m.group(1) in _FAULTS:
@@ -216,8 +217,8 @@ def expected(tokens: list[str], i: int, what: str) -> TokenError:
 def position(text: str, i: int) -> tuple[int, int, int]:
     """(byte offset, line, col) of token ``i`` of ``text``, or of the end of
     input when ``text`` has no token ``i``. Scans ``text`` again: for errors."""
-    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
-    return _at(text, len(text) if m is None or m.group(1) is None else m.start(1))
+    starts = (m.start(1) for m in _TOKEN_RE.finditer(text) if m.group(1) is not None)
+    return _at(text, next(islice(starts, i, None), len(text)))
 
 
 def _at(text: str, char: int) -> tuple[int, int, int]:

@@ -11,8 +11,11 @@ corrupt what a previous checkpoint saved.
 Table file format: line one is ``(table <name>)``, then one ``(<key>
 <datum>)`` pair per line, sorted by key, UTF-8, LF line endings. A table
 file or dump is read one line at a time, each line scanned once into token
-spellings without positions; the byte offset of a fault is computed only
-when one is found.
+spellings without positions (``sexpr.tokenize``) and each value read from
+them by ``datum.read_datum``; the byte offset of a fault is computed only
+when one is found. Only a line of four tokens whose second is ``table``
+is tried as a header, and a key spelled as a valid symbol, as the store
+writes every key, is taken as it is spelled.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .datum import UNINITIALIZED, Datum, dumps, is_uninitialized, read_datum, re
 from .errors import (CorruptTableError, IndexOutOfRangeError, StoreError,
                      WrongVariantError)
 from . import sexpr
-from .sexpr import (SexprError, TokenError, _at, classify, expected, is_valid_symbol,
-                    normalize_symbol, position, read_source)
+from .sexpr import (_SYMBOL_RE, SexprError, TokenError, _at, classify, expected,
+                    is_valid_symbol, normalize_symbol, position, read_source)
 
 _SUFFIX = ".tbl"
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -301,10 +304,8 @@ def _fsync_dir(directory: Path) -> None:
 
 
 def _render_table(name: str, entries: dict[str, Datum]) -> str:
-    lines = [f"(table {name})"]
-    for key in sorted(entries):
-        lines.append(f"({key} {dumps(entries[key])})")
-    return "\n".join(lines) + "\n"
+    return "".join([f"(table {name})\n"]
+                   + [f"({key} {dumps(entries[key])})\n" for key in sorted(entries)])
 
 
 def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
@@ -326,7 +327,9 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
             try:
                 # sexpr.tokenize is looked up at each call so that it can be wrapped
                 tokens = sexpr.tokenize(line)
-                name = _header_name(tokens)
+                # the cheap half of _header_name's test first: most lines are pairs
+                name = (_header_name(tokens) if len(tokens) == 4 and tokens[1] == "table"
+                        else None)
                 if name is not None:
                     if name in tables:
                         raise corrupt(f"table '{name}' declared twice")
@@ -366,11 +369,13 @@ def _parse_pair(tokens: list[str]) -> tuple[str, Datum]:
         raise expected(tokens, 0, "'('")
     if len(tokens) == 1:
         raise expected(tokens, 1, "a key symbol")
-    key = normalize_symbol(tokens[1])
-    if not is_valid_symbol(key):  # as a string or an integer never is
-        if classify(tokens[1], 1)[0] != "atom":
-            raise expected(tokens, 1, "a key symbol")
-        raise TokenError(f"invalid key '{key}'", 1)
+    key = tokens[1]
+    if _SYMBOL_RE.match(key) is None:  # a valid symbol is already canonical
+        key = normalize_symbol(key)
+        if not is_valid_symbol(key):  # as a string or an integer never is
+            if classify(tokens[1], 1)[0] != "atom":
+                raise expected(tokens, 1, "a key symbol")
+            raise TokenError(f"invalid key '{key}'", 1)
     value, i = read_datum(tokens, 2)
     if i == len(tokens) or tokens[i] != ")":
         raise expected(tokens, i, "')'")

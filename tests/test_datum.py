@@ -3,7 +3,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from widgetspace import (
     UNINITIALIZED, MalformedEncodingError, PersonName, SimpleDate, Uninitialized,
@@ -11,7 +11,8 @@ from widgetspace import (
     require_valid, serialize,
 )
 from widgetspace import sexpr
-from widgetspace.datum import MAX_DEPTH
+from widgetspace.datum import MAX_DEPTH, Datum, _quote
+from widgetspace.sexpr import int_text
 
 storable_text = st.text(
     alphabet=st.characters(min_codepoint=0x20, exclude_characters="\x7f",
@@ -86,6 +87,25 @@ class TestConstruction:
             SimpleDate("2010", 7, 4)
         with pytest.raises(TypeError):
             SimpleDate(2010, True, 4)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("field", ["year", "month", "day"])
+    def test_date_field_type_errors(self, field, bad):
+        fields = {"year": 2010, "month": 7, "day": 4, field: bad}
+        with pytest.raises(TypeError) as exc:
+            SimpleDate(**fields)
+        assert str(exc.value) == f"{field} must be an integer, got {bad!r}"
+
+    def test_date_names_the_first_field_of_the_wrong_type(self):
+        with pytest.raises(TypeError, match=r"^year must be an integer, got 2\.0$"):
+            SimpleDate(2.0, "7", True)
+
+    def test_date_accepts_an_int_subclass(self):
+        d = SimpleDate(Count(2010), Count(7), Count(4))
+        assert d == SimpleDate(2010, 7, 4)
+        assert dumps(d) == "(date 2010 7 4)"
+        with pytest.raises(ValueError, match="^month out of range: 13$"):
+            SimpleDate(Count(2010), Count(13), Count(4))
 
     def test_date_is_frozen(self):
         d = SimpleDate(2010, 7, 4)
@@ -181,6 +201,71 @@ class TestDumps:
     def test_serialize_validates(self):
         with pytest.raises(ValueError):
             serialize("a\nb")
+
+
+def ref_dumps(d: Datum) -> str:
+    """``datum.dumps`` as it was before it tested the common variants by
+    exact type first; kept verbatim apart from its name."""
+    if isinstance(d, Uninitialized):
+        return "#uninit"
+    if isinstance(d, bool):
+        raise TypeError("booleans are not datum values")
+    if isinstance(d, int):
+        return int_text(d)
+    if isinstance(d, str):
+        return _quote(d)
+    if isinstance(d, SimpleDate):
+        return f"(date {d.year} {d.month} {d.day})"
+    if isinstance(d, PersonName):
+        parts = " ".join(_quote(p) for p in (d.last, d.first, d.middle, d.suffix))
+        return f"(name {parts})"
+    if isinstance(d, tuple):
+        return "[" + " ".join(ref_dumps(item) for item in d) + "]"
+    raise TypeError(f"not a datum value: {d!r}")
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Day(SimpleDate):
+    pass
+
+
+class Items(tuple):
+    pass
+
+
+# every datum variant, subclasses of the types ``dumps`` tests exactly, and
+# values it refuses, at any depth of sequence
+dumpable = st.recursive(
+    st.one_of(leaf, st.booleans(), st.floats(allow_nan=False), storable_text.map(Text),
+              st.integers().map(Count), st.integers(10 ** 700, 10 ** 800),
+              st.builds(Day, year=st.integers(0, 9999), month=st.integers(1, 12),
+                        day=st.integers(1, 31))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4).map(tuple),
+                            st.lists(inner, max_size=4).map(Items)),
+    max_leaves=16)
+
+
+def _dumped(dumps, value):
+    try:
+        return ("text", dumps(value))
+    except TypeError as e:
+        return ("error", str(e))
+
+
+@settings(max_examples=500)
+@given(dumpable)
+@example(True)
+@example((1, (False,)))
+@example(Items((Text('a"b'), Count(3), Day(2010, 7, 4))))
+def test_dumps_matches_reference(value):
+    assert _dumped(dumps, value) == _dumped(ref_dumps, value)
 
 
 class TestLoads:

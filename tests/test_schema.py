@@ -333,18 +333,20 @@ widget_clause = st.one_of(
     _clause("getter", ["person-name-from-fields", "ghost"]),
     _clause("setter", ["person-name-to-fields", "ghost.x"]),
     _clause("generator", ["gen-date-fbi", "ghost"]),
-    _clause("type", ["date", "a.b"]),
+    _clause("type", ["date", "a.b", "::date"]),
     _clause("doc", ['"Some text."', "undocumented"]),
-    _clause("heading", ['(m "M" default "D")', "(m)"]),
-    _clause("output", ["((m identity) (n format-date-fbi))", "((m ghost))", "()"]),
+    _clause("heading", ['(m "M" default "D")', "(m)", '(::m "M")']),
+    _clause("output", ["((m identity) (n format-date-fbi))", "((m ghost))", "()",
+                       "((::m identity) (:n identity))"]),
     _clause("input", ["((m identity numeric))", "((m parse-ghost numeric))",
+                      "((::m identity numeric))",
                       '((m identity (or (length 1 3) (not required "absent") "bad")))',
                       "((m identity (length 3)))", "((m identity ghost))"]),
 )
 widget_form = st.builds(
     "(widget {} {} {})".format,
     st.sampled_from(["w", "W", ":v", "x-1", "a.b", "12"]),
-    st.sampled_from(["root", "mid", "ghost"]),
+    st.sampled_from(["root", "mid", "ghost", "::mid"]),
     st.lists(widget_clause, max_size=4).map(" ".join))
 
 
@@ -365,6 +367,21 @@ class TestWorkspaceRoundTrip:
             load(PRELUDE + form, filename="s.scm")
         assert str(exc.value) == message
         assert (exc.value.filename, exc.value.line) == ("s.scm", 3)
+
+    def test_double_colon_symbols(self):
+        # normalization drops one leading ':', so '::html' loads as ':html'
+        registry, _ = load(PRELUDE + "(widget w mid :table t :type ::date"
+                           " :output ((::html identity)) :heading (::card \"C\")"
+                           " :input ((::html identity required)))\n"
+                           "(widget v root :table t :output ((:html identity)))")
+        state = json.loads(json.dumps(registry.export_state()))
+        clone = WidgetRegistry()
+        clone.import_state(state)
+        assert clone.export_state() == registry.export_state()
+        spec = clone.spec_at("w", "mid")
+        assert (spec.datatype, spec.outputs) == (":date", {":html": "identity"})
+        assert (list(spec.inputs), spec.headings) == ([":html"], {":card": "C"})
+        assert clone.spec_at("v", "root").outputs == {"html": "identity"}
 
     @settings(max_examples=300)
     @given(st.lists(widget_form, min_size=1, max_size=3))

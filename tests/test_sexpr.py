@@ -732,10 +732,15 @@ def test_loads_matches_reference(text):
 
 
 TABLE_NAMES = ["t", "u", "T", "table", "a-b", "9", "x y", "é"]
-KEYS = ["k", "K", "j", ":k", "table", "a_1", "9", "k-é", "(", '"k"']
+KEYS = ["k", "K", "j", ":k", "table", "a_1", "9", "k-é", "(", '"k"', "KEY", ":key", "::key"]
 DATA = ["1", "-2", "007", '"é€"', '"a\\"b"', '"\\\\"', "#uninit", "(date 2020 1 2)",
         "(date 2020 13 2)", "(date 2020 1)", '(name "a" "é" "" "d")', '(name "a")',
-        '[1 [2] "x"]', "[1 2", "#other", "(bogus)", "", '"open', '"bad\\q"', "\\"]
+        '[1 [2] "x"]', "[1 2", "#other", "(bogus)", "", '"open', '"bad\\q"', "\\",
+        "(date 0 1 1)", "(date 9999 12 31)", "(date 10000 1 1)", "(date 2020 0 1)",
+        "(date 2020 12 1)", "(date 2020 1 0)", "(date 2020 1 31)", "(date 2020 1 32)",
+        "(date 012 012 031)", "(date 0 01 1)", "(date -1 1 1)", "(date -0 1 1)",
+        "(date 12345 1 1)", "(date 02020 1 1)", "(date 2020 1 2 3)", "(date 2020 1 x)",
+        "(date 2020 1 2", "(date 2020 1 2]", "(date ٢٠٢٠ 1 2)", "(date 2020 ² 2)"]
 
 table_line = st.one_of(
     st.builds("(table {})".format, st.sampled_from(TABLE_NAMES)),
@@ -761,6 +766,14 @@ def _tables(parse, text):
 @given(table_text)
 def test_parse_tables_matches_reference(text):
     assert _tables(store._parse_tables, text) == _tables(ref_parse_tables, text)
+
+
+def test_each_entry_parses_like_the_reference():
+    # every key with every datum, which the drawn tables above reach only by chance
+    for key, data in itertools.product(KEYS, DATA):
+        text = f"(table t)\n({key} {data})\n"
+        assert _tables(store._parse_tables, text) == _tables(ref_parse_tables, text), text
+        assert _loaded(datum.loads, data) == _loaded(ref_loads, data), data
 
 
 FIXTURE_LINES = [path.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -1,7 +1,9 @@
 """Persistent KV store: absence semantics, durability, file format, fault paths."""
 
 import os
+import random
 import stat
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -13,6 +15,7 @@ from widgetspace import (
     UNINITIALIZED, CorruptTableError, Database, IndexOutOfRangeError, PersonName,
     SimpleDate, StoreError, WrongVariantError, dumps, is_uninitialized, store,
 )
+from widgetspace import datum, sexpr
 from widgetspace.datum import MAX_DEPTH
 
 keys = st.from_regex(r"[a-z0-9][a-z0-9_-]{0,10}", fullmatch=True).filter(
@@ -466,6 +469,58 @@ class TestFileFormat:
         root.mkdir()
         (root / "t.tbl").write_bytes(f"(table t)\n{blank}\n(k 1)\n{blank}".encode())
         assert Database(root).get("t", "k") == 1
+
+
+def _generated_value(rng, depth=0):
+    """One datum of a mix like a generated catalog's: mostly text, some dates
+    and sequences, and every other variant."""
+    kind = rng.choice("sssssddqinu" if depth < 2 else "sssddinu")
+    if kind == "s":
+        return "".join(rng.choice('ab Zé€"\\') for _ in range(rng.randrange(12)))
+    if kind == "d":
+        return SimpleDate(rng.choice([0, 9999, rng.randrange(10000)]),
+                          rng.randrange(1, 13), rng.randrange(1, 32))
+    if kind == "q":
+        return tuple(_generated_value(rng, depth + 1) for _ in range(rng.randrange(4)))
+    if kind == "i":
+        return rng.choice([0, -7, 10 ** 700 + 1, rng.randrange(-10 ** 9, 10 ** 9)])
+    if kind == "n":
+        return PersonName("Doe", "Jo", rng.choice(["", "Q"]), "")
+    return UNINITIALIZED
+
+
+class TestColdOpenCalls:
+    """What a traced benchmark run counts, pinned in process: a cold open
+    tokenizes each nonblank line once and reads each entry's value once."""
+
+    def test_each_line_tokenized_and_each_value_read_once(self, tmp_path, monkeypatch):
+        rng = random.Random(1013)
+        entries = {f"k{i:04d}": _generated_value(rng) for i in range(1000)}
+        db = Database(tmp_path / "db")
+        for key, value in entries.items():
+            db.put("t", key, value)
+        db.checkpoint()
+        path = tmp_path / "db" / "t.tbl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        path.write_text("\n\n".join(lines[:500]) + "\n \n" + "\n".join(lines[500:]),
+                        encoding="utf-8")
+
+        calls = {"sexpr.tokenize": 0, "datum.read_datum": 0}
+        for name, original in [("sexpr.tokenize", sexpr.tokenize),
+                               ("datum.read_datum", datum.read_datum)]:
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            # wherever a module of the package holds the name, as the tracer wraps it
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "widgetspace":
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counting)
+
+        assert dict(Database(tmp_path / "db").items("t")) == entries
+        assert calls == {"sexpr.tokenize": 1001, "datum.read_datum": 1000}
 
 
 class TestCorruption:
