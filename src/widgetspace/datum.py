@@ -156,12 +156,11 @@ def _require_printable(s: str) -> None:
 
 def dumps(d: Datum) -> str:
     """Render a datum in the dump grammar. Deterministic."""
-    kind = type(d)  # the common variants first; any other type, a subclass too, below
-    if kind is str:
+    if isinstance(d, str):  # the common variants first
         return _quote(d)
-    if kind is SimpleDate:
+    if isinstance(d, SimpleDate):
         return f"(date {d.year} {d.month} {d.day})"
-    if kind is tuple:
+    if isinstance(d, tuple):
         return "[" + " ".join([dumps(item) for item in d]) + "]"
     if isinstance(d, Uninitialized):
         return "#uninit"
@@ -169,15 +168,9 @@ def dumps(d: Datum) -> str:
         raise TypeError("booleans are not datum values")
     if isinstance(d, int):
         return int_text(d)
-    if isinstance(d, str):
-        return _quote(d)
-    if isinstance(d, SimpleDate):
-        return f"(date {d.year} {d.month} {d.day})"
     if isinstance(d, PersonName):
         parts = " ".join(_quote(p) for p in (d.last, d.first, d.middle, d.suffix))
         return f"(name {parts})"
-    if isinstance(d, tuple):
-        return "[" + " ".join(dumps(item) for item in d) + "]"
     raise TypeError(f"not a datum value: {d!r}")
 
 
@@ -223,9 +216,7 @@ def read_datum(tokens: list[str], i: int) -> tuple[Datum, int]:
         tok = tokens[i]
         first = tok[0]
         if first == '"':
-            value = tok[1:-1]
-            if "\\" in value:
-                value = unquote(tok)
+            value = unquote(tok)
             i += 1
         elif first == "(":
             value, i = _read_form(tokens, i + 1)

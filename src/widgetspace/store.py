@@ -13,9 +13,8 @@ Table file format: line one is ``(table <name>)``, then one ``(<key>
 file or dump is read one line at a time, each line scanned once into token
 spellings without positions (``sexpr.tokenize``) and each value read from
 them by ``datum.read_datum``; the byte offset of a fault is computed only
-when one is found. Only a line of four tokens whose second is ``table``
-is tried as a header, and a key spelled as a valid symbol, as the store
-writes every key, is taken as it is spelled.
+when one is found. A key spelled as a valid symbol, as the store writes
+every key, is taken as it is spelled.
 """
 
 from __future__ import annotations
@@ -327,9 +326,15 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
             try:
                 # sexpr.tokenize is looked up at each call so that it can be wrapped
                 tokens = sexpr.tokenize(line)
-                # the cheap half of _header_name's test first: most lines are pairs
-                name = (_header_name(tokens) if len(tokens) == 4 and tokens[1] == "table"
-                        else None)
+                # a header has exactly the shape '(table <symbol>)'; any other
+                # line, a pair whose key is 'table' too, is read as a pair
+                name = None
+                if (len(tokens) == 4 and tokens[1] == "table" and tokens[0] == "("
+                        and tokens[3] == ")"):
+                    # a string or integer never normalizes to a valid symbol
+                    name = normalize_symbol(tokens[2])
+                    if not is_valid_symbol(name):
+                        name = None
                 if name is not None:
                     if name in tables:
                         raise corrupt(f"table '{name}' declared twice")
@@ -347,21 +352,6 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
                 raise corrupt(str(e), position(line, e.index)[0]) from None
         start += len(line) + 1
     return tables
-
-
-def _header_name(tokens: list[str]) -> str | None:
-    """The table name iff the line's tokens have exactly the shape '(table <symbol>)'.
-
-    Anything else, including entry pairs whose key happens to be
-    'table', falls through to the pair parser.
-    """
-    if (len(tokens) == 4 and tokens[0] == "(" and tokens[3] == ")"
-            and tokens[1] == "table"):
-        # a string or integer never normalizes to a valid symbol
-        name = normalize_symbol(tokens[2])
-        if is_valid_symbol(name):
-            return name
-    return None
 
 
 def _parse_pair(tokens: list[str]) -> tuple[str, Datum]:

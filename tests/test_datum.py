@@ -204,8 +204,8 @@ class TestDumps:
 
 
 def ref_dumps(d: Datum) -> str:
-    """``datum.dumps`` as it was before it tested the common variants by
-    exact type first; kept verbatim apart from its name."""
+    """``datum.dumps`` as it was before it tested ``str``, ``SimpleDate`` and
+    ``tuple`` first; kept verbatim apart from its name."""
     if isinstance(d, Uninitialized):
         return "#uninit"
     if isinstance(d, bool):
@@ -240,7 +240,7 @@ class Items(tuple):
     pass
 
 
-# every datum variant, subclasses of the types ``dumps`` tests exactly, and
+# every datum variant, subclasses of the types ``dumps`` tests first, and
 # values it refuses, at any depth of sequence
 dumpable = st.recursive(
     st.one_of(leaf, st.booleans(), st.floats(allow_nan=False), storable_text.map(Text),
