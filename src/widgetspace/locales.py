@@ -23,6 +23,10 @@ T = TypeVar("T")
 class LocaleTree:
     """Parent-pointer tree. Symbols are case-insensitive, stored lowercase.
 
+    Each method normalizes a locale as its caller spells it, once. ``add``
+    refuses one spelled ``::x``, whose canonical spelling begins with ':', so
+    a second normalization leaves every key as it is.
+
     ``add`` checks everything before it changes anything, so a rejected
     add leaves the tree as it was. It then sets one key of the parent map
     in place. Readers take no lock, so a tree that readers share must not
@@ -45,6 +49,8 @@ class LocaleTree:
         parent = normalize_symbol(parent) if parent is not None else None
         if not child:
             raise InvalidSpecError("locale symbol must be non-empty")
+        if child.startswith(":"):
+            raise InvalidSpecError(f"locale symbol ':{child}' begins with more than one ':'")
         with self._lock:
             parents = self._parents
             if child in parents and not replace:
@@ -84,26 +90,24 @@ class LocaleTree:
         """All locales in insertion order."""
         return list(self._parents)
 
-    def parent(self, locale: str) -> Optional[str]:
-        parents = self._parents
+    def _known(self, locale: str) -> str:
+        """The canonical spelling of ``locale``, which must be in the tree."""
         locale = normalize_symbol(locale)
-        if locale not in parents:
+        if locale not in self._parents:
             raise UnknownLocaleError(f"unknown locale '{locale}'")
-        return parents[locale]
+        return locale
+
+    def parent(self, locale: str) -> Optional[str]:
+        return self._parents[self._known(locale)]
 
     def children(self, locale: str) -> list[str]:
-        locale = normalize_symbol(locale)
-        parents = self._parents
-        if locale not in parents:
-            raise UnknownLocaleError(f"unknown locale '{locale}'")
-        return [child for child, p in parents.items() if p == locale]
+        locale = self._known(locale)
+        return [child for child, p in self._parents.items() if p == locale]
 
     def ancestry(self, locale: str) -> list[str]:
         """The chain from ``locale`` up to and including the root."""
         parents = self._parents
-        locale = normalize_symbol(locale)
-        if locale not in parents:
-            raise UnknownLocaleError(f"unknown locale '{locale}'")
+        locale = self._known(locale)
         chain = []
         cur: Optional[str] = locale
         while cur is not None:

@@ -25,6 +25,10 @@ Schema files are s-expressions::
       :input ((<medium> <parser> <vexpr>) ...)
       :output ((<medium> <formatter>) ...))
 
+A symbol is normalized once, where it enters, and never again: ``normalize_symbol``
+drops one leading ':'. Plans resolve from the caller's spelling, the locale form
+hands its spellings to ``LocaleTree.add``, and no locale may begin with ':'.
+
 A load is all-or-nothing: any error leaves the registry untouched. Within
 one load, each distinct ``:input``, ``:output`` and ``:heading`` clause is
 parsed once, and specs that spell it alike share its parsed bindings. An
@@ -219,7 +223,8 @@ class WidgetRegistry:
         if not (isinstance(spec.name, str) and is_valid_symbol(spec.name)):
             raise _placed(InvalidSpecError(f"invalid widget name '{spec.name}'"),
                           source, "name")
-        if not (isinstance(spec.locale, str) and spec.locale in tree):
+        if not (isinstance(spec.locale, str) and not spec.locale.startswith(":")
+                and spec.locale in tree):
             raise _placed(UnknownLocaleError(f"unknown locale '{spec.locale}'"),
                           source, "locale")
         if isinstance(spec.max_index, bool) or not isinstance(spec.max_index, int):
@@ -363,7 +368,9 @@ class WidgetRegistry:
 
         Plans are keyed by canonical spelling, and a medium that no spec
         declares uses the ``default`` plan, so the memo stays bounded by
-        the schema. A failed storage walk raises and memoizes nothing.
+        the schema. The walks get the caller's own spelling to normalize; an
+        undeclared medium resolves as ``default`` does. A failed storage walk
+        raises and memoizes nothing.
         """
         name, locale, medium = (_canonical(coord.name), _canonical(coord.locale),
                                 _canonical(coord.medium))
@@ -379,8 +386,8 @@ class WidgetRegistry:
                 spec = _storage_spec(snapshot, coord.name, coord.locale)
                 get, put = _table_accessors(spec.table, spec.max_index)
                 plan = (spec.max_index, spec.getter or get, spec.setter or put,
-                        _or_none(self.resolve_formatter, *key),
-                        _or_none(self.resolve_parser, *key),
+                        _or_none(self.resolve_formatter, coord.name, coord.locale, coord.medium),
+                        _or_none(self.resolve_parser, coord.name, coord.locale, coord.medium),
                         ValidatorContext(*key))
                 if self._snapshot is not snapshot:
                     continue  # a load published meanwhile: plan against the new snapshot
@@ -472,7 +479,7 @@ class WidgetRegistry:
         """A JSON-ready snapshot of locales and specs, in definition order."""
         tree, specs, _ = self._snapshot
         return {
-            "locales": [[_exported(loc), _exported(tree.parent(loc))] for loc in tree.locales()],
+            "locales": [[loc, tree.parent(loc)] for loc in tree.locales()],
             "widgets": [_spec_to_obj(spec) for spec in specs.values()],
         }
 
@@ -636,26 +643,10 @@ def _table_accessors(table: Optional[str], max_index: int):
 
 def _normalized(spec: WidgetSpec) -> WidgetSpec:
     """``spec`` with its symbols in canonical spelling; unchanged if one is not a string."""
-    def sym(v):
-        return normalize_symbol(v) if v is not None else None
-
     try:
-        return WidgetSpec(
-            name=normalize_symbol(spec.name),
-            locale=normalize_symbol(spec.locale),
-            max_index=spec.max_index,
-            table=sym(spec.table),
-            getter=sym(spec.getter),
-            setter=sym(spec.setter),
-            inputs={normalize_symbol(m): InputBinding(normalize_symbol(b.parser), b.validator)
-                    for m, b in spec.inputs.items()},
-            outputs={normalize_symbol(m): normalize_symbol(f)
-                     for m, f in spec.outputs.items()},
-            headings={normalize_symbol(m): t for m, t in spec.headings.items()},
-            doc=spec.doc,
-            datatype=sym(spec.datatype),
-            generator=sym(spec.generator),
-        )
+        return _spec_of(vars(spec), normalize_symbol, lambda inputs: {
+            normalize_symbol(m): InputBinding(normalize_symbol(b.parser), b.validator)
+            for m, b in inputs.items()})
     except AttributeError:  # a symbol is not a string, which _install rejects
         return spec
 
@@ -716,12 +707,13 @@ class _Shared:
     def inputs_of(self, value) -> dict:
         """A copy of the medium map an exported ``inputs`` value describes, built once.
 
-        Equal ``marshal`` bytes decode to equal values of the same types, so
-        a hit is never false. A value marshal refuses (a subclass of ``str``
-        or ``int``, say) is built afresh.
+        Equal ``marshal`` bytes decode to equal values of the same types, so a
+        hit is never false; format 2 writes no back-references, so the bytes do
+        not depend on reference counts. A value marshal refuses (a subclass of
+        ``str`` or ``int``, say) is built afresh.
         """
         try:
-            key = marshal.dumps(value)
+            key = marshal.dumps(value, 2)
         except ValueError:
             return _inputs_of(value, self.symbol)
         entries = self.inputs.get(key)
@@ -775,10 +767,13 @@ class _FormReader:
             raise TokenError("form must start with a symbol", form)
         return normalize_symbol(self.tokens[form + 1])
 
-    def symbol(self, i: int, what: str) -> str:
+    def spelling(self, i: int, what: str) -> str:
         if not self.is_symbol(i):
             raise TokenError(f"expected {what} (a symbol)", i)
-        return self.shared.symbol(self.tokens[i])
+        return self.tokens[i]
+
+    def symbol(self, i: int, what: str) -> str:
+        return self.shared.symbol(self.spelling(i, what))
 
     def literal(self, i: int, kind: str, what: str):
         """The value of a ``kind`` token, "string" or "int"."""
@@ -794,16 +789,16 @@ class _FormReader:
         return self.items(i)
 
     def locale_form(self, form: int) -> tuple[str, Optional[str]]:
-        """The locale a locale form names, and its parent (None for 'none')."""
+        """The locale a locale form names and its parent (None for 'none'), as spelled."""
         items = self.items(form)
         if len(items) != 4:
             raise TokenError("locale form is (locale <name> :parent <name>|none)", form)
-        child = self.symbol(items[1], "a locale name")
+        child = self.spelling(items[1], "a locale name")
         keyword = self.symbol(items[2], "':parent'")
         if keyword != "parent" or not self.tokens[items[2]].startswith(":"):
             raise TokenError("expected ':parent'", items[2])
-        parent = self.symbol(items[3], "a parent locale or 'none'")
-        return child, None if parent == "none" else parent
+        parent = self.spelling(items[3], "a parent locale or 'none'")
+        return child, None if normalize_symbol(parent) == "none" else parent
 
     def widget_form(self, form: int) -> tuple[WidgetSpec, dict]:
         """The spec a widget form spells, and the node that spelled each part of it.
@@ -985,10 +980,10 @@ def _exported(symbol: Optional[str]) -> Optional[str]:
 
 
 def _spec_to_obj(spec: WidgetSpec) -> dict:
-    # a widget name and a table name are valid symbols, which never begin with ':'
+    # widget and table names are valid symbols, and no locale begins with ':'
     return {
         "name": spec.name,
-        "locale": _exported(spec.locale),
+        "locale": spec.locale,
         "max_index": spec.max_index,
         "table": spec.table,
         "getter": _exported(spec.getter),

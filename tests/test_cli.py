@@ -275,6 +275,15 @@ class TestLocales:
         assert "malformed registry state" in err
         assert "Traceback" not in err
 
+    def test_double_colon_locale_in_workspace_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.ws"
+        bad.write_text(json.dumps({"version": 1, "state": {
+            "locales": [["root", None], ["::x", "root"]], "widgets": []}}))
+        for args in (["locales"], ["locales", "--tree"]):
+            code, out, err = run_cli([*args, "--workspace", str(bad)], cwd=tmp_path)
+            assert (code, out) == (2, "")
+            assert err == "error: locale symbol '::x' begins with more than one ':'\n"
+
     def test_wrong_version_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ws"
         bad.write_text(json.dumps({"version": 99, "state": {}}))

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
     DuplicateLocaleError, InvalidSpecError, LocaleCycleError, LocaleTree,
-    NO_HANDLER_MESSAGE, ResolutionError, UnknownLocaleError, UnknownParentError,
+    NO_HANDLER_MESSAGE, ResolutionError, SchemaError, UnknownLocaleError, UnknownParentError,
 )
+from widgetspace.sexpr import normalize_symbol
 
 
 def sample_tree():
@@ -210,3 +212,32 @@ class TestCopyAdopt:
         c.add("nova-scotia", "common")
         assert "nova-scotia" in c
         assert "nova-scotia" not in t
+
+
+SPELLINGS = ["x", "X", ":x", "::x", "::X", "y", ":Y", "::y"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SPELLINGS), st.sampled_from(["root", *SPELLINGS])),
+                max_size=8))
+def test_every_locale_is_found_by_its_own_key(adds):
+    """A key of the tree is canonical, so every lookup of it finds it."""
+    t = LocaleTree()
+    t.add("root")
+    for child, parent in adds:
+        try:
+            t.add(child, parent)
+        except SchemaError:  # a duplicate, an unknown parent, or a spelling '::x'
+            pass
+    for locale in t.locales():
+        assert normalize_symbol(locale) == locale
+        assert t.parent(locale) in (None, *t.locales())
+        assert t.ancestry(locale)[0] == locale
+
+
+def test_a_locale_spelled_with_two_colons_is_refused():
+    t = sample_tree()
+    for spelling in ("::x", "::Colorado"):
+        with pytest.raises(InvalidSpecError, match="begins with more than one ':'"):
+            t.add(spelling, "common")
+    assert ":colorado" not in t.locales() and len(t) == 8

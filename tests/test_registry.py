@@ -932,6 +932,17 @@ class TestSharedImport:
         assert second.spec_at("extra", "root").inputs["m"] is not \
             second.spec_at("w0", "root").inputs["m"]
 
+    def test_a_live_import_does_not_change_the_keys_of_the_next(self, monkeypatch):
+        checked = _counting_checks(monkeypatch)
+        state = _shared_import_state(self.INPUTS)  # its strings are objects of their own
+        first = WidgetRegistry()
+        first.import_state(state)
+        assert len(checked) == self.BASES
+        second = WidgetRegistry()
+        second.import_state(state)  # while ``first`` holds strings of widget 0's map
+        assert len(checked) == 2 * self.BASES
+        assert first.export_state() == second.export_state()
+
     def test_every_spelling_of_a_symbol_is_one_string(self):
         spellings = ["root", "ROOT", ":root", ":Root"]
         state = {"locales": [["root", None]], "widgets": [
@@ -1006,6 +1017,63 @@ class TestDoubleColonSpellings:
         reg.import_state(copy.deepcopy(state))
         self._check(reg)
         assert _import_outcome(WidgetRegistry, state) == _import_outcome(ReferenceRegistry, state)
+
+
+class TestNormalizedOnce:
+    """A symbol is normalized once, where it enters the program; a canonical
+    symbol the registry holds is never normalized again, so ``::x`` names one
+    thing whichever path reads it."""
+
+    def test_a_double_colon_medium_plan_memoizes_its_formatter_and_binding(
+            self, tmp_path, monkeypatch):
+        reg = tiny_registry()
+        reg.load_schema("(widget w root :table t :input ((::html identity required))"
+                        " :output ((::html string-upcase)))")
+        calls = []
+        resolve_formatter = WidgetRegistry.resolve_formatter
+
+        def counting(registry, *args):
+            calls.append(args)
+            return resolve_formatter(registry, *args)
+
+        monkeypatch.setattr(WidgetRegistry, "resolve_formatter", counting)
+        db = Database(tmp_path / "db")
+        at = WidgetCoord("w", "leaf", "::html")
+        for text in ("a", "b", "c"):
+            assert reg.parse_and_set(db, at, text) == text
+            assert reg.get_and_format(db, at) == text.upper()
+        plan = reg._snapshot[2][("w", "leaf", ":html")]
+        assert plan[3:5] == ("string-upcase", InputBinding("identity", Base("required")))
+        assert len(calls) == 1
+
+    def test_a_double_colon_locale_form_is_refused_at_the_form(self):
+        reg = tiny_registry()
+        with pytest.raises(InvalidSpecError) as e:
+            reg.load_schema("(locale y :parent root)\n  (locale ::x :parent root)\n",
+                            filename="s.scm")
+        assert (e.value.filename, e.value.line, e.value.col) == ("s.scm", 2, 3)
+        assert str(e.value).endswith("locale symbol '::x' begins with more than one ':'")
+        assert "x" not in reg.locales
+
+    def test_a_double_colon_widget_locale_is_unknown_at_the_locale_node(self):
+        reg = tiny_registry()
+        with pytest.raises(UnknownLocaleError) as e:
+            reg.load_schema("(locale x :parent root)\n(widget w ::x :table t)\n",
+                            filename="s.scm")
+        assert (e.value.filename, e.value.line, e.value.col) == ("s.scm", 2, 11)
+        assert str(e.value).endswith("unknown locale ':x'")
+
+    def test_define_widget_and_import_refuse_a_double_colon_locale(self):
+        reg = tiny_registry()
+        with pytest.raises(UnknownLocaleError, match="^unknown locale ':mid'$"):
+            reg.define_widget(WidgetSpec(name="w", locale="::mid", table="t"))
+        state = reg.export_state()
+        state["widgets"] = [{"name": "w", "locale": "::mid", "max_index": 1, "table": "t"}]
+        with pytest.raises(UnknownLocaleError, match="^unknown locale ':mid'$"):
+            WidgetRegistry().import_state(state)
+        state = {"locales": [["root", None], ["::x", "root"]], "widgets": []}
+        with pytest.raises(InvalidSpecError, match="^locale symbol '::x' begins"):
+            WidgetRegistry().import_state(state)
 
 
 # -- the unshared import, kept as the reference for the shared one ---------------
