@@ -106,26 +106,30 @@ def maybe_or_default(d: Datum, fallback):
     return fallback if is_uninitialized(d) else d
 
 
+class UnstorableError(ValueError):
+    """A value of a datum variant that the dump format cannot hold."""
+
+
 def require_valid(d: Datum, depth: int = 0) -> None:
     """Reject values outside the datum universe.
 
     Text is limited to printable characters plus space, integers to
     ``MAX_INT_DIGITS`` digits, and sequences nest at most ``MAX_DEPTH``
     deep, so every datum survives the line-oriented dump format and reads
-    back. ``depth`` counts the sequences around ``d``.
+    back. ``depth`` counts the sequences around ``d``. A value of no datum
+    variant raises TypeError; one the format cannot hold, UnstorableError.
     """
-    if isinstance(d, Uninitialized):
+    if isinstance(d, str):  # the common variants first
+        _require_printable(d)
+        return
+    if isinstance(d, (SimpleDate, Uninitialized)):
         return
     if isinstance(d, bool):
         raise TypeError("booleans are not datum values")
     if isinstance(d, int):
         if not -_INT_BOUND < d < _INT_BOUND:
-            raise ValueError(f"integers of more than {MAX_INT_DIGITS} digits are not storable")
-        return
-    if isinstance(d, str):
-        _require_printable(d)
-        return
-    if isinstance(d, SimpleDate):
+            raise UnstorableError(
+                f"integers of more than {MAX_INT_DIGITS} digits are not storable")
         return
     if isinstance(d, PersonName):
         for part in (d.last, d.first, d.middle, d.suffix):
@@ -133,7 +137,7 @@ def require_valid(d: Datum, depth: int = 0) -> None:
         return
     if isinstance(d, tuple):
         if depth == MAX_DEPTH:
-            raise ValueError(f"sequences nested deeper than {MAX_DEPTH} are not storable")
+            raise UnstorableError(f"sequences nested deeper than {MAX_DEPTH} are not storable")
         for item in d:
             require_valid(item, depth + 1)
         return
@@ -145,13 +149,15 @@ _UNSTORABLE = re.compile("[\x00-\x1f\x7f\ud800-\udfff]")
 
 
 def _require_printable(s: str) -> None:
+    if str.isprintable(s):  # then it holds no control character and no surrogate
+        return
     bad = _UNSTORABLE.search(s)
     if bad is None:
         return
     ch = bad.group()
     if "\ud800" <= ch <= "\udfff":
-        raise ValueError(f"surrogate {ch!r} is not storable text")
-    raise ValueError(f"control character {ch!r} is not storable text")
+        raise UnstorableError(f"surrogate {ch!r} is not storable text")
+    raise UnstorableError(f"control character {ch!r} is not storable text")
 
 
 def dumps(d: Datum) -> str:
@@ -288,4 +294,6 @@ _ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\"})
 
 
 def _quote(s: str) -> str:
-    return '"' + s.translate(_ESCAPES) + '"'
+    if '"' in s or "\\" in s:
+        return '"' + s.translate(_ESCAPES) + '"'
+    return '"' + s + '"'

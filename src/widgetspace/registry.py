@@ -50,7 +50,8 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 from . import accessors, generators
-from .datum import UNINITIALIZED, Datum, Uninitialized, is_uninitialized, require_valid
+from .datum import (UNINITIALIZED, Datum, Uninitialized, UnstorableError, is_uninitialized,
+                    require_valid)
 from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
                      NO_STORAGE_MESSAGE, ResolutionError, SchemaError, SchemaSyntaxError,
                      UnknownLocaleError, UnresolvedReferenceError, ValidationError)
@@ -331,7 +332,9 @@ class WidgetRegistry:
 
         Validation failure propagates before anything touches the
         database, so a failed set leaves the store bit-identical. A parsed
-        value the store cannot hold fails the same way, as a ValidationError.
+        value the store cannot hold fails the same way, as a ValidationError:
+        a table's ``put`` checks it before it touches the table, and a setter
+        registered by name is handed only a value that passed that check.
         """
         max_index, _, setter, _, binding, ctx = self._plan(coord)
         _check_index(coord.index, max_index)
@@ -344,12 +347,14 @@ class WidgetRegistry:
         self.registries.validators.validate(binding.validator, ctx, text)
         value = self.registries.parsers.get(binding.parser)(text)
         try:
-            require_valid(value)
-        except ValueError as e:
+            if isinstance(setter, str):  # a registered setter gets only a storable value
+                require_valid(value)
+            else:  # a table accessor's put checks the value before it touches the table
+                setter(db, ctx.name, coord.index, ctx.locale, value)
+                return value
+        except UnstorableError as e:
             raise ValidationError(text, str(e)) from None
-        if isinstance(setter, str):
-            setter = self.registries.setters.get(setter)
-        setter(db, ctx.name, coord.index, ctx.locale, value)
+        self.registries.setters.get(setter)(db, ctx.name, coord.index, ctx.locale, value)
         return value
 
     def _plan(self, coord: WidgetCoord) -> tuple:

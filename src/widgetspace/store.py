@@ -15,6 +15,11 @@ spellings without positions (``sexpr.tokenize``) and each value read from
 them by ``datum.read_datum``; the byte offset of a fault is computed only
 when one is found. A key spelled as a valid symbol, as the store writes
 every key, is taken as it is spelled.
+
+Keys and table names are kept in canonical spelling, so a lookup tries a
+plain string as it is spelled and normalizes it only when that misses. A
+write checks its value (``require_valid``) before it touches a table; that
+is the one storability check of a table-backed ``parse_and_set``.
 """
 
 from __future__ import annotations
@@ -59,10 +64,24 @@ def _tablename(filename: str) -> str:
 
 def _valid_key(key: str) -> str:
     """Normalized key, rejected unless it can round-trip through a table file."""
-    key = normalize_symbol(key)
+    if type(key) is str and _SYMBOL_RE.match(key) is not None:  # already canonical
+        return key
+    key = _lookup_key(key)
     if not is_valid_symbol(key):
         raise StoreError(f"invalid key {key!r}")
     return key
+
+
+def _lookup_key(key: str) -> str:
+    """Normalized key; StoreError unless ``key`` is a string."""
+    if not isinstance(key, str):
+        raise StoreError(f"invalid key {key!r}")
+    return normalize_symbol(key)
+
+
+def _stored_key(entries: dict, key: str) -> str:
+    """The spelling under which ``entries``, keyed canonically, would hold ``key``."""
+    return key if type(key) is str and key in entries else _lookup_key(key)
 
 
 class Database:
@@ -82,13 +101,13 @@ class Database:
         """The value stored under (table, key); UNINITIALIZED when absent."""
         t = self._table(table)
         with t.lock:
-            return t.entries.get(normalize_symbol(key), UNINITIALIZED)
+            return t.entries.get(_stored_key(t.entries, key), UNINITIALIZED)
 
     def contains_key(self, table: str, key: str) -> bool:
         """True iff a value (possibly UNINITIALIZED itself) was stored."""
         t = self._table(table)
         with t.lock:
-            return normalize_symbol(key) in t.entries
+            return _stored_key(t.entries, key) in t.entries
 
     def put(self, table: str, key: str, value: Datum) -> None:
         require_valid(value)
@@ -210,9 +229,14 @@ class Database:
     # -- internals -----------------------------------------------------
 
     def _table(self, name: str) -> _Table:
-        t = self._tables.get(name)  # keyed by canonical, valid names only
+        try:
+            t = self._tables.get(name)  # keyed by canonical, valid names only
+        except TypeError:  # unhashable, so no table name
+            t = None
         if t is not None:
             return t
+        if not isinstance(name, str):
+            raise StoreError(f"invalid table name {name!r}")
         name = normalize_symbol(name)
         if not is_valid_symbol(name):
             raise StoreError(f"invalid table name {name!r}")

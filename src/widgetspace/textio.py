@@ -4,6 +4,10 @@ Formatters map a datum to presentation text; parsers map accepted input
 text to a datum. Each side has its own name -> function registry, so the
 same symbol (for example ``identity``) may be registered in both without
 collision. Names are the ones widget definitions refer to.
+
+A registry keeps its names lowercased, so a plain string is looked up as
+it is spelled first and lowered only when that misses (``lowered_key``);
+``ValidatorRegistry`` follows the same rule.
 """
 
 from __future__ import annotations
@@ -12,6 +16,11 @@ from typing import Callable
 
 from .errors import DuplicateNameError, ParseError, UnresolvedReferenceError, WrongVariantError
 from .datum import Datum, PersonName, SimpleDate
+
+
+def lowered_key(entries: dict, name: str) -> str:
+    """The key of ``name`` in ``entries``, a table keyed by lowercased names."""
+    return name if type(name) is str and name in entries else name.lower()
 
 
 class NamedRegistry:
@@ -29,12 +38,12 @@ class NamedRegistry:
 
     def get(self, name: str) -> Callable:
         try:
-            return self._entries[name.lower()]
+            return self._entries[lowered_key(self._entries, name)]
         except KeyError:
             raise UnresolvedReferenceError(f"unknown {self._kind} '{name}'") from None
 
     def __contains__(self, name: str) -> bool:
-        return name.lower() in self._entries
+        return lowered_key(self._entries, name) in self._entries
 
     def names(self) -> list[str]:
         return sorted(self._entries)

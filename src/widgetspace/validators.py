@@ -20,6 +20,7 @@ from typing import Callable, Union
 from .errors import (DuplicateNameError, InvalidSpecError, UnknownValidatorError,
                      ValidationError)
 from .sexpr import int_text
+from .textio import lowered_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +139,7 @@ class ValidatorRegistry:
         self._entries[key] = (min_args, max_args, impl)
 
     def __contains__(self, name: str) -> bool:
-        return name.lower() in self._entries
+        return lowered_key(self._entries, name) in self._entries
 
     def names(self) -> list[str]:
         return sorted(self._entries)
@@ -146,7 +147,7 @@ class ValidatorRegistry:
     def _impl(self, expr: Base) -> BaseImpl:
         """The implementation behind ``expr``, once its name and arity check out."""
         try:
-            lo, hi, impl = self._entries[expr.name.lower()]
+            lo, hi, impl = self._entries[lowered_key(self._entries, expr.name)]
         except KeyError:
             raise UnknownValidatorError(f"unknown validator '{expr.name}'") from None
         n = len(expr.args)

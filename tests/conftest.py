@@ -11,6 +11,14 @@ from widgetspace import Database, load_fixture_registry
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+class Shouting(str):
+    """A str subclass that spells differently when lowered: marshal refuses
+    it, and its ``repr`` is that of a plain string."""
+
+    def lower(self):
+        return str.upper(self)
+
+
 @pytest.fixture
 def registry():
     """A fresh registry with all bundled fixture schemas loaded."""

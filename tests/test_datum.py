@@ -268,6 +268,22 @@ def test_dumps_matches_reference(value):
     assert _dumped(dumps, value) == _dumped(ref_dumps, value)
 
 
+def ref_quote(s: str) -> str:
+    """``datum._quote`` as it was before it skipped text with nothing to escape."""
+    return '"' + s.translate(str.maketrans({'"': '\\"', "\\": "\\\\"})) + '"'
+
+
+@settings(max_examples=500)
+@given(st.one_of(storable_text, st.text(alphabet='ab "\\'), storable_text.map(Text)))
+@example('"')
+@example("\\")
+@example("")
+def test_quote_matches_reference(text):
+    assert _quote(text) == ref_quote(text)
+    assert type(_quote(text)) is str
+    assert loads(_quote(text)) == text
+
+
 class TestLoads:
     @pytest.mark.parametrize("value,text", DUMP_GOLDENS)
     def test_goldens_invert(self, value, text):

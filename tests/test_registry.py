@@ -15,14 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
-    UNINITIALIZED, Base, Database, IndexOutOfRangeError, InputBinding, InvalidSpecError,
-    LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName, ResolutionError, SchemaError,
-    SchemaSyntaxError, SimpleDate, UnknownLocaleError, UnresolvedReferenceError, ValidationError,
+    UNINITIALIZED, Base, CorruptTableError, Database, IndexOutOfRangeError, InputBinding,
+    InvalidSpecError, LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName,
+    ResolutionError, SchemaError, SchemaSyntaxError, SimpleDate, UnknownLocaleError,
+    UnknownValidatorError, UnresolvedReferenceError, ValidationError, ValidatorContext,
     WidgetCoord, WidgetRegistry, WidgetSpec, load_fixture_registry, standard_registries,
 )
 from widgetspace.registry import MAX_INDEX
 from widgetspace.sexpr import normalize_symbol
 from widgetspace.validators import And, Not, Or, ValidatorExpr, ValidatorRegistry
+
+from conftest import Shouting
 
 
 def tiny_registry():
@@ -367,6 +370,138 @@ class TestParseAndSet:
             db, WidgetCoord("name-middle", "wisconsin", "ls1100-entry"), "")
         assert db.contains_key("demographics", "name-middle")
         assert db.get("demographics", "name-middle") == ""
+
+
+class TestOneStorabilityCheck:
+    """A table-backed write is checked once, by the store, before it touches a
+    table; a setter registered by name is checked before it is called. Either
+    way a value the store cannot hold fails as a ValidationError."""
+
+    SCHEMA = ("(widget note root :table t :input ((m identity always-ok)))"
+              "(widget notes root :table t :index 3 :input ((m identity always-ok)))"
+              "(widget big root :table t :input ((m googolplex-ish always-ok)))"
+              "(widget bigs root :table t :index 2 :input ((m googolplex-ish always-ok)))"
+              "(widget yes root :table t :input ((m truth always-ok)))"
+              "(widget yeses root :table t :index 2 :input ((m truth always-ok)))")
+
+    def _registry(self):
+        reg = tiny_registry()
+        reg.registries.parsers.register("googolplex-ish", lambda text: 10 ** 5000)
+        reg.registries.parsers.register("truth", lambda text: True)
+        reg.load_schema(self.SCHEMA)
+        return reg
+
+    @staticmethod
+    def _failure(reg, db, coord, text):
+        """The ValidationError that ``parse_and_set`` raises, as a comparable tuple."""
+        with pytest.raises(ValidationError) as exc:
+            reg.parse_and_set(db, coord, text)
+        e = exc.value
+        assert e.__cause__ is None and e.__suppress_context__
+        return type(e), e.value, e.message, str(e)
+
+    @pytest.mark.parametrize("scalar,indexed,text,message", [
+        ("note", "notes", "a\tb", "control character '\\t' is not storable text"),
+        ("big", "bigs", "big", "integers of more than 4300 digits are not storable")])
+    def test_an_indexed_write_fails_as_a_scalar_one(self, tmp_path, scalar, indexed, text,
+                                                     message):
+        reg = self._registry()
+        db = Database(tmp_path / "db")
+        reg.parse_and_set(db, WidgetCoord("note", "leaf", "m"), "kept")
+        reg.parse_and_set(db, WidgetCoord("notes", "leaf", "m", index=2), "kept")
+        db.checkpoint()
+        table = tmp_path / "db" / "t.tbl"
+        before = (db.dump_text(), table.read_bytes())
+        outcomes = [self._failure(reg, db, WidgetCoord(name, "leaf", "m", index=index), text)
+                    for name, index in ((scalar, 1), (indexed, 2), (indexed, 1))]
+        assert outcomes == [(ValidationError, text, message, message)] * 3
+        db.checkpoint()
+        assert (db.dump_text(), table.read_bytes()) == before
+
+    def test_a_fresh_indexed_key_stays_absent(self, tmp_path):
+        reg = self._registry()
+        db = Database(tmp_path / "db")
+        self._failure(reg, db, WidgetCoord("notes", "leaf", "m", index=1), "a\nb")
+        assert not db.contains_key("t", "notes")
+        assert db.is_empty()
+
+    def test_a_named_setter_sees_only_storable_values(self, tmp_path):
+        reg = tiny_registry()
+        calls = []
+        reg.registries.getters.register("g", lambda db, name, index, locale: UNINITIALIZED)
+        reg.registries.setters.register(
+            "spy", lambda db, name, index, locale, value: calls.append(value))
+        reg.registries.parsers.register("googolplex-ish", lambda text: 10 ** 5000)
+        reg.registries.parsers.register("truth", lambda text: True)
+        reg.load_schema("(widget w root :getter g :setter spy :input ((m identity always-ok)))"
+                        "(widget n root :getter g :setter spy"
+                        " :input ((m googolplex-ish always-ok)))"
+                        "(widget y root :getter g :setter spy :input ((m truth always-ok)))")
+        db = Database(tmp_path / "db")
+        assert self._failure(reg, db, WidgetCoord("w", "leaf", "m"), "a\x7fb")[2] == \
+            "control character '\\x7f' is not storable text"
+        assert self._failure(reg, db, WidgetCoord("w", "leaf", "m"), "\ud800")[2] == \
+            "surrogate '\\ud800' is not storable text"
+        assert self._failure(reg, db, WidgetCoord("n", "leaf", "m"), "big")[2] == \
+            "integers of more than 4300 digits are not storable"
+        with pytest.raises(TypeError, match="^booleans are not datum values$"):
+            reg.parse_and_set(db, WidgetCoord("y", "leaf", "m"), "yes")
+        assert calls == []
+        reg.parse_and_set(db, WidgetCoord("w", "leaf", "m"), "ok")
+        assert calls == ["ok"]
+
+    @pytest.mark.parametrize("name,index", [("yes", 1), ("yeses", 2)])
+    def test_a_boolean_is_still_a_type_error(self, tmp_path, name, index):
+        reg = self._registry()
+        db = Database(tmp_path / "db")
+        with pytest.raises(TypeError) as exc:
+            reg.parse_and_set(db, WidgetCoord(name, "leaf", "m", index=index), "yes")
+        assert str(exc.value) == "booleans are not datum values"
+        assert not isinstance(exc.value, ValidationError)
+        assert db.is_empty()
+
+    @pytest.mark.parametrize("name,index", [("note", 1), ("notes", 2)])
+    def test_a_corrupt_table_met_by_a_cold_write_is_corrupt(self, tmp_path, name, index):
+        reg = self._registry()
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "t.tbl").write_text("(table t)\n(k 1\n")
+        with pytest.raises(CorruptTableError):
+            reg.parse_and_set(Database(root), WidgetCoord(name, "leaf", "m", index=index), "ok")
+        # an unstorable value is refused before the table is loaded
+        outcome = self._failure(reg, Database(root),
+                                WidgetCoord(name, "leaf", "m", index=index), "a\tb")
+        assert outcome[0] is ValidationError
+        assert (root / "t.tbl").read_text() == "(table t)\n(k 1\n"
+
+
+class TestCanonicalFirstValidation:
+    def test_base_spellings(self):
+        validators = standard_registries().validators
+        ctx = ValidatorContext("w", "root", "m")
+        for name in ("required", "Required", "REQUIRED"):
+            assert name in validators
+            validators.validate(Base(name), ctx, "x")
+            with pytest.raises(ValidationError) as exc:
+                validators.validate(Base(name), ctx, " ")
+            assert (exc.value.value, exc.value.message) == (" ", "Input is required")
+        for name in ("Nope", Shouting("required")):
+            assert name not in validators
+            with pytest.raises(UnknownValidatorError) as exc:
+                validators.validate(Base(name), ctx, "x")
+            assert str(exc.value) == f"unknown validator '{name}'"
+
+    def test_arity_changed_after_a_load_is_checked_at_the_call(self, tmp_path):
+        reg = tiny_registry()
+        reg.load_schema("(widget w root :table t :input ((m identity (length 1 5))))")
+        db = Database(tmp_path / "db")
+        at = WidgetCoord("w", "leaf", "m")
+        reg.parse_and_set(db, at, "abc")
+        reg.registries.validators.register("length", 1, 1, lambda c, a, t: None, replace=True)
+        with pytest.raises(InvalidSpecError) as exc:
+            reg.parse_and_set(db, at, "abcd")
+        assert str(exc.value) == "validator 'length' takes 1 argument, got 2"
+        assert db.get("t", "w") == "abc"
 
 
 class TestGenerateRandom:
@@ -867,14 +1002,6 @@ class TestSharedClauses:
         assert str(exc.value) == "s.scm:6:55: unknown validator 'ghost'"
 
 
-class _Shouting(str):
-    """A str subclass that spells differently when lowered: marshal refuses
-    it, and its ``repr`` is that of a plain string."""
-
-    def lower(self):
-        return str.upper(self)
-
-
 def _shared_import_state(inputs, widgets=200) -> dict:
     """``widgets`` widgets at one locale that all repeat ``inputs``, as a
     workspace file holds them: each widget's parts are objects of its own."""
@@ -968,8 +1095,8 @@ class TestSharedImport:
             WidgetRegistry().import_state(state)
 
     @pytest.mark.parametrize("spelling,parser", [
-        (_Shouting("identity"), "IDENTITY"), (type("Plain", (str,), {})("Identity"), "identity"),
-        (_Shouting("no-such-parser"), None)])
+        (Shouting("identity"), "IDENTITY"), (type("Plain", (str,), {})("Identity"), "identity"),
+        (Shouting("no-such-parser"), None)])
     def test_a_value_marshal_refuses_imports_as_the_reference_does(self, spelling, parser):
         state = _shared_import_state(self.INPUTS, widgets=3)
         state["widgets"][1]["inputs"]["m"][0] = spelling
@@ -1190,8 +1317,8 @@ def _bases_in(vexpr) -> list:
 def _swaps(arg) -> list:
     """Values of other types that could stand where the validator argument ``arg`` is."""
     if isinstance(arg, str):
-        return [len(arg), True, 1.0, _Shouting(arg)]
-    return [str(arg), float(arg), not arg, int(arg) + 1, _Shouting(int(arg))]
+        return [len(arg), True, 1.0, Shouting(arg)]
+    return [str(arg), float(arg), not arg, int(arg) + 1, Shouting(int(arg))]
 
 
 def _well_formed(inputs) -> bool:
@@ -1216,7 +1343,7 @@ def _edited_inputs(draw, inputs: dict) -> dict:
                                  "unknown"]))
     if kind in ("case", "colon", "colons", "shout"):
         spell = {"case": str.upper, "colon": lambda s: ":" + s, "colons": lambda s: "::" + s,
-                 "shout": _Shouting}[kind]
+                 "shout": Shouting}[kind]
         where = draw(st.sampled_from(["medium", "parser"] + ["validator"] * bool(bases)))
         if where == "medium":
             return {spell(m) if m == medium else m: p for m, p in inputs.items()}

@@ -18,6 +18,8 @@ from widgetspace import (
 from widgetspace import datum, sexpr
 from widgetspace.datum import MAX_DEPTH
 
+from conftest import Shouting
+
 keys = st.from_regex(r"[a-z0-9][a-z0-9_-]{0,10}", fullmatch=True).filter(
     lambda s: not s.isdigit())
 
@@ -109,6 +111,70 @@ class TestPutGet:
             db.put("t", key, value)
             assert db.get("t", key) == value
             assert db.contains_key("t", key)
+
+
+class TestKeySpellings:
+    """A canonical key is looked up as spelled; any other spelling is
+    normalized first, and the outcome is the same either way."""
+
+    def test_case_and_colon_spellings_reach_the_canonical_key(self, db):
+        db.put("t", "dob", 1)
+        db.put_indexed("t", "alias", 2, "x", max_index=2)
+        for key in ("dob", "DOB", ":dob", ":DOB"):
+            assert db.get("t", key) == 1
+            assert db.contains_key("t", key)
+        for key in ("alias", "ALIAS", ":alias"):
+            assert db.get_indexed("t", key, 2) == "x"
+        db.put("t", "DOB", 2)
+        assert db.items("t") == [("alias", (UNINITIALIZED, "x")), ("dob", 2)]
+        db.put("t", ":dob", 3)
+        assert db.get("t", "dob") == 3
+
+    def test_a_subclass_is_looked_up_as_it_lowers(self, db):
+        # Shouting("dob") lowers to "DOB": no stored key, and no valid one
+        db.put("t", "dob", 1)
+        assert db.get("t", Shouting("dob")) is UNINITIALIZED
+        assert not db.contains_key("t", Shouting("dob"))
+        assert db.get_indexed("t", Shouting("dob"), 1) is UNINITIALIZED
+        with pytest.raises(StoreError) as exc:
+            db.put("t", Shouting("dob"), 2)
+        assert str(exc.value) == "invalid key 'DOB'"
+        with pytest.raises(StoreError) as exc:
+            db.put_indexed("t", Shouting("dob"), 1, 2, max_index=1)
+        assert str(exc.value) == "invalid key 'DOB'"
+        assert db.items("t") == [("dob", 1)]
+
+    def test_an_uppercase_subclass_reaches_the_canonical_key(self, db):
+        db.put("t", "dob", 1)
+        assert db.get("t", Shouting("DOB")) is UNINITIALIZED  # lowers to itself
+        db.put("t", ":dob", 2)
+        assert db.get("t", "dob") == 2
+
+
+class TestNonStringNames:
+    @pytest.mark.parametrize("key", [5, None, b"k", ("k",), ["k"]])
+    def test_key(self, db, key):
+        operations = [lambda: db.put("t", key, 1), lambda: db.get("t", key),
+                      lambda: db.contains_key("t", key),
+                      lambda: db.put_indexed("t", key, 1, 1, max_index=1),
+                      lambda: db.get_indexed("t", key, 1)]
+        for operation in operations:
+            with pytest.raises(StoreError) as exc:
+                operation()
+            assert str(exc.value) == f"invalid key {key!r}"
+        assert db.is_empty()
+
+    @pytest.mark.parametrize("table", [5, None, b"t", ("t",), ["t"]])
+    def test_table_name(self, db, table):
+        operations = [lambda: db.put(table, "k", 1), lambda: db.get(table, "k"),
+                      lambda: db.contains_key(table, "k"),
+                      lambda: db.put_indexed(table, "k", 1, 1, max_index=1),
+                      lambda: db.get_indexed(table, "k", 1)]
+        for operation in operations:
+            with pytest.raises(StoreError) as exc:
+                operation()
+            assert str(exc.value) == f"invalid table name {table!r}"
+        assert db.is_empty()
 
 
 class TestIndexed:
@@ -469,6 +535,24 @@ class TestFileFormat:
         root.mkdir()
         (root / "t.tbl").write_bytes(f"(table t)\n{blank}\n(k 1)\n{blank}".encode())
         assert Database(root).get("t", "k") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", "with space", "semi;colon", "(parens) [brackets]", "#uninit", "42",
+    'say "hi"', "back\\slash", '\\"', '"', "\\", 'ends with \\', "héllo \\ \"wörld\""])
+def test_strings_round_trip_through_a_table_file(tmp_path, text):
+    db = Database(tmp_path / "db")
+    db.put("t", "s", text)
+    db.put("t", "n", PersonName(text, "a", text, ""))
+    db.put("t", "q", (text, (text,)))
+    db.checkpoint()
+    again = Database(tmp_path / "db")
+    assert again.items("t") == db.items("t")
+    assert again.dump_text() == db.dump_text()
+    line = (tmp_path / "db" / "t.tbl").read_text(encoding="utf-8").splitlines()[3]
+    assert line == "(s " + dumps(text) + ")"
+    escaped = '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    assert dumps(text) == escaped
 
 
 def _generated_value(rng, depth=0):

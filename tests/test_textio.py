@@ -14,6 +14,8 @@ from widgetspace.textio import (
     parse_simple_date_fbi,
 )
 
+from conftest import Shouting
+
 D = SimpleDate(2010, 7, 4)
 
 dates = st.builds(
@@ -230,3 +232,24 @@ class TestRegistries:
         fmt = default_formatter_registry().get("identity")
         parse = default_parser_registry().get("identity")
         assert fmt is not parse
+
+
+class TestNameSpellings:
+    """A lowercase name is looked up as spelled; any other spelling is
+    lowered first, and the outcome is the same either way."""
+
+    def test_case_spellings(self):
+        from widgetspace.textio import format_identity
+        formatters = default_formatter_registry()
+        for name in ("identity", "IDENTITY", "Identity"):
+            assert formatters.get(name) is format_identity
+            assert name in formatters
+
+    def test_spellings_that_miss(self):
+        from widgetspace import UnresolvedReferenceError
+        formatters = default_formatter_registry()
+        for name in (":identity", Shouting("identity"), "identity "):
+            assert name not in formatters
+            with pytest.raises(UnresolvedReferenceError) as exc:
+                formatters.get(name)
+            assert str(exc.value) == f"unknown formatter '{name}'"
