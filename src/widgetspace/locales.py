@@ -9,7 +9,6 @@ is exhausted.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Optional, TypeVar
 
 from .errors import (DuplicateLocaleError, InvalidSpecError, LocaleCycleError,
@@ -29,14 +28,13 @@ class LocaleTree:
 
     ``add`` checks everything before it changes anything, so a rejected
     add leaves the tree as it was. It then sets one key of the parent map
-    in place. Readers take no lock, so a tree that readers share must not
-    be mutated: the registry adds locales to a private staged copy and
-    publishes the copy whole.
+    in place. Nothing takes a lock, so a tree that others share must not be
+    mutated: the registry adds locales to a private staged copy, under its
+    writer lock, and publishes the copy whole.
     """
 
     def __init__(self):
         self._parents: dict[str, Optional[str]] = {}
-        self._lock = threading.Lock()
 
     def add(self, child: str, parent: Optional[str] = None, *, replace: bool = False) -> None:
         """Insert a locale under ``parent`` (None declares the root).
@@ -51,30 +49,29 @@ class LocaleTree:
             raise InvalidSpecError("locale symbol must be non-empty")
         if child.startswith(":"):
             raise InvalidSpecError(f"locale symbol ':{child}' begins with more than one ':'")
-        with self._lock:
-            parents = self._parents
-            if child in parents and not replace:
-                raise DuplicateLocaleError(f"locale '{child}' is already defined")
-            if parent is None:
-                root = _root_of(parents)
-                if root is not None and root != child:
-                    raise InvalidSpecError(
-                        f"tree already has root '{root}'; cannot add second root '{child}'")
-            else:
-                if parent not in parents:
-                    raise UnknownParentError(f"unknown parent locale '{parent}'")
-                if parent == child:
-                    raise LocaleCycleError(f"locale '{child}' cannot be its own parent")
-                if child in parents:
-                    if parents[child] is None:
-                        raise InvalidSpecError(f"root locale '{child}' cannot be re-parented")
-                    cur = parent
-                    while cur is not None:
-                        if cur == child:
-                            raise LocaleCycleError(
-                                f"re-parenting '{child}' under '{parent}' creates a cycle")
-                        cur = parents[cur]
-            parents[child] = parent
+        parents = self._parents
+        if child in parents and not replace:
+            raise DuplicateLocaleError(f"locale '{child}' is already defined")
+        if parent is None:
+            root = _root_of(parents)
+            if root is not None and root != child:
+                raise InvalidSpecError(
+                    f"tree already has root '{root}'; cannot add second root '{child}'")
+        else:
+            if parent not in parents:
+                raise UnknownParentError(f"unknown parent locale '{parent}'")
+            if parent == child:
+                raise LocaleCycleError(f"locale '{child}' cannot be its own parent")
+            if child in parents:
+                if parents[child] is None:
+                    raise InvalidSpecError(f"root locale '{child}' cannot be re-parented")
+                cur = parent
+                while cur is not None:
+                    if cur == child:
+                        raise LocaleCycleError(
+                            f"re-parenting '{child}' under '{parent}' creates a cycle")
+                    cur = parents[cur]
+        parents[child] = parent
 
     def __contains__(self, locale: str) -> bool:
         return normalize_symbol(locale) in self._parents

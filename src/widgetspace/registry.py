@@ -162,8 +162,9 @@ class WidgetRegistry:
     Readers take no lock and read the snapshot once per call, so they never
     see a tree from one load with specs from another. Writers edit a private
     copy under the writer lock and publish it, with an empty plan memo, only
-    when they succeed. The published tree must not be mutated in place: the
-    plans made from it would go stale.
+    when they succeed. The published tree is never mutated in place, since the
+    plans made from it would go stale: ``locales.add`` publishes a new
+    snapshot too.
     """
 
     def __init__(self):
@@ -174,8 +175,8 @@ class WidgetRegistry:
 
     @property
     def locales(self) -> LocaleTree:
-        """The locale tree of the published snapshot."""
-        return self._snapshot[0]
+        """The locale tree of the published snapshot; its ``add`` publishes a new one."""
+        return _PublishedTree(self)
 
     @contextmanager
     def _staged(self):
@@ -532,6 +533,20 @@ def _collector_paused():
         if enabled:
             with _collector_lock:
                 gc.enable()
+
+
+class _PublishedTree(LocaleTree):
+    """A published snapshot's tree, read as it is. ``add`` edits a staged copy
+    and publishes it, so no plan outlives the tree it was made from."""
+
+    def __init__(self, registry: WidgetRegistry):
+        self._registry = registry
+        self._parents = registry._snapshot[0]._parents
+
+    def add(self, child: str, parent: Optional[str] = None, *, replace: bool = False) -> None:
+        with self._registry._staged() as (tree, _):
+            tree.add(child, parent, replace=replace)
+        self._parents = self._registry._snapshot[0]._parents
 
 
 class _Plans(dict):

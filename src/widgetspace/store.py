@@ -229,10 +229,9 @@ class Database:
     # -- internals -----------------------------------------------------
 
     def _table(self, name: str) -> _Table:
-        try:
-            t = self._tables.get(name)  # keyed by canonical, valid names only
-        except TypeError:  # unhashable, so no table name
-            t = None
+        # Keyed by canonical, valid names only; a str subclass is normalized
+        # first, as ``_stored_key`` does, whatever is loaded already.
+        t = self._tables.get(name) if type(name) is str else None
         if t is not None:
             return t
         if not isinstance(name, str):

@@ -5,6 +5,13 @@ A validator expression is a tree: base validators at the leaves, ``And``,
 :class:`ValidationError`; ``Or`` suppresses its children's errors and
 signals its own message, ``Not`` inverts its child.
 
+A registry evaluates an expression by compiling it, once per expression
+object and registry generation, into a tree of ``(function, data)`` nodes:
+each base is looked up and its arity checked when it is compiled, not at
+each call. ``register`` starts a new generation, so a re-registration takes
+effect at the next evaluation. A base whose name or arity does not check
+out compiles to a node that raises that error when evaluation reaches it.
+
 Validators see the input text and a (name, locale, medium) context. The
 context deliberately has no occurrence index: rules may vary by
 jurisdiction and by usage, never by which occurrence is being checked.
@@ -13,6 +20,8 @@ jurisdiction and by usage, never by which occurrence is being checked.
 from __future__ import annotations
 
 import datetime
+import re
+import weakref
 from dataclasses import dataclass
 from string import ascii_letters, digits
 from typing import Callable, Union
@@ -127,6 +136,11 @@ class ValidatorRegistry:
 
     def __init__(self):
         self._entries: dict[str, tuple[int, int, BaseImpl]] = {}
+        # id(expr) -> its compiled node, for this generation only. An entry
+        # never keeps its expression alive: a finalizer drops it when the
+        # expression dies, before the id can be reused.
+        self._compiled: dict[int, tuple] = {}
+        self._watched: set[int] = set()   # ids that have such a finalizer
 
     def register(self, name: str, min_args: int, max_args: int, impl: BaseImpl,
                  *, replace: bool = False) -> None:
@@ -137,24 +151,13 @@ class ValidatorRegistry:
         if key in self._entries and not replace:
             raise DuplicateNameError(f"validator '{key}' is already registered")
         self._entries[key] = (min_args, max_args, impl)
+        self._compiled = {}   # a new generation: compile again at the next call
 
     def __contains__(self, name: str) -> bool:
         return lowered_key(self._entries, name) in self._entries
 
     def names(self) -> list[str]:
         return sorted(self._entries)
-
-    def _impl(self, expr: Base) -> BaseImpl:
-        """The implementation behind ``expr``, once its name and arity check out."""
-        try:
-            lo, hi, impl = self._entries[lowered_key(self._entries, expr.name)]
-        except KeyError:
-            raise UnknownValidatorError(f"unknown validator '{expr.name}'") from None
-        n = len(expr.args)
-        if not lo <= n <= hi:
-            raise InvalidSpecError(
-                f"validator '{expr.name}' takes {_arity_text(lo, hi)}, got {n}")
-        return impl
 
     def check_base(self, base: Base) -> None:
         """Load-time check: a registered name, literal arguments, a count in range."""
@@ -164,7 +167,7 @@ class ValidatorRegistry:
             if isinstance(arg, bool) or not isinstance(arg, (int, str)):
                 raise InvalidSpecError(
                     f"validator arguments must be integers or strings, got {arg!r}")
-        self._impl(base)
+        _resolve(self._entries, base.name, base.args)
 
     def check_expr(self, expr: ValidatorExpr) -> None:
         """``check_base`` for every base validator in ``expr``."""
@@ -176,30 +179,104 @@ class ValidatorRegistry:
 
         ``And`` stops at the first failing child. ``Or`` succeeds on the
         first passing child and otherwise reports its own message,
-        discarding the children's. Arity is checked again here because
+        discarding the children's. Arity is checked again when ``expr`` is
+        first evaluated after any registration, because
         ``register(..., replace=True)`` may change it after a load.
         """
-        if isinstance(expr, Base):
-            self._impl(expr)(ctx, expr.args, text)
-        elif isinstance(expr, And):
-            for child in expr.children:
-                self.validate(child, ctx, text)
-        elif isinstance(expr, Or):
-            for child in expr.children:
-                try:
-                    self.validate(child, ctx, text)
-                    return
-                except ValidationError:
-                    continue
-            raise ValidationError(text, expr.message)
-        elif isinstance(expr, Not):
-            try:
-                self.validate(expr.child, ctx, text)
-            except ValidationError:
-                return
-            raise ValidationError(text, expr.message)
-        else:
-            raise TypeError(f"not a validator expression: {expr!r}")
+        fn, data = self._compiled.get(id(expr)) or self._compile_root(expr)
+        fn(ctx, data, text)
+
+    def _compile_root(self, expr) -> tuple:
+        """Compile ``expr`` and memoize it for this generation."""
+        # Without a lock: a register meanwhile leaves this generation's dict
+        # behind, and two threads compiling at once each add a finalizer.
+        compiled = self._compiled
+        node = _compile(self._entries, expr)
+        if isinstance(expr, _EXPRESSIONS):
+            key = id(expr)
+            if key not in self._watched:
+                self._watched.add(key)
+                weakref.finalize(expr, _forget, weakref.ref(self), key).atexit = False
+            compiled[key] = node
+        return node
+
+
+_EXPRESSIONS = (Base, And, Or, Not)
+
+
+def _forget(ref: weakref.ref, key: int) -> None:
+    """Drop the memo entry of a dead expression whose id was ``key``."""
+    registry = ref()
+    if registry is not None:
+        registry._compiled.pop(key, None)
+        registry._watched.discard(key)
+
+
+def _resolve(entries: dict, name: str, args: tuple) -> BaseImpl:
+    """The implementation of base ``name``, once its name and arity check out."""
+    try:
+        lo, hi, impl = entries[lowered_key(entries, name)]
+    except KeyError:
+        raise UnknownValidatorError(f"unknown validator '{name}'") from None
+    n = len(args)
+    if not lo <= n <= hi:
+        raise InvalidSpecError(f"validator '{name}' takes {_arity_text(lo, hi)}, got {n}")
+    return impl
+
+
+def _compile(entries: dict, expr) -> tuple:
+    """``expr`` as a node ``(fn, data)``, evaluated as ``fn(ctx, data, text)``.
+
+    A base compiles to its implementation and arguments, so evaluating it
+    adds no call. A node holds names, arguments and messages, never an
+    expression.
+    """
+    if isinstance(expr, Base):
+        name, args = expr.name, expr.args
+        try:
+            return _resolve(entries, name, args), args
+        except Exception:  # not raised here: evaluation that reaches the node repeats it
+            return _unresolved, (entries, name, args)
+    if isinstance(expr, And):
+        return _all, tuple(_compile(entries, child) for child in expr.children)
+    if isinstance(expr, Or):
+        return _any, (tuple(_compile(entries, child) for child in expr.children), expr.message)
+    if isinstance(expr, Not):
+        return _none, (_compile(entries, expr.child), expr.message)
+    return _not_an_expression, f"not a validator expression: {expr!r}"
+
+
+def _all(ctx, nodes, text):
+    for fn, data in nodes:
+        fn(ctx, data, text)
+
+
+def _any(ctx, nodes_and_message, text):
+    nodes, message = nodes_and_message
+    for fn, data in nodes:
+        try:
+            fn(ctx, data, text)
+            return
+        except ValidationError:
+            continue
+    raise ValidationError(text, message)
+
+
+def _none(ctx, node_and_message, text):
+    (fn, data), message = node_and_message
+    try:
+        fn(ctx, data, text)
+    except ValidationError:
+        return
+    raise ValidationError(text, message)
+
+
+def _unresolved(ctx, lookup, text):
+    _resolve(*lookup)
+
+
+def _not_an_expression(ctx, message, text):
+    raise TypeError(message)
 
 
 def _arity_text(lo: int, hi: int) -> str:
@@ -214,12 +291,14 @@ _DIGITS = set(digits)
 _LETTERS = set(ascii_letters)
 _ALPHABETIC = _LETTERS | {" ", "-"}
 _ALPHANUMERIC = _LETTERS | _DIGITS
+_ALPHABETIC_RE = re.compile(r"[A-Za-z \-]*")
 
 
 def _numeric(ctx, args, text):
-    for ch in text:
-        if ch not in _DIGITS:
-            validation_error(text, "The character '~A' is not numeric", ch)
+    if not (text.isascii() and text.isdigit()):   # the loop only names the culprit
+        for ch in text:
+            if ch not in _DIGITS:
+                validation_error(text, "The character '~A' is not numeric", ch)
 
 
 def _length(ctx, args, text):
@@ -233,21 +312,24 @@ def _length(ctx, args, text):
 
 
 def _alphabetic(ctx, args, text):
-    for ch in text:
-        if ch not in _ALPHABETIC:
-            validation_error(text, "The character '~A' is not alphabetic", ch)
+    if not _ALPHABETIC_RE.fullmatch(text):
+        for ch in text:
+            if ch not in _ALPHABETIC:
+                validation_error(text, "The character '~A' is not alphabetic", ch)
 
 
 def _strictly_alphabetic(ctx, args, text):
-    for ch in text:
-        if ch not in _LETTERS:
-            validation_error(text, "The character '~A' is not alphabetic", ch)
+    if not (text.isascii() and text.isalpha()):
+        for ch in text:
+            if ch not in _LETTERS:
+                validation_error(text, "The character '~A' is not alphabetic", ch)
 
 
 def _alphanumeric(ctx, args, text):
-    for ch in text:
-        if ch not in _ALPHANUMERIC:
-            validation_error(text, "The character '~A' is not alphanumeric", ch)
+    if not (text.isascii() and text.isalnum()):
+        for ch in text:
+            if ch not in _ALPHANUMERIC:
+                validation_error(text, "The character '~A' is not alphanumeric", ch)
 
 
 def _required(ctx, args, text):
@@ -257,7 +339,7 @@ def _required(ctx, args, text):
 
 def _date(ctx, args, text):
     digits_only = text.replace("/", "")
-    if len(digits_only) != 8 or any(ch not in _DIGITS for ch in digits_only):
+    if len(digits_only) != 8 or not (digits_only.isascii() and digits_only.isdigit()):
         validation_error(text, "Input is not a valid date")
     year = int(digits_only[0:4])
     month = int(digits_only[4:6])

@@ -5,10 +5,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from widgetspace import Database, load_fixture_registry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# HYPOTHESIS_PROFILE=ci makes every run try the same examples, with no
+# deadline for a slow runner and no example database; without it, each run
+# explores afresh.
+settings.register_profile("ci", derandomize=True, deadline=None, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class Shouting(str):

@@ -18,8 +18,9 @@ from widgetspace import (
     UNINITIALIZED, Base, CorruptTableError, Database, IndexOutOfRangeError, InputBinding,
     InvalidSpecError, LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName,
     ResolutionError, SchemaError, SchemaSyntaxError, SimpleDate, UnknownLocaleError,
-    UnknownValidatorError, UnresolvedReferenceError, ValidationError, ValidatorContext,
-    WidgetCoord, WidgetRegistry, WidgetSpec, load_fixture_registry, standard_registries,
+    UnknownParentError, UnknownValidatorError, UnresolvedReferenceError, ValidationError,
+    ValidatorContext, WidgetCoord, WidgetRegistry, WidgetSpec, WrongVariantError, accessors,
+    load_fixture_registry, standard_registries,
 )
 from widgetspace.registry import MAX_INDEX
 from widgetspace.sexpr import normalize_symbol
@@ -877,6 +878,67 @@ class TestPlanMemo:
             with pytest.raises((ResolutionError, UnknownLocaleError)):
                 reg.get_and_format(db, coord)
         assert len(reg._snapshot[2]) == 0
+
+    def test_an_in_place_locale_change_drops_the_plans(self, tmp_path):
+        reg = WidgetRegistry()
+        reg.load_schema("(locale root :parent none) (locale a :parent root)"
+                        "(locale b :parent root) (locale x :parent a)"
+                        "(widget w root :table t :input ((default identity always-ok))"
+                        " :output ((default identity)))"
+                        "(widget w a :output ((default string-upcase)))")
+        db = Database(tmp_path / "db")
+        at = WidgetCoord("w", "x", "default")
+        reg.parse_and_set(db, at, "hello")
+        assert reg.get_and_format(db, at) == "HELLO"
+        tree = reg.locales
+        tree.add("x", "b", replace=True)
+        assert reg.resolve_formatter("w", "x", "default") == "identity"
+        assert reg.get_and_format(db, at) == "hello"
+        assert tree.parent("x") == "b" and reg.locales.parent("x") == "b"
+        with pytest.raises(UnknownParentError):  # a refused add publishes nothing
+            reg.locales.add("y", "nowhere")
+        assert "y" not in reg.locales and reg.get_and_format(db, at) == "hello"
+
+
+class TestWriteAccessors:
+    """Named storage accessors on the write path."""
+
+    @staticmethod
+    def _named(text):
+        last, _, rest = text.partition(", ")
+        first, _, middle = rest.partition(" ")
+        return PersonName(last, first, middle)
+
+    def _registry(self):
+        reg = tiny_registry()
+        reg.registries.parsers.register("last-first", self._named)
+        reg.load_schema("(widget full-name root :getter person-name-from-fields"
+                        " :setter person-name-to-fields"
+                        " :input ((default last-first always-ok) (raw identity always-ok))"
+                        " :output ((default format-name-first-middle-last)))")
+        return reg
+
+    def test_person_name_to_fields_writes_the_four_rows(self, tmp_path):
+        reg, db = self._registry(), Database(tmp_path / "db")
+        at = WidgetCoord("full-name", "leaf", "default")
+        assert reg.parse_and_set(db, at, "Doe, Jane Q") == PersonName("Doe", "Jane", "Q")
+        assert db.items("demographics") == [("name-first", "Jane"), ("name-last", "Doe"),
+                                            ("name-middle", "Q"), ("name-suffix", "")]
+        assert reg.get_and_format(db, at) == "Jane, Q, Doe"
+
+    def test_person_name_to_fields_refuses_another_variant(self, tmp_path):
+        reg, db = self._registry(), Database(tmp_path / "db")
+        with pytest.raises(WrongVariantError) as exc:
+            reg.parse_and_set(db, WidgetCoord("full-name", "leaf", "raw"), "Doe")
+        assert str(exc.value) == "expected a name, got str"
+        assert db.is_empty()
+
+    def test_resolve_storage_returns_the_registered_setter(self):
+        reg = self._registry()
+        storage = reg.resolve_storage("full-name", "leaf")
+        assert storage.setter is accessors.person_name_setter
+        assert storage.getter is accessors.person_name_getter
+        assert (storage.max_index, storage.locale) == (1, "root")
 
 
 def _large_schema(widgets: int = 3000) -> str:

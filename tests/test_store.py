@@ -151,6 +151,21 @@ class TestKeySpellings:
         assert db.get("t", "dob") == 2
 
 
+    @pytest.mark.parametrize("loaded_first", [False, True])
+    def test_a_subclass_table_name_is_normalized_whatever_is_loaded(self, db, loaded_first):
+        # Shouting("t") lowers to "T", no valid table name, whether or not
+        # table "t" is already in memory
+        if loaded_first:
+            db.put("t", "k", 1)
+        for call in (lambda: db.get(Shouting("t"), "k"),
+                     lambda: db.put(Shouting("t"), "k", 2),
+                     lambda: db.contains_key(Shouting("t"), "k")):
+            with pytest.raises(StoreError) as exc:
+                call()
+            assert str(exc.value) == "invalid table name 'T'"
+        assert db.get("t", "k") == (1 if loaded_first else UNINITIALIZED)
+
+
 class TestNonStringNames:
     @pytest.mark.parametrize("key", [5, None, b"k", ("k",), ["k"]])
     def test_key(self, db, key):

@@ -4,16 +4,20 @@ The fixed message strings checked here are wire-format: downstream
 systems match on them byte for byte, so they are pinned exactly.
 """
 
+import datetime
+import gc
 import string
 
 import pytest
 from hypothesis import given, strategies as st
 
 from widgetspace import (
-    And, Base, DuplicateNameError, InvalidSpecError, Not, Or,
-    UnknownValidatorError, ValidationError, ValidatorContext,
-    default_validator_registry, expand_template,
+    And, Base, Database, DuplicateNameError, InvalidSpecError, Not, Or,
+    UnknownValidatorError, ValidationError, ValidatorContext, WidgetCoord, WidgetRegistry,
+    default_validator_registry, expand_template, validators,
 )
+from widgetspace.textio import lowered_key
+from widgetspace.validators import _arity_text, validation_error
 
 CTX = ValidatorContext(name="sid", locale="arkansas", medium="ls1100-entry")
 
@@ -360,3 +364,230 @@ class TestAlgebraProperties:
                 return False
 
         assert passes(lhs) == passes(rhs)
+
+
+# --- the compiled evaluator against the interpreter it replaced ---------------
+
+def reference_validate(reg, expr, ctx, text):
+    """The recursive interpreter ``validate`` was before it compiled: every
+    call looks each base up and checks its arity."""
+    if isinstance(expr, Base):
+        entries = reg._entries
+        try:
+            lo, hi, impl = entries[lowered_key(entries, expr.name)]
+        except KeyError:
+            raise UnknownValidatorError(f"unknown validator '{expr.name}'") from None
+        n = len(expr.args)
+        if not lo <= n <= hi:
+            raise InvalidSpecError(
+                f"validator '{expr.name}' takes {_arity_text(lo, hi)}, got {n}")
+        impl(ctx, expr.args, text)
+    elif isinstance(expr, And):
+        for child in expr.children:
+            reference_validate(reg, child, ctx, text)
+    elif isinstance(expr, Or):
+        for child in expr.children:
+            try:
+                reference_validate(reg, child, ctx, text)
+                return
+            except ValidationError:
+                continue
+        raise ValidationError(text, expr.message)
+    elif isinstance(expr, Not):
+        try:
+            reference_validate(reg, expr.child, ctx, text)
+        except ValidationError:
+            return
+        raise ValidationError(text, expr.message)
+    else:
+        raise TypeError(f"not a validator expression: {expr!r}")
+
+
+def outcome(evaluate, *args):
+    """``("ok",)``, or the class, text and rejected value of what ``evaluate`` raised."""
+    try:
+        evaluate(*args)
+        return ("ok",)
+    except Exception as e:
+        return (type(e), str(e), getattr(e, "value", None))
+
+
+def _flex(ctx, args, text):
+    if text.startswith("-"):
+        validation_error(text, "flex refuses ~A", text)
+
+
+# Leaves include an unknown name, a wrong arity, a non-expression and "flex",
+# whose arity the test changes between two evaluations.
+_any_leaves = st.one_of(
+    _base_exprs,
+    st.sampled_from([Base("date"), Base("always-ok"), Base("ghost"), Base("numeric", (1,)),
+                     Base("flex"), Base("flex", (1,)), Base("FLEX"), "numeric", None]),
+)
+
+_any_exprs = st.recursive(
+    _any_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
+        st.lists(inner, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs), "any failed")),
+        inner.map(lambda c: Not(c, "negation failed")),
+    ),
+    max_leaves=8,
+)
+
+# Non-ASCII digits and letters that str.isdigit/isalpha/isalnum accept.
+_TRICKY_TEXTS = ["", "20100704", "2010/07/04", "20100230", "-x", "2010٠٧04", "2010070²",
+                 "١٢", "Émile", "\u212a", "ab\n", "Mary-Jane O Hara", "ab12"]
+
+_any_texts = st.one_of(st.text(alphabet="aZ19 -/\té٣", max_size=10), st.text(max_size=10),
+                       st.sampled_from(_TRICKY_TEXTS))
+
+
+class TestCompiledEvaluator:
+    @given(_any_exprs, st.lists(_any_texts, min_size=1, max_size=3))
+    def test_matches_the_reference_interpreter(self, expr, texts):
+        reg = default_validator_registry()
+        reg.register("flex", 0, 0, _flex)
+        for arity in ((0, 0), (1, 1), (0, 1)):
+            reg.register("flex", *arity, _flex, replace=True)
+            for text in texts:  # the first evaluation compiles, the rest reuse it
+                assert outcome(reg.validate, expr, CTX, text) == \
+                    outcome(reference_validate, reg, expr, CTX, text), (expr, arity, text)
+
+    @pytest.mark.parametrize("expr", [
+        Or((Base("always-ok"), Base("ghost")), "m"),
+        Or((Base("always-ok"), Base("length", (1,))), "m"),
+        Or((Base("always-ok"), "not an expression"), "m"),
+        Not(Not(Base("always-ok"), "inner"), "outer"),
+    ])
+    def test_an_unreached_failing_branch_raises_nothing(self, reg, expr):
+        for _ in range(2):
+            reg.validate(expr, CTX, "x")
+
+    def test_a_reached_failing_branch_raises_each_time(self, reg):
+        expr = And((Base("always-ok"), Base("length", (1,))))
+        for _ in range(2):
+            with pytest.raises(InvalidSpecError) as exc:
+                reg.validate(expr, CTX, "x")
+            assert str(exc.value) == "validator 'length' takes 2 arguments, got 1"
+        with pytest.raises(ValidationError):  # the earlier child still runs first
+            reg.validate(And((Base("numeric"), Base("ghost"))), CTX, "x")
+
+    def test_a_warm_evaluation_looks_nothing_up(self, reg, monkeypatch):
+        lookups = []
+        resolve = validators._resolve
+        monkeypatch.setattr(validators, "_resolve",
+                            lambda *args: lookups.append(args[1]) or resolve(*args))
+        expr = And((Base("required"), Or((Base("numeric"), Base("length", (1, 3))), "m")))
+        reg.validate(expr, CTX, "12")
+        assert lookups == ["required", "numeric", "length"]
+        for text in ("12", "abc", "1234"):
+            outcome(reg.validate, expr, CTX, text)
+        assert len(lookups) == 3
+        reg.register("spare", 0, 0, _flex)  # a new generation compiles again
+        reg.validate(expr, CTX, "12")
+        assert len(lookups) == 6
+
+    def test_the_memo_drops_a_dead_expression(self, reg):
+        expr = And((Base("required"), Base("numeric")))
+        reg.validate(expr, CTX, "1")
+        assert list(reg._compiled) == [id(expr)]
+        del expr
+        gc.collect()
+        assert not reg._compiled and not reg._watched
+
+    def test_a_non_expression_is_never_memoized(self, reg):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="^not a validator expression: 'numeric'$"):
+                reg.validate("numeric", CTX, "x")
+        assert not reg._compiled
+
+
+class TestCompiledWrites:
+    SCHEMA = ("(locale root :parent none) (locale leaf :parent root)"
+              "(widget w root :table t"
+              " :input ((default identity (and required (or numeric (length 1 3) \"m\"))))"
+              " :output ((default identity)))")
+
+    def test_one_validate_per_write(self, tmp_path, monkeypatch):
+        reg = WidgetRegistry()
+        reg.load_schema(self.SCHEMA)
+        registry = reg.registries.validators
+        calls = []
+        validate = registry.validate
+        monkeypatch.setattr(registry, "validate",
+                            lambda *args: calls.append(args[2]) or validate(*args))
+        db = Database(tmp_path / "db")
+        for text in ("12", "abc", "1234", "7"):
+            outcome(reg.parse_and_set, db, WidgetCoord("w", "leaf", "default"), text)
+        assert calls == ["12", "abc", "1234", "7"]
+        assert db.get("t", "w") == "7"
+
+    def test_reloads_leave_no_expression_of_a_dropped_snapshot(self, tmp_path):
+        reg = WidgetRegistry()
+        db = Database(tmp_path / "db")
+        for bound in range(1, 30):
+            reg.load_schema(self.SCHEMA.replace("(length 1 3)", f"(length 1 {bound})"),
+                            replace=True)
+            reg.parse_and_set(db, WidgetCoord("w", "leaf", "default"), "12")
+        gc.collect()
+        live = {id(binding.validator) for spec in reg._snapshot[1].values()
+                for binding in spec.inputs.values()}
+        memo = reg.registries.validators
+        assert set(memo._compiled) <= live and memo._watched <= live
+        assert len(memo._compiled) == 1
+
+
+# --- the sped-up base validators against the loops they replaced ---------------
+
+def _reference_numeric(ctx, args, text):
+    for ch in text:
+        if ch not in _DIGIT_SET:
+            validation_error(text, "The character '~A' is not numeric", ch)
+
+
+def _reference_alphabetic(ctx, args, text):
+    for ch in text:
+        if ch not in _LETTER_SET | {" ", "-"}:
+            validation_error(text, "The character '~A' is not alphabetic", ch)
+
+
+def _reference_strictly_alphabetic(ctx, args, text):
+    for ch in text:
+        if ch not in _LETTER_SET:
+            validation_error(text, "The character '~A' is not alphabetic", ch)
+
+
+def _reference_alphanumeric(ctx, args, text):
+    for ch in text:
+        if ch not in _LETTER_SET | _DIGIT_SET:
+            validation_error(text, "The character '~A' is not alphanumeric", ch)
+
+
+def _reference_date(ctx, args, text):
+    digits_only = text.replace("/", "")
+    if len(digits_only) != 8 or any(ch not in _DIGIT_SET for ch in digits_only):
+        validation_error(text, "Input is not a valid date")
+    try:
+        datetime.date(int(digits_only[0:4]), int(digits_only[4:6]), int(digits_only[6:8]))
+    except ValueError:
+        validation_error(text, "Input is not a valid date")
+
+
+class TestFastBaseValidators:
+    REFERENCES = {"numeric": _reference_numeric, "alphabetic": _reference_alphabetic,
+                  "strictly-alphabetic": _reference_strictly_alphabetic,
+                  "alphanumeric": _reference_alphanumeric, "date": _reference_date}
+
+    @given(st.sampled_from(sorted(REFERENCES)), _any_texts)
+    def test_same_outcome_and_message_as_the_loop(self, name, text):
+        reg = default_validator_registry()
+        assert outcome(reg.validate, Base(name), CTX, text) == \
+            outcome(self.REFERENCES[name], CTX, (), text)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_same_outcome_on_texts_a_c_level_test_could_misjudge(self, name):
+        reg = default_validator_registry()
+        for text in _TRICKY_TEXTS:
+            assert outcome(reg.validate, Base(name), CTX, text) == \
+                outcome(self.REFERENCES[name], CTX, (), text), text
