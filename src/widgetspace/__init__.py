@@ -17,9 +17,8 @@ from .errors import (CorruptTableError, DatabaseLockedError, DuplicateLocaleErro
                      ValidationError, WidgetSpaceError, WrongVariantError)
 from .fixtures import fixture_dir, fixture_paths, load_fixture_registry
 from .locales import LocaleTree
-from .registry import (InputBinding, LoadReport, Registries, ResolvedStorage,
-                       WidgetCoord, WidgetRegistry, WidgetSpec,
-                       standard_registries)
+from .registry import (InputBinding, LoadReport, Registries, ResolvedParts, ResolvedStorage,
+                       WidgetCoord, WidgetRegistry, WidgetSpec, standard_registries)
 from .store import Database
 from .textio import NamedRegistry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
@@ -42,7 +41,7 @@ __all__ = [
     "WidgetSpaceError", "WrongVariantError",
     "fixture_dir", "fixture_paths", "load_fixture_registry",
     "LocaleTree",
-    "InputBinding", "LoadReport", "Registries", "ResolvedStorage",
+    "InputBinding", "LoadReport", "Registries", "ResolvedParts", "ResolvedStorage",
     "WidgetCoord", "WidgetRegistry", "WidgetSpec", "standard_registries",
     "Database",
     "NamedRegistry",

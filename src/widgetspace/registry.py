@@ -6,14 +6,13 @@ locale's ancestry, so a jurisdiction inherits everything it does not
 override. Resolution is per property: a locale may override only the
 output table, say, and keep its parent's parser, storage, and generator.
 
-For each property carrying a medium map, the probe at one locale tries
-the exact medium first and then that locale's ``default`` entry before
-moving to the parent. A local default therefore beats an exact match
-further up the chain.
-
+One walk, ``resolve_parts``, finds every property of a (name, locale, medium),
+each at the nearest locale that declares it, and each ``resolve_*`` picks one.
+A locale tries the exact medium and then its own ``default`` entry before the
+walk moves to its parent, so a local default beats an exact match further up.
 The fused ``get_and_format`` and ``parse_and_set`` keep one plan per
-coordinate, made by these walks on first use and memoized with the
-published snapshot, so a load that publishes a new snapshot drops them all.
+coordinate, made by that walk on first use and memoized with the published
+snapshot, so a load that publishes a new snapshot drops them all.
 
 Schema files are s-expressions::
 
@@ -46,8 +45,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import accessors, generators
 from .datum import (UNINITIALIZED, Datum, Uninitialized, UnstorableError, is_uninitialized,
@@ -118,6 +116,17 @@ class ResolvedStorage:
     setter: Optional[Callable]
     max_index: int
     locale: str
+
+
+class ResolvedParts(NamedTuple):
+    """Each property of one (name, locale, medium), from the nearest locale that
+    declares it, or None; storage and generator are the same for every medium."""
+
+    storage: Optional[WidgetSpec]  # the nearest spec that declares storage
+    formatter: Optional[str]
+    binding: Optional[InputBinding]
+    heading: Optional[str]
+    generator: Optional[str]
 
 
 @dataclass
@@ -277,17 +286,41 @@ class WidgetRegistry:
 
     # -- resolution --------------------------------------------------------
 
+    def resolve_parts(self, name: str, locale: str, medium: str) -> ResolvedParts:
+        """Every property of (name, locale, medium), from one walk up ``locale``'s
+        ancestry that stops once every part is found, or at the root."""
+        tree, specs, _ = self._snapshot
+        name, medium = normalize_symbol(name), normalize_symbol(medium)
+        found = [None] * 5  # in ResolvedParts order
+
+        def probe(loc: str) -> Optional[ResolvedParts]:
+            spec = specs.get((name, loc))
+            if spec is not None:
+                declared = (spec if spec.declares_storage() else None,
+                            _at(spec.outputs, medium), _at(spec.inputs, medium),
+                            _at(spec.headings, medium), spec.generator)
+                found[:] = [old if old is not None else new
+                            for old, new in zip(found, declared)]
+            if tree._parents[loc] is not None and None in found:
+                return None  # the parent may declare what is still missing
+            return ResolvedParts(*found)
+
+        return tree.resolve(locale, probe)
+
     def resolve_formatter(self, name: str, locale: str, medium: str) -> str:
         """The formatter name for (name, locale, medium), nearest locale first."""
-        return _resolve(self._snapshot, _OUTPUTS, name, locale, medium, "output")
+        return _found(self.resolve_parts(name, locale, medium).formatter,
+                      "output", name, locale, medium)
 
     def resolve_parser(self, name: str, locale: str, medium: str) -> InputBinding:
         """The (parser, validator) pair for (name, locale, medium)."""
-        return _resolve(self._snapshot, _INPUTS, name, locale, medium, "input")
+        return _found(self.resolve_parts(name, locale, medium).binding,
+                      "input", name, locale, medium)
 
     def resolve_storage(self, name: str, locale: str) -> ResolvedStorage:
         """Accessors from the nearest ancestor spec that declares storage."""
-        spec = _storage_spec(self._snapshot, name, locale)
+        spec = _found(self.resolve_parts(name, locale, "default").storage,
+                      "storage", name, locale)
         getter, setter = _table_accessors(spec.table, spec.max_index)
         if spec.getter is not None:
             getter = self.registries.getters.get(spec.getter)
@@ -297,13 +330,11 @@ class WidgetRegistry:
 
     def resolve_heading(self, name: str, locale: str, medium: str) -> Optional[str]:
         """The display heading, or None when no ancestor declares one."""
-        try:
-            return _resolve(self._snapshot, _HEADINGS, name, locale, medium, "heading")
-        except ResolutionError:
-            return None
+        return self.resolve_parts(name, locale, medium).heading
 
     def resolve_generator(self, name: str, locale: str) -> str:
-        return _resolve(self._snapshot, _GENERATOR, name, locale, None, "generator")
+        return _found(self.resolve_parts(name, locale, "default").generator,
+                      "generator", name, locale)
 
     # -- fused operations ---------------------------------------------------
 
@@ -316,8 +347,7 @@ class WidgetRegistry:
         max_index, getter, _, formatter, _, ctx = self._plan(coord)
         _check_index(coord.index, max_index)
         if getter is None:
-            raise ResolutionError(NO_STORAGE_MESSAGE, {"name": coord.name,
-                                                       "locale": coord.locale,
+            raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "getter"})
         if isinstance(getter, str):
             getter = self.registries.getters.get(getter)
@@ -340,8 +370,7 @@ class WidgetRegistry:
         max_index, _, setter, _, binding, ctx = self._plan(coord)
         _check_index(coord.index, max_index)
         if setter is None:
-            raise ResolutionError(NO_STORAGE_MESSAGE, {"name": coord.name,
-                                                       "locale": coord.locale,
+            raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "setter"})
         if binding is None:  # raises here, as it did before plans
             binding = self.resolve_parser(coord.name, coord.locale, coord.medium)
@@ -370,13 +399,13 @@ class WidgetRegistry:
                 or self._new_plan(coord))
 
     def _new_plan(self, coord: WidgetCoord) -> tuple:
-        """Make ``coord``'s plan from the ``resolve_*`` walks and memoize it.
+        """Make ``coord``'s plan from one ``resolve_parts`` walk and memoize it.
 
         Plans are keyed by canonical spelling, and a medium that no spec
         declares uses the ``default`` plan, so the memo stays bounded by
-        the schema. The walks get the caller's own spelling to normalize; an
-        undeclared medium resolves as ``default`` does. A failed storage walk
-        raises and memoizes nothing.
+        the schema. The walk gets the caller's own spelling to normalize; an
+        undeclared medium resolves as ``default`` does. A walk that finds no
+        storage raises and memoizes nothing.
         """
         name, locale, medium = (_canonical(coord.name), _canonical(coord.locale),
                                 _canonical(coord.medium))
@@ -389,12 +418,11 @@ class WidgetRegistry:
             key = (name, locale, medium if medium in plans.media else "default")
             plan = plans.get(key)
             if plan is None:
-                spec = _storage_spec(snapshot, coord.name, coord.locale)
+                parts = self.resolve_parts(coord.name, coord.locale, coord.medium)
+                spec = _found(parts.storage, "storage", coord.name, coord.locale)
                 get, put = _table_accessors(spec.table, spec.max_index)
                 plan = (spec.max_index, spec.getter or get, spec.setter or put,
-                        _or_none(self.resolve_formatter, coord.name, coord.locale, coord.medium),
-                        _or_none(self.resolve_parser, coord.name, coord.locale, coord.medium),
-                        ValidatorContext(*key))
+                        parts.formatter, parts.binding, ValidatorContext(*key))
                 if self._snapshot is not snapshot:
                     continue  # a load published meanwhile: plan against the new snapshot
                 plans[key] = plan
@@ -555,22 +583,6 @@ class _Plans(dict):
     media: Optional[frozenset] = None  # every medium some spec declares, once asked
 
 
-_OUTPUTS = attrgetter("outputs")
-_INPUTS = attrgetter("inputs")
-_HEADINGS = attrgetter("headings")
-_GENERATOR = attrgetter("generator")
-
-
-def _storage_of(spec: WidgetSpec) -> Optional[WidgetSpec]:
-    """``spec`` if it declares storage, else None: what a storage walk seeks."""
-    return spec if spec.declares_storage() else None
-
-
-def _storage_spec(snapshot: tuple, name: str, locale: str) -> WidgetSpec:
-    """The nearest spec of ``name`` up ``locale``'s ancestry that declares storage."""
-    return _resolve(snapshot, _storage_of, name, locale, None, "storage", NO_STORAGE_MESSAGE)
-
-
 def _orphans(tree: LocaleTree, specs: dict) -> list[str]:
     """A warning for each spec with no storage at or above its locale, in spec order.
 
@@ -598,30 +610,21 @@ def _orphans(tree: LocaleTree, specs: dict) -> list[str]:
     return warnings
 
 
-def _resolve(snapshot: tuple, pick: Callable, name: str, locale: str,
-             medium: Optional[str], direction: str, message: str = NO_HANDLER_MESSAGE):
-    """The nearest non-None ``pick(spec)`` of widget ``name`` up ``locale``'s ancestry.
+def _at(entries: dict, medium: str):
+    """The entry for ``medium``, or if that is absent or empty the ``default`` one."""
+    return entries.get(medium) or entries.get("default")
 
-    With a medium, ``pick`` returns a medium map, and each locale tries the
-    exact medium and then its own ``default`` before its parent is probed.
-    """
-    tree, specs, _ = snapshot
-    name = normalize_symbol(name)
-    context = {"name": name, "locale": locale, "direction": direction}
+
+def _found(part, direction: str, name: str, locale: str, medium: Optional[str] = None):
+    """``part``, or if a walk found none, a ResolutionError naming the canonical coordinate."""
+    if part is not None:
+        return part
+    context = {"name": normalize_symbol(name), "locale": normalize_symbol(locale),
+               "direction": direction}
     if medium is not None:
-        medium = normalize_symbol(medium)
-        context["medium"] = medium
-
-    def probe(loc: str):
-        spec = specs.get((name, loc))
-        if spec is None:
-            return None
-        value = pick(spec)
-        if medium is None:
-            return value
-        return value.get(medium) or value.get("default")
-
-    return tree.resolve(locale, probe, message=message, context=context)
+        context["medium"] = normalize_symbol(medium)
+    raise ResolutionError(NO_STORAGE_MESSAGE if direction == "storage" else NO_HANDLER_MESSAGE,
+                          context)
 
 
 def _check_index(index: int, max_index: int) -> None:
@@ -633,13 +636,6 @@ def _canonical(symbol: str) -> str:
     """``normalize_symbol(symbol)``, as the caller's own string when already canonical."""
     text = normalize_symbol(symbol)
     return symbol if text == symbol else text
-
-
-def _or_none(resolve: Callable, *args):
-    try:
-        return resolve(*args)
-    except ResolutionError:
-        return None
 
 
 @lru_cache(maxsize=256)  # one shared pair per (table, max_index), not one per plan

@@ -664,6 +664,33 @@ class TestShow:
         assert "Name: Doe," in lines
         assert "State ID Number: #uninit" in lines
 
+    # the whole of stdout, after the three sets below, for each (locale, medium)
+    GOLDEN = {
+        ("arkansas", "transmission"): (
+            "Alias.1: #uninit\nAlias.2: Smith\nDate of Birth: 20100704\n"
+            "First Name: #uninit\nLast Name: Doe\nMiddle Name: #uninit\n"
+            "Suffix: #uninit\nState ID Number: #uninit\nName: Doe,\n"),
+        ("arkansas", "ar-arrest"): (
+            "Alias.1: #uninit\nAlias.2: Smith\nDate of Birth: 7/4/2010\n"
+            "First Name: #uninit\nLast Name: Doe\nMiddle Name: #uninit\n"
+            "Suffix: #uninit\nState ID Number: #uninit\nName: , , Doe\n"),
+        ("wisconsin", "ls1100-entry"): (
+            "Alias.1: #uninit\nAlias.2: Smith\nDate of Birth: 20100704\n"
+            "First Name: #uninit\nLast Name: Doe\nMiddle Name: #uninit\n"
+            "Suffix: #uninit\nName: Doe,\n"),
+    }
+
+    def test_whole_output_is_pinned(self, ws, tmp_path):
+        db = ["--db", str(tmp_path / "db")]
+        for field, text in (("dob", "20100704"), ("name-last", "Doe"), ("alias.2", "Smith")):
+            code, _, err = run_cli(["set", *ws_args(ws), *db, "--locale", "arkansas",
+                                    "--field", field, "--medium", "ls1100-entry", text],
+                                   cwd=tmp_path)
+            assert code == 0, err
+        for (locale, medium), expected in self.GOLDEN.items():
+            assert run_cli(["show", *ws_args(ws), *db, "--locale", locale,
+                            "--medium", medium], cwd=tmp_path) == (0, expected, "")
+
 
 class TestGen:
     def test_deterministic_across_processes(self, ws, tmp_path):

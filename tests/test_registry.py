@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -17,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 from widgetspace import (
     UNINITIALIZED, Base, CorruptTableError, Database, IndexOutOfRangeError, InputBinding,
     InvalidSpecError, LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName,
-    ResolutionError, SchemaError, SchemaSyntaxError, SimpleDate, UnknownLocaleError,
+    ResolutionError, ResolvedParts, ResolvedStorage, SchemaError, SchemaSyntaxError,
+    SimpleDate, UnknownLocaleError,
     UnknownParentError, UnknownValidatorError, UnresolvedReferenceError, ValidationError,
     ValidatorContext, WidgetCoord, WidgetRegistry, WidgetSpec, WrongVariantError, accessors,
     load_fixture_registry, standard_registries,
 )
-from widgetspace.registry import MAX_INDEX
+from widgetspace.registry import MAX_INDEX, _table_accessors
 from widgetspace.sexpr import normalize_symbol
 from widgetspace.validators import And, Not, Or, ValidatorExpr, ValidatorRegistry
 
@@ -579,6 +581,189 @@ class TestResolutionOracle:
                     assert reg.resolve_formatter("w", start, medium) == expected
                 checked += 1
         assert checked == 3000
+
+
+def ref_resolve(reg, pick: Callable, name: str, locale: str, medium, direction: str,
+                message: str = NO_HANDLER_MESSAGE):
+    """The per-property walk the ``resolve_*`` methods each made before
+    ``resolve_parts``, as it was but for one change: the context spells the
+    locale canonically, as it spells the name and the medium."""
+    tree, specs, _ = reg._snapshot
+    name = normalize_symbol(name)
+    context = {"name": name, "locale": normalize_symbol(locale), "direction": direction}
+    if medium is not None:
+        medium = normalize_symbol(medium)
+        context["medium"] = medium
+
+    def probe(loc: str):
+        spec = specs.get((name, loc))
+        if spec is None:
+            return None
+        value = pick(spec)
+        if medium is None:
+            return value
+        return value.get(medium) or value.get("default")
+
+    return tree.resolve(locale, probe, message=message, context=context)
+
+
+def ref_resolve_storage(reg, name: str, locale: str) -> ResolvedStorage:
+    spec = ref_resolve(reg, lambda spec: spec if spec.declares_storage() else None,
+                       name, locale, None, "storage", NO_STORAGE_MESSAGE)
+    getter, setter = _table_accessors(spec.table, spec.max_index)
+    if spec.getter is not None:
+        getter = reg.registries.getters.get(spec.getter)
+    if spec.setter is not None:
+        setter = reg.registries.setters.get(spec.setter)
+    return ResolvedStorage(getter, setter, spec.max_index, spec.locale)
+
+
+def ref_resolve_heading(reg, name: str, locale: str, medium: str):
+    try:
+        return ref_resolve(reg, attrgetter("headings"), name, locale, medium, "heading")
+    except ResolutionError:
+        return None
+
+
+# resolve_* method -> (reference walk, whether it takes a medium)
+REFERENCE_WALKS = {
+    "resolve_formatter": (lambda reg, name, locale, medium: ref_resolve(
+        reg, attrgetter("outputs"), name, locale, medium, "output"), True),
+    "resolve_parser": (lambda reg, name, locale, medium: ref_resolve(
+        reg, attrgetter("inputs"), name, locale, medium, "input"), True),
+    "resolve_storage": (ref_resolve_storage, False),
+    "resolve_heading": (ref_resolve_heading, True),
+    "resolve_generator": (lambda reg, name, locale: ref_resolve(
+        reg, attrgetter("generator"), name, locale, None, "generator"), False),
+}
+
+WALK_MEDIA = ["m1", "m2", "default"]
+HEADING_ONLY = "h"  # a medium only a heading declares
+STORAGE = [{}, {"table": "t"}, {"table": "t", "max_index": 2},
+           {"getter": "person-name-from-fields"}, {"setter": "person-name-to-fields"}]
+
+
+@st.composite
+def _walk_cases(draw) -> tuple:
+    """A registry with a locale tree up to 8 deep, random specs of ``w`` and
+    ``v`` along it, and coordinates to resolve, some of them unknown."""
+    reg = WidgetRegistry()
+    locales = [f"loc{i}" for i in range(draw(st.integers(1, 8)))]
+    reg.locales.add(locales[0])
+    for i, loc in enumerate(locales[1:], 1):
+        reg.locales.add(loc, locales[draw(st.integers(0, i - 1))])
+
+    def medium_map(media, values):
+        return draw(st.dictionaries(st.sampled_from(media), values, max_size=len(media)))
+
+    for name in ("w", "v"):
+        for loc in locales:
+            if draw(st.booleans()):
+                reg.define_widget(WidgetSpec(
+                    name=name, locale=loc, **draw(st.sampled_from(STORAGE)),
+                    outputs=medium_map(WALK_MEDIA, st.sampled_from(["identity", "string-upcase"])),
+                    inputs=medium_map(WALK_MEDIA, st.sampled_from(
+                        [InputBinding("identity", Base("always-ok")),
+                         InputBinding("identity", Base("alphabetic"))])),
+                    headings=medium_map(WALK_MEDIA + [HEADING_ONLY],
+                                        st.sampled_from(["", "Heading", "Other"])),
+                    generator=draw(st.sampled_from([None, "gen-sid", "gen-name-last"]))))
+    coords = draw(st.lists(st.tuples(
+        st.sampled_from(["w", "W", ":v", "ghost"]),
+        st.sampled_from(locales + [locales[-1].upper(), ":" + locales[-1], "nowhere"]),
+        st.sampled_from(WALK_MEDIA + [HEADING_ONLY, "m9", "M1", "::m2"])), min_size=1, max_size=8))
+    return reg, coords
+
+
+def _resolution(call) -> tuple:
+    try:
+        return "ok", call()
+    except SchemaError as e:
+        return type(e), str(e), getattr(e, "context", None)
+
+
+class TestOneWalk:
+    """Every ``resolve_*`` picks its part from one ``resolve_parts`` walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_walk_cases())
+    def test_each_pick_matches_its_own_walk(self, case):
+        reg, coords = case
+        for name, locale, medium in coords:
+            for method, (reference, takes_medium) in REFERENCE_WALKS.items():
+                args = (name, locale, medium) if takes_medium else (name, locale)
+                assert (_resolution(lambda: getattr(reg, method)(*args))
+                        == _resolution(lambda: reference(reg, *args))), (
+                    method, args, reg.export_state())
+
+    def _counting(self, monkeypatch) -> dict:
+        """Counts of ``resolve_parts`` calls, tree walks and locales probed."""
+        counts = {"parts": 0, "walks": 0, "probes": 0}
+        resolve, resolve_parts = LocaleTree.resolve, WidgetRegistry.resolve_parts
+
+        def counted_parts(registry, *args):
+            counts["parts"] += 1
+            return resolve_parts(registry, *args)
+
+        def counted_walk(tree, start, probe, **kwargs):
+            counts["walks"] += 1
+
+            def counted_probe(loc):
+                counts["probes"] += 1
+                return probe(loc)
+            return resolve(tree, start, counted_probe, **kwargs)
+
+        monkeypatch.setattr(WidgetRegistry, "resolve_parts", counted_parts)
+        monkeypatch.setattr(LocaleTree, "resolve", counted_walk)
+        return counts
+
+    def test_a_plan_is_one_walk(self, tmp_path, monkeypatch):
+        reg = tiny_registry()
+        reg.load_schema('(widget w root :table t :heading (default "W") :output ((m identity)))'
+                        "(widget w mid :input ((m identity required)))")
+        counts = self._counting(monkeypatch)
+        db = Database(tmp_path / "db")
+        at = WidgetCoord("w", "leaf", "m")
+        assert reg.parse_and_set(db, at, "x") == "x"
+        assert counts == {"parts": 1, "walks": 1, "probes": 3}
+        assert reg.get_and_format(db, at) == "x"
+        assert counts == {"parts": 1, "walks": 1, "probes": 3}
+
+    def test_the_walk_stops_once_every_part_is_found(self, monkeypatch):
+        reg = tiny_registry()
+        reg.load_schema('(widget w leaf :table t :heading (m "W") :output ((m identity))'
+                        " :input ((default identity required)) :generator gen-sid)"
+                        "(widget w root :table u)")
+        counts = self._counting(monkeypatch)
+        parts = reg.resolve_parts("W", ":Leaf", "M")
+        assert parts == ResolvedParts(reg.spec_at("w", "leaf"), "identity",
+                                      InputBinding("identity", Base("required")), "W", "gen-sid")
+        assert counts == {"parts": 1, "walks": 1, "probes": 1}
+        assert reg.resolve_parts("w", "leaf", "other").heading is None
+        assert counts == {"parts": 2, "walks": 2, "probes": 4}
+
+    def test_contexts_spell_the_coordinate_canonically(self, tmp_path):
+        reg = tiny_registry()
+        reg.load_schema("(widget w root :table t) (widget v root :setter person-name-to-fields)")
+        failures = [
+            (lambda: reg.resolve_formatter("W", "LEAF", "Q"),
+             {"name": "w", "locale": "leaf", "direction": "output", "medium": "q"}),
+            (lambda: reg.resolve_parser("W", "Leaf", "::Q"),
+             {"name": "w", "locale": "leaf", "direction": "input", "medium": ":q"}),
+            (lambda: reg.resolve_generator("W", ":Leaf"),
+             {"name": "w", "locale": "leaf", "direction": "generator"}),
+            (lambda: reg.resolve_storage("X", ":Leaf"),
+             {"name": "x", "locale": "leaf", "direction": "storage"}),
+            (lambda: reg.get_and_format(Database(tmp_path / "db"), WidgetCoord("V", "LEAF", "M")),
+             {"name": "v", "locale": "leaf", "missing": "getter"}),
+            (lambda: reg.parse_and_set(Database(tmp_path / "db"), WidgetCoord("X", "Leaf", "M"),
+                                       "a"),
+             {"name": "x", "locale": "leaf", "direction": "storage"}),
+        ]
+        for call, context in failures:
+            with pytest.raises(ResolutionError) as e:
+                call()
+            assert e.value.context == context
 
 
 class TestStateRoundTrip:
@@ -1219,13 +1404,13 @@ class TestNormalizedOnce:
         reg.load_schema("(widget w root :table t :input ((::html identity required))"
                         " :output ((::html string-upcase)))")
         calls = []
-        resolve_formatter = WidgetRegistry.resolve_formatter
+        resolve_parts = WidgetRegistry.resolve_parts
 
         def counting(registry, *args):
             calls.append(args)
-            return resolve_formatter(registry, *args)
+            return resolve_parts(registry, *args)
 
-        monkeypatch.setattr(WidgetRegistry, "resolve_formatter", counting)
+        monkeypatch.setattr(WidgetRegistry, "resolve_parts", counting)
         db = Database(tmp_path / "db")
         at = WidgetCoord("w", "leaf", "::html")
         for text in ("a", "b", "c"):
