@@ -330,13 +330,11 @@ def cmd_show(args) -> int:
     registry = _load_workspace(args)
     with _locked_db(args) as db:
         for name in registry.widget_names_at(args.locale):
-            try:
-                storage = registry.resolve_storage(name, args.locale)
-            except ResolutionError:
+            parts = registry.resolve_parts(name, args.locale, args.medium)
+            storage = parts.storage
+            if storage is None or (storage.table is None and storage.getter is None):
                 continue
-            if storage.getter is None:
-                continue
-            label = registry.resolve_heading(name, args.locale, args.medium) or name
+            label = parts.heading or name
             for index in range(1, storage.max_index + 1):
                 coord = WidgetCoord(name=name, locale=args.locale,
                                     medium=args.medium, index=index)

@@ -344,18 +344,22 @@ class WidgetRegistry:
         An unset field returns the UNINITIALIZED marker without invoking
         any formatter.
         """
-        max_index, getter, _, formatter, _, ctx = self._plan(coord)
-        _check_index(coord.index, max_index)
+        max_index, getter, _, formatter, _, ctx = (
+            self._snapshot[2].get((coord.name, coord.locale, coord.medium))
+            or self._new_plan(coord))
+        index = coord.index
+        if type(index) is not int or not 1 <= index <= max_index:
+            _check_index(index, max_index)
         if getter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "getter"})
         if isinstance(getter, str):
             getter = self.registries.getters.get(getter)
-        value = getter(db, ctx.name, coord.index, ctx.locale)
+        value = getter(db, ctx.name, index, ctx.locale)
         if is_uninitialized(value):
             return UNINITIALIZED
-        if formatter is None:  # raises here, as it did before plans
-            formatter = self.resolve_formatter(coord.name, coord.locale, coord.medium)
+        if formatter is None:
+            _found(None, "output", coord.name, coord.locale, coord.medium)
         return self.registries.formatters.get(formatter)(value)
 
     def parse_and_set(self, db, coord: WidgetCoord, text: str) -> Datum:
@@ -367,39 +371,39 @@ class WidgetRegistry:
         a table's ``put`` checks it before it touches the table, and a setter
         registered by name is handed only a value that passed that check.
         """
-        max_index, _, setter, _, binding, ctx = self._plan(coord)
-        _check_index(coord.index, max_index)
+        max_index, _, setter, _, binding, ctx = (
+            self._snapshot[2].get((coord.name, coord.locale, coord.medium))
+            or self._new_plan(coord))
+        index = coord.index
+        if type(index) is not int or not 1 <= index <= max_index:
+            _check_index(index, max_index)
         if setter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "setter"})
-        if binding is None:  # raises here, as it did before plans
-            binding = self.resolve_parser(coord.name, coord.locale, coord.medium)
+        if binding is None:
+            _found(None, "input", coord.name, coord.locale, coord.medium)
         self.registries.validators.validate(binding.validator, ctx, text)
         value = self.registries.parsers.get(binding.parser)(text)
         try:
             if isinstance(setter, str):  # a registered setter gets only a storable value
                 require_valid(value)
             else:  # a table accessor's put checks the value before it touches the table
-                setter(db, ctx.name, coord.index, ctx.locale, value)
+                setter(db, ctx.name, index, ctx.locale, value)
                 return value
         except UnstorableError as e:
             raise ValidationError(text, str(e)) from None
-        self.registries.setters.get(setter)(db, ctx.name, coord.index, ctx.locale, value)
+        self.registries.setters.get(setter)(db, ctx.name, index, ctx.locale, value)
         return value
-
-    def _plan(self, coord: WidgetCoord) -> tuple:
-        """``(max_index, getter, setter, formatter, binding, ctx)`` for ``coord``.
-
-        The getter and setter are table accessors, or the names of
-        registered ones; the formatter and binding are None where no
-        ancestor declares one. Names are looked up at each use, so
-        re-registering a function takes effect at once.
-        """
-        return (self._snapshot[2].get((coord.name, coord.locale, coord.medium))
-                or self._new_plan(coord))
 
     def _new_plan(self, coord: WidgetCoord) -> tuple:
         """Make ``coord``'s plan from one ``resolve_parts`` walk and memoize it.
+
+        A plan is ``(max_index, getter, setter, formatter, binding, ctx)``.
+        The getter and setter are table accessors, or the names of
+        registered ones; the formatter and binding are None where no
+        ancestor declares one. Names are looked up at each use, so
+        re-registering a function takes effect at once. The fused operations
+        probe the memo with the caller's spelling and come here on a miss.
 
         Plans are keyed by canonical spelling, and a medium that no spec
         declares uses the ``default`` plan, so the memo stays bounded by

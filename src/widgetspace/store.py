@@ -17,9 +17,12 @@ when one is found. A key spelled as a valid symbol, as the store writes
 every key, is taken as it is spelled.
 
 Keys and table names are kept in canonical spelling, so a lookup tries a
-plain string as it is spelled and normalizes it only when that misses. A
-write checks its value (``require_valid``) before it touches a table; that
-is the one storability check of a table-backed ``parse_and_set``.
+plain string as it is spelled and normalizes it only when that misses: a
+loaded table is found with one probe of the database's table map, and a
+canonical key with one probe of the table on a read or one symbol match on a
+write. Every get and put still takes its table's lock. A write checks its
+value (``require_valid``) before it touches a table; that is the one
+storability check of a table-backed ``parse_and_set``.
 """
 
 from __future__ import annotations
@@ -63,9 +66,11 @@ def _tablename(filename: str) -> str:
 
 
 def _valid_key(key: str) -> str:
-    """Normalized key, rejected unless it can round-trip through a table file."""
-    if type(key) is str and _SYMBOL_RE.match(key) is not None:  # already canonical
-        return key
+    """Normalized key, rejected unless it can round-trip through a table file.
+
+    For a key that is not already a canonical ``str``; callers accept one that
+    is with a single ``_SYMBOL_RE.match``.
+    """
     key = _lookup_key(key)
     if not is_valid_symbol(key):
         raise StoreError(f"invalid key {key!r}")
@@ -77,11 +82,6 @@ def _lookup_key(key: str) -> str:
     if not isinstance(key, str):
         raise StoreError(f"invalid key {key!r}")
     return normalize_symbol(key)
-
-
-def _stored_key(entries: dict, key: str) -> str:
-    """The spelling under which ``entries``, keyed canonically, would hold ``key``."""
-    return key if type(key) is str and key in entries else _lookup_key(key)
 
 
 class Database:
@@ -99,23 +99,45 @@ class Database:
 
     def get(self, table: str, key: str) -> Datum:
         """The value stored under (table, key); UNINITIALIZED when absent."""
-        t = self._table(table)
-        with t.lock:
-            return t.entries.get(_stored_key(t.entries, key), UNINITIALIZED)
+        t = self._tables.get(table) if type(table) is str else None
+        if t is None:
+            t = self._table(table)
+        lock, entries = t.lock, t.entries
+        lock.acquire()
+        try:
+            if type(key) is not str or key not in entries:
+                key = _lookup_key(key)
+            return entries.get(key, UNINITIALIZED)
+        finally:
+            lock.release()
 
     def contains_key(self, table: str, key: str) -> bool:
         """True iff a value (possibly UNINITIALIZED itself) was stored."""
-        t = self._table(table)
-        with t.lock:
-            return _stored_key(t.entries, key) in t.entries
+        t = self._tables.get(table) if type(table) is str else None
+        if t is None:
+            t = self._table(table)
+        lock, entries = t.lock, t.entries
+        lock.acquire()
+        try:
+            return (type(key) is str and key in entries) or _lookup_key(key) in entries
+        finally:
+            lock.release()
 
     def put(self, table: str, key: str, value: Datum) -> None:
         require_valid(value)
-        t = self._table(table)
-        with t.lock:
-            t.entries[_valid_key(key)] = value
+        t = self._tables.get(table) if type(table) is str else None
+        if t is None:
+            t = self._table(table)
+        if type(key) is not str or _SYMBOL_RE.match(key) is None:
+            key = _valid_key(key)
+        lock = t.lock
+        lock.acquire()
+        try:
+            t.entries[key] = value
             t.dirty = True
             t.version += 1
+        finally:
+            lock.release()
 
     def get_indexed(self, table: str, key: str, index: int) -> Datum:
         """One slot of an indexed value. 1-based."""
@@ -141,9 +163,14 @@ class Database:
             raise IndexOutOfRangeError(
                 f"index {index} out of range [1, {max_index}]")
         require_valid(value)
-        t = self._table(table)
-        key = _valid_key(key)
-        with t.lock:
+        t = self._tables.get(table) if type(table) is str else None
+        if t is None:
+            t = self._table(table)
+        if type(key) is not str or _SYMBOL_RE.match(key) is None:
+            key = _valid_key(key)
+        lock = t.lock
+        lock.acquire()
+        try:
             current = t.entries.get(key, UNINITIALIZED)
             if is_uninitialized(current):
                 slots = [UNINITIALIZED] * max_index
@@ -156,6 +183,8 @@ class Database:
             t.entries[key] = tuple(slots)
             t.dirty = True
             t.version += 1
+        finally:
+            lock.release()
 
     def checkpoint(self) -> None:
         """Flush every dirty table atomically. Dirtiness survives I/O failure.
@@ -229,11 +258,13 @@ class Database:
     # -- internals -----------------------------------------------------
 
     def _table(self, name: str) -> _Table:
-        # Keyed by canonical, valid names only; a str subclass is normalized
-        # first, as ``_stored_key`` does, whatever is loaded already.
-        t = self._tables.get(name) if type(name) is str else None
-        if t is not None:
-            return t
+        """The table ``name``, loaded on first use.
+
+        Tables are keyed by canonical, valid names only. The get and put
+        paths first probe ``self._tables`` for a plain ``str`` as spelled and
+        come here on a miss; a str subclass is always normalized here first,
+        whatever is loaded already.
+        """
         if not isinstance(name, str):
             raise StoreError(f"invalid table name {name!r}")
         name = normalize_symbol(name)

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widgetspace import Database, SchemaError, WidgetCoord, WidgetRegistry, cli, fixture_paths
+from widgetspace import (Database, LocaleTree, SchemaError, WidgetCoord, WidgetRegistry, cli,
+                         fixture_paths)
 
 from conftest import SRC, run_cli
 
@@ -690,6 +691,27 @@ class TestShow:
         for (locale, medium), expected in self.GOLDEN.items():
             assert run_cli(["show", *ws_args(ws), *db, "--locale", locale,
                             "--medium", medium], cwd=tmp_path) == (0, expected, "")
+
+    def test_one_walk_per_widget_besides_its_plan(self, ws, tmp_path, monkeypatch):
+        """Storage and heading come from one ``resolve_parts`` walk per widget; the
+        plan of its ``get_and_format`` is the other."""
+        walks = []
+        resolve = LocaleTree.resolve
+
+        def counted(tree, start, *args, **kwargs):
+            walks.append(start)
+            return resolve(tree, start, *args, **kwargs)
+
+        monkeypatch.setattr(LocaleTree, "resolve", counted)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["show", *ws_args(ws), "--db", str(tmp_path / "db"),
+                             "--locale", "arkansas", "--medium", "transmission"])
+        assert code == 0
+        tags = [line.split(":")[0] for line in out.getvalue().splitlines()]
+        assert tags == [line.split(":")[0]
+                        for line in self.GOLDEN[("arkansas", "transmission")].splitlines()]
+        assert len(walks) == 16  # 8 widgets
 
 
 class TestGen:

@@ -765,6 +765,28 @@ class TestOneWalk:
                 call()
             assert e.value.context == context
 
+    def test_a_planned_coordinate_with_no_handler_fails_without_a_walk(self, tmp_path,
+                                                                      monkeypatch):
+        reg = tiny_registry()
+        reg.load_schema("(widget w root :table t) (widget v root :table t :output ((m identity)))")
+        db = Database(tmp_path / "db")
+        db.put("t", "w", "x")
+        spellings = [("W", "LEAF", "Q"), ("w", "leaf", "m"), ("W", ":Leaf", "::Q"),
+                     ("w", "Mid", "DEFAULT")]
+        expected = {s: (_resolution(lambda: reg.resolve_formatter(*s)),
+                        _resolution(lambda: reg.resolve_parser(*s))) for s in spellings}
+        for s in spellings:  # the first call at each spelling makes or finds its plan
+            assert expected[s][0][0] is expected[s][1][0] is ResolutionError
+            _resolution(lambda: reg.get_and_format(db, WidgetCoord(*s)))
+        counts = self._counting(monkeypatch)
+        for s in spellings:
+            at = WidgetCoord(*s)
+            for _ in range(5):
+                assert _resolution(lambda: reg.get_and_format(db, at)) == expected[s][0]
+                assert _resolution(lambda: reg.parse_and_set(db, at, "y")) == expected[s][1]
+        assert counts == {"parts": 0, "walks": 0, "probes": 0}
+        assert db.get("t", "w") == "x"
+
 
 class TestStateRoundTrip:
     def test_export_import_preserves_behavior(self, registry, tmp_path):

@@ -818,3 +818,73 @@ class TestHousekeeping:
         db.put("t", "k", value)
         assert dumps(db.get("t", "k")) == dumps(value)
         assert not is_uninitialized(db.get("t", "k"))
+
+
+class TestTableLockStress:
+    """More threads than cores share one table, switching as often as the
+    interpreter allows, while one thread reads and another checkpoints: an
+    update lost by ``put_indexed``'s read-modify-write leaves a slot unset."""
+
+    ROUNDS = 500
+
+    def test_no_write_is_lost_and_a_reopen_reads_memory(self, tmp_path):
+        slots = (os.cpu_count() or 1) + 2  # one writer thread per slot
+        putters = 2
+        db = Database(tmp_path / "db")
+        stop = threading.Event()
+        errors = []
+        start = threading.Barrier(slots + putters + 2, timeout=30)
+        in_step = threading.Barrier(slots, timeout=30)
+
+        def run(body):
+            def target():
+                try:
+                    start.wait()
+                    body()
+                except BaseException as e:  # reported by the assertion below
+                    errors.append(e)
+            return threading.Thread(target=target, daemon=True)
+
+        def fill_slot(slot):  # in each round every slot writer writes the same key
+            for r in range(self.ROUNDS):
+                in_step.wait()
+                for _ in range(10):
+                    db.put_indexed("t", f"s{r}", slot, slot * 1000 + r, slots)
+
+        def put_keys(n):
+            for r in range(self.ROUNDS):
+                db.put("t", f"p{n}-{r}", r)
+
+        def read():
+            while not stop.is_set():
+                db.get("t", "s0")
+                db.contains_key("t", "p0-0")
+
+        def checkpoint():
+            while not stop.is_set():
+                db.checkpoint()
+
+        writers = ([run(lambda s=s: fill_slot(s)) for s in range(1, slots + 1)]
+                   + [run(lambda n=n: put_keys(n)) for n in range(putters)])
+        others = [run(read), run(checkpoint)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in writers + others:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            stop.set()
+            for t in others:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + others)
+        assert errors == []
+        expected = {f"s{r}": tuple(s * 1000 + r for s in range(1, slots + 1))
+                    for r in range(self.ROUNDS)}
+        expected.update((f"p{n}-{r}", r) for n in range(putters) for r in range(self.ROUNDS))
+        assert dict(db.items("t")) == expected
+        db.checkpoint()
+        assert Database(tmp_path / "db").items("t") == db.items("t")
