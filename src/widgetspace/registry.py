@@ -48,7 +48,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from . import accessors, generators
-from .datum import (UNINITIALIZED, Datum, Uninitialized, UnstorableError, is_uninitialized,
+from .datum import (UNINITIALIZED, Datum, Uninitialized, UnstorableError,
                     require_valid)
 from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
                      NO_STORAGE_MESSAGE, ResolutionError, SchemaError, SchemaSyntaxError,
@@ -129,9 +129,14 @@ class ResolvedParts(NamedTuple):
     generator: Optional[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Registries:
-    """The pluggable function tables a widget registry resolves names against."""
+    """The pluggable function tables a widget registry resolves names against.
+
+    Frozen, since a plan holds these tables: to swap one, assign a new
+    ``Registries`` to ``WidgetRegistry.registries``, which drops every plan.
+    Registering into a table needs neither, as a plan sees it at once.
+    """
 
     validators: ValidatorRegistry
     formatters: NamedRegistry
@@ -173,14 +178,27 @@ class WidgetRegistry:
     copy under the writer lock and publish it, with an empty plan memo, only
     when they succeed. The published tree is never mutated in place, since the
     plans made from it would go stale: ``locales.add`` publishes a new
-    snapshot too.
+    snapshot too. Assigning ``registries`` publishes an empty plan memo as
+    well, since each plan holds the tables it calls through.
     """
 
     def __init__(self):
-        self.registries = standard_registries()
+        self._registries = standard_registries()
         self._snapshot: tuple[LocaleTree, dict[tuple[str, str], WidgetSpec], _Plans] = (
             LocaleTree(), {}, _Plans())
         self._lock = threading.Lock()
+
+    @property
+    def registries(self) -> Registries:
+        """The function tables; assigning new ones publishes an empty plan memo."""
+        return self._registries
+
+    @registries.setter
+    def registries(self, registries: Registries) -> None:
+        with self._lock:  # the tables first: a plan made from the new snapshot uses them
+            self._registries = registries
+            tree, specs, _ = self._snapshot
+            self._snapshot = (tree, specs, _Plans())
 
     @property
     def locales(self) -> LocaleTree:
@@ -344,7 +362,7 @@ class WidgetRegistry:
         An unset field returns the UNINITIALIZED marker without invoking
         any formatter.
         """
-        max_index, getter, _, formatter, _, ctx = (
+        max_index, getters, getter, formatters, formatter, _, _, _, _, _, _, ctx = (
             self._snapshot[2].get((coord.name, coord.locale, coord.medium))
             or self._new_plan(coord))
         index = coord.index
@@ -353,14 +371,13 @@ class WidgetRegistry:
         if getter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "getter"})
-        if isinstance(getter, str):
-            getter = self.registries.getters.get(getter)
-        value = getter(db, ctx.name, index, ctx.locale)
-        if is_uninitialized(value):
+        value = (getter if getters is None else getters[getter])(
+            db, ctx.name, index, ctx.locale)
+        if value is UNINITIALIZED:
             return UNINITIALIZED
         if formatter is None:
             _found(None, "output", coord.name, coord.locale, coord.medium)
-        return self.registries.formatters.get(formatter)(value)
+        return formatters[formatter](value)
 
     def parse_and_set(self, db, coord: WidgetCoord, text: str) -> Datum:
         """Validate ``text``, parse it, and store the result at ``coord``.
@@ -371,7 +388,7 @@ class WidgetRegistry:
         a table's ``put`` checks it before it touches the table, and a setter
         registered by name is handed only a value that passed that check.
         """
-        max_index, _, setter, _, binding, ctx = (
+        max_index, _, _, _, _, setters, setter, parsers, parser, validators, validator, ctx = (
             self._snapshot[2].get((coord.name, coord.locale, coord.medium))
             or self._new_plan(coord))
         index = coord.index
@@ -380,30 +397,35 @@ class WidgetRegistry:
         if setter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "setter"})
-        if binding is None:
+        if parser is None:
             _found(None, "input", coord.name, coord.locale, coord.medium)
-        self.registries.validators.validate(binding.validator, ctx, text)
-        value = self.registries.parsers.get(binding.parser)(text)
+        validators.validate(validator, ctx, text)
+        value = parsers[parser](text)
         try:
-            if isinstance(setter, str):  # a registered setter gets only a storable value
+            if setters is not None:  # a registered setter gets only a storable value
                 require_valid(value)
             else:  # a table accessor's put checks the value before it touches the table
                 setter(db, ctx.name, index, ctx.locale, value)
                 return value
         except UnstorableError as e:
             raise ValidationError(text, str(e)) from None
-        self.registries.setters.get(setter)(db, ctx.name, index, ctx.locale, value)
+        setters[setter](db, ctx.name, index, ctx.locale, value)
         return value
 
     def _new_plan(self, coord: WidgetCoord) -> tuple:
         """Make ``coord``'s plan from one ``resolve_parts`` walk and memoize it.
 
-        A plan is ``(max_index, getter, setter, formatter, binding, ctx)``.
-        The getter and setter are table accessors, or the names of
-        registered ones; the formatter and binding are None where no
-        ancestor declares one. Names are looked up at each use, so
-        re-registering a function takes effect at once. The fused operations
-        probe the memo with the caller's spelling and come here on a miss.
+        A plan is ``(max_index, getters, getter, formatters, formatter,
+        setters, setter, parsers, parser, validators, validator, ctx)``: it
+        holds every table its calls go through, so a warm call reads nothing
+        else of ``registries``. Each named function is a table and its key
+        there (``NamedRegistry.locate``), found once per plan; a call
+        subscripts the table, and a registration writes into that same
+        table, so it takes effect at the next call. A table accessor is
+        held itself, with None for its table. A part no ancestor declares is
+        None with its table, and the fused operation that needs it raises
+        from the plan. The fused operations probe the memo with the caller's
+        spelling and come here on a miss.
 
         Plans are keyed by canonical spelling, and a medium that no spec
         declares uses the ``default`` plan, so the memo stays bounded by
@@ -422,16 +444,22 @@ class WidgetRegistry:
             key = (name, locale, medium if medium in plans.media else "default")
             plan = plans.get(key)
             if plan is None:
+                regs = self.registries  # read after the snapshot, which its setter publishes
                 parts = self.resolve_parts(coord.name, coord.locale, coord.medium)
                 spec = _found(parts.storage, "storage", coord.name, coord.locale)
                 get, put = _table_accessors(spec.table, spec.max_index)
-                plan = (spec.max_index, spec.getter or get, spec.setter or put,
-                        parts.formatter, parts.binding, ValidatorContext(*key))
+                binding = parts.binding
+                plan = (spec.max_index, *_located(regs.getters, spec.getter, get),
+                        *_located(regs.formatters, parts.formatter),
+                        *_located(regs.setters, spec.setter, put),
+                        *_located(regs.parsers, binding and binding.parser),
+                        regs.validators, binding and binding.validator,
+                        ValidatorContext(*key))
                 if self._snapshot is not snapshot:
                     continue  # a load published meanwhile: plan against the new snapshot
                 plans[key] = plan
             if key[2] != medium:  # the default plan, seen from the caller's medium
-                plan = plan[:5] + (ValidatorContext(name, locale, medium),)
+                plan = plan[:-1] + (ValidatorContext(name, locale, medium),)
             return plan
 
     def generate_random(self, name: str, locale: str, medium: str, seed: int) -> str:
@@ -636,6 +664,11 @@ def _check_index(index: int, max_index: int) -> None:
         raise IndexOutOfRangeError(f"index {index} out of range [1, {max_index}]")
 
 
+def _located(registry: NamedRegistry, name: Optional[str], fallback=None) -> tuple:
+    """``registry.locate(name)``, or ``(None, fallback)`` where there is no name."""
+    return (None, fallback) if name is None else registry.locate(name)
+
+
 def _canonical(symbol: str) -> str:
     """``normalize_symbol(symbol)``, as the caller's own string when already canonical."""
     text = normalize_symbol(symbol)
@@ -654,7 +687,12 @@ def _table_accessors(table: Optional[str], max_index: int):
             db.put(table, name, value)
     else:
         def getter(db, name, index, locale):
-            return db.get_indexed(table, name, index)
+            try:
+                return db.get_indexed(table, name, index)
+            except IndexOutOfRangeError:
+                if not 1 <= index <= max_index:
+                    raise
+                return UNINITIALIZED  # stored under a smaller :index, so not yet set
 
         def setter(db, name, index, locale, value):
             db.put_indexed(table, name, index, value, max_index)

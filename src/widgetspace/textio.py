@@ -31,6 +31,11 @@ class NamedRegistry:
         self._entries: dict[str, Callable] = {}
 
     def register(self, name: str, fn: Callable, *, replace: bool = False) -> None:
+        """Bind ``name`` to ``fn``; an existing name needs ``replace=True``.
+
+        Invariant: a registry keeps one dict for its whole life and writes each
+        registration into it, so a ``locate`` pair sees a replacement at once.
+        """
         key = name.lower()
         if key in self._entries and not replace:
             raise DuplicateNameError(f"{self._kind} '{key}' is already registered")
@@ -41,6 +46,15 @@ class NamedRegistry:
             return self._entries[lowered_key(self._entries, name)]
         except KeyError:
             raise UnresolvedReferenceError(f"unknown {self._kind} '{name}'") from None
+
+    __getitem__ = get
+
+    def locate(self, name: str) -> tuple:
+        """``(table, key)`` whose ``table[key]`` is what ``get(name)`` returns at that
+        time: this registry's dict and the key ``lowered_key`` finds in it, or,
+        for a name not registered, this registry and ``name``."""
+        key = lowered_key(self._entries, name)
+        return (self._entries, key) if key in self._entries else (self, name)
 
     def __contains__(self, name: str) -> bool:
         return lowered_key(self._entries, name) in self._entries

@@ -714,6 +714,27 @@ class TestShow:
         assert len(walks) == 16  # 8 widgets
 
 
+class TestGrownIndex:
+    SCHEMA = ("(locale root :parent none)\n"
+              "(widget alias root :table t :index {}"
+              " :input ((default identity always-ok)) :output ((default identity)))\n")
+
+    def test_slots_a_grown_index_adds_read_as_unset(self, tmp_path):
+        ws = ["--workspace", str(tmp_path / "ws")]
+        at = ["--db", str(tmp_path / "db"), "--locale", "root", "--medium", "default"]
+        for bound, args in ((2, ["set", *ws, *at, "--field", "alias.1", "Smith"]),
+                            (3, ["get", *ws, *at, "--field", "alias.3"])):
+            (tmp_path / "s.scm").write_text(self.SCHEMA.format(bound))
+            code, _, err = run_cli(["schema", "load", str(tmp_path / "s.scm"), *ws],
+                                   cwd=tmp_path)
+            assert code == 0, err
+            code, out, err = run_cli(args, cwd=tmp_path)
+            assert code == 0, err
+        assert out == "#uninit\n"
+        assert run_cli(["show", *ws, *at], cwd=tmp_path) == (
+            0, "alias.1: Smith\nalias.2: #uninit\nalias.3: #uninit\n", "")
+
+
 class TestGen:
     def test_deterministic_across_processes(self, ws, tmp_path):
         args = ["gen", *ws_args(ws), "--locale", "arkansas", "--field", "sid",

@@ -1,6 +1,7 @@
 """Widget registry: definition checks, per-property resolution, fused operations."""
 
 import copy
+import dataclasses
 import gc
 import json
 import random
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
     UNINITIALIZED, Base, CorruptTableError, Database, IndexOutOfRangeError, InputBinding,
-    InvalidSpecError, LocaleTree, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, PersonName,
-    ResolutionError, ResolvedParts, ResolvedStorage, SchemaError, SchemaSyntaxError,
+    InvalidSpecError, LocaleTree, NamedRegistry, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE,
+    PersonName, ResolutionError, ResolvedParts, ResolvedStorage, SchemaError, SchemaSyntaxError,
     SimpleDate, UnknownLocaleError,
     UnknownParentError, UnknownValidatorError, UnresolvedReferenceError, ValidationError,
     ValidatorContext, WidgetCoord, WidgetRegistry, WidgetSpec, WrongVariantError, accessors,
@@ -1148,6 +1149,137 @@ class TestWriteAccessors:
         assert (storage.max_index, storage.locale) == (1, "root")
 
 
+class TestPlanTables:
+    """A plan holds the tables its calls go through and the key of each name there."""
+
+    SCHEMA = ("(widget w root :table t :input ((default p v)) :output ((default f)))"
+              "(widget n root :getter g :setter s :input ((default p v)) :output ((default f)))")
+
+    def _registry(self, tmp_path):
+        reg = tiny_registry()
+        regs = reg.registries
+        regs.formatters.register("f", lambda value: f"<{value}>")
+        regs.parsers.register("p", lambda text: text)
+        regs.getters.register("g", lambda db, name, index, locale: db.get("t", "n1"))
+        regs.setters.register("s", lambda db, name, index, locale, value: db.put("t", "n1", value))
+        regs.validators.register("v", 0, 0, lambda ctx, args, text: None)
+        reg.load_schema(self.SCHEMA)
+        return reg, Database(tmp_path / "db")
+
+    @pytest.mark.parametrize("part", ["formatter", "parser", "getter", "setter", "validator"])
+    def test_a_replacement_takes_effect_at_the_next_call(self, tmp_path, part):
+        reg, db = self._registry(tmp_path)
+        regs = reg.registries
+        for name in ("w", "n"):
+            at = WidgetCoord(name, "leaf", "default")
+            assert reg.parse_and_set(db, at, "a") == "a"
+            assert reg.get_and_format(db, at) == "<a>"
+        plans = reg._snapshot[2]
+        if part == "formatter":
+            regs.formatters.register("f", lambda value: f"[{value}]", replace=True)
+        elif part == "parser":
+            regs.parsers.register("p", str.upper, replace=True)
+        elif part == "getter":
+            regs.getters.register("g", lambda db, name, index, locale: "got", replace=True)
+        elif part == "setter":
+            regs.setters.register("s", lambda db, name, index, locale, value: db.put(
+                "t", "n1", value + "!"), replace=True)
+        else:
+            regs.validators.register("v", 0, 0, _refuse, replace=True)
+        expected = {"formatter": ("[b]", "[b]"), "parser": ("<B>", "<B>"),
+                    "getter": ("<b>", "<got>"), "setter": ("<b>", "<b!>"),
+                    "validator": (ValidationError, ValidationError)}[part]
+        for name, shown in zip(("w", "n"), expected):
+            at = WidgetCoord(name, "leaf", "default")
+            if shown is ValidationError:
+                with pytest.raises(ValidationError, match="^refused$"):
+                    reg.parse_and_set(db, at, "b")
+            else:
+                reg.parse_and_set(db, at, "b")
+                assert reg.get_and_format(db, at) == shown
+        assert reg._snapshot[2] is plans and len(plans) == 2  # no plan was made again
+
+    def test_non_canonical_names_are_found_by_key(self, tmp_path):
+        # a Shouting spelling imports as 'IDENTITY', which the tables hold as 'identity'
+        state = {"locales": [["root", None]], "widgets": [{
+            "name": "w", "locale": "root", "max_index": 1, "table": "t",
+            "inputs": {"default": [Shouting("identity"), ["base", "always-ok", []]]},
+            "outputs": {"default": Shouting("identity")}}]}
+        reg = WidgetRegistry()
+        reg.import_state(state)
+        spec = reg.spec_at("w", "root")
+        assert (spec.inputs["default"].parser, spec.outputs["default"]) == ("IDENTITY", "IDENTITY")
+        db = Database(tmp_path / "db")
+        at = WidgetCoord("w", "root", "default")
+        for text in ("abc", "def"):
+            assert reg.parse_and_set(db, at, text) == text
+            assert reg.get_and_format(db, at) == text
+
+    def test_warm_calls_look_no_name_up(self, tmp_path, monkeypatch):
+        reg, db = self._registry(tmp_path)
+        calls = []
+        get = NamedRegistry.get
+
+        def counting(registry, name):
+            calls.append(name)
+            return get(registry, name)
+
+        at = [WidgetCoord(name, "leaf", "default") for name in ("w", "n")]
+        for coord in at:  # cold: each plan is made
+            reg.parse_and_set(db, coord, "a")
+            reg.get_and_format(db, coord)
+        monkeypatch.setattr(NamedRegistry, "get", counting)
+        for coord in at:
+            assert reg.parse_and_set(db, coord, "b") == "b"
+            assert reg.get_and_format(db, coord) == "<b>"
+        assert calls == []
+
+    def test_registries_are_swapped_whole(self, tmp_path):
+        reg, db = self._registry(tmp_path)
+        at = WidgetCoord("w", "leaf", "default")
+        reg.parse_and_set(db, at, "a")
+        assert reg.get_and_format(db, at) == "<a>"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reg.registries.formatters = standard_registries().formatters
+        swapped = dataclasses.replace(reg.registries, formatters=NamedRegistry("formatter"))
+        reg.registries = swapped
+        assert reg.registries is swapped and len(reg._snapshot[2]) == 0
+        # a name the new table lacks raises as a lookup by name would, until registered
+        with pytest.raises(UnresolvedReferenceError, match="^unknown formatter 'f'$"):
+            reg.get_and_format(db, at)
+        swapped.formatters.register("f", lambda value: f"{{{value}}}")
+        assert reg.get_and_format(db, at) == "{a}"
+
+
+def _refuse(ctx, args, text):
+    raise ValidationError(text, "refused")
+
+
+class TestGrownIndex:
+    """A slot within the bound that a sequence stored under a smaller ``:index``
+    does not reach reads as unset."""
+
+    SCHEMA = ("(locale root :parent none)"
+              "(widget alias root :table t :index {}"
+              " :input ((default identity always-ok)) :output ((default identity)))")
+
+    def test_a_grown_bound_reads_its_new_slots_as_unset(self, tmp_path):
+        db = Database(tmp_path / "db")
+        small, grown = WidgetRegistry(), WidgetRegistry()
+        small.load_schema(self.SCHEMA.format(2))
+        grown.load_schema(self.SCHEMA.format(3))
+        small.parse_and_set(db, WidgetCoord("alias", "root", "default", 1), "Smith")
+        shown = [grown.get_and_format(db, WidgetCoord("alias", "root", "default", i))
+                 for i in (1, 2, 3)]
+        assert shown == ["Smith", UNINITIALIZED, UNINITIALIZED]
+        with pytest.raises(IndexOutOfRangeError, match=r"^index 4 out of range \[1, 3\]$"):
+            grown.get_and_format(db, WidgetCoord("alias", "root", "default", 4))
+        with pytest.raises(IndexOutOfRangeError, match="of size 2$"):
+            db.get_indexed("t", "alias", 3)  # the store knows no bound
+        grown.parse_and_set(db, WidgetCoord("alias", "root", "default", 3), "Jones")
+        assert db.get("t", "alias") == ("Smith", UNINITIALIZED, "Jones")
+
+
 def _large_schema(widgets: int = 3000) -> str:
     """One locale and ``widgets`` stored widgets, each with an input and an output."""
     return "(locale root :parent none)\n" + "".join(
@@ -1439,7 +1571,7 @@ class TestNormalizedOnce:
             assert reg.parse_and_set(db, at, text) == text
             assert reg.get_and_format(db, at) == text.upper()
         plan = reg._snapshot[2][("w", "leaf", ":html")]
-        assert plan[3:5] == ("string-upcase", InputBinding("identity", Base("required")))
+        assert (plan[4], plan[8], plan[10]) == ("string-upcase", "identity", Base("required"))
         assert len(calls) == 1
 
     def test_a_double_colon_locale_form_is_refused_at_the_form(self):
