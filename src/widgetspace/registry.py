@@ -52,9 +52,10 @@ from .datum import (UNINITIALIZED, Datum, Uninitialized, UnstorableError,
                     require_valid)
 from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
                      NO_STORAGE_MESSAGE, ResolutionError, SchemaError, SchemaSyntaxError,
-                     UnknownLocaleError, UnresolvedReferenceError, ValidationError)
+                     UnknownLocaleError, UnresolvedReferenceError, ValidationError,
+                     WrongVariantError)
 from .locales import LocaleTree
-from .sexpr import (SexprError, TokenError, classify, int_text, is_valid_symbol,
+from .sexpr import (_INT_RE, SexprError, TokenError, classify, int_text, is_valid_symbol,
                     normalize_symbol, position, read_source, read_spans)
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
@@ -677,25 +678,42 @@ def _canonical(symbol: str) -> str:
 
 @lru_cache(maxsize=256)  # one shared pair per (table, max_index), not one per plan
 def _table_accessors(table: Optional[str], max_index: int):
+    """The getter and setter of a widget stored in ``table`` with ``max_index``
+    slots. The value of a widget of one slot and slot 1 of a stored sequence
+    are one slot, so a reload that changes ``:index`` leaves every stored slot
+    readable and lets no write destroy one. One slot reads slot 1 of a stored
+    sequence, and writes it through ``Database.put``, or ``put_slot`` for a
+    value that is itself a sequence. More slots read a stored single value as
+    slot 1 and any slot it or a shorter sequence does not reach as
+    UNINITIALIZED; their first write makes that value slot 1 (``put_slot``)."""
     if table is None:
         return None, None
     if max_index == 1:
         def getter(db, name, index, locale):
-            return db.get(table, name)
+            value = db.get(table, name)
+            if type(value) is tuple:
+                return value[0] if value else UNINITIALIZED
+            return value
 
         def setter(db, name, index, locale, value):
-            db.put(table, name, value)
+            if type(value) is tuple:
+                db.put_slot(table, name, 1, value, 1)
+            else:
+                db.put(table, name, value)
     else:
         def getter(db, name, index, locale):
-            try:
-                return db.get_indexed(table, name, index)
-            except IndexOutOfRangeError:
-                if not 1 <= index <= max_index:
-                    raise
-                return UNINITIALIZED  # stored under a smaller :index, so not yet set
+            if type(index) is not int or not 1 <= index <= max_index:
+                _check_index(index, max_index)
+            value = db.get(table, name)
+            if type(value) is tuple:
+                return value[index - 1] if index <= len(value) else UNINITIALIZED
+            return value if index == 1 else UNINITIALIZED
 
         def setter(db, name, index, locale, value):
-            db.put_indexed(table, name, index, value, max_index)
+            try:
+                db.put_indexed(table, name, index, value, max_index)
+            except WrongVariantError:  # a stored value that is not a sequence
+                db.put_slot(table, name, index, value, max_index)
     return getter, setter
 
 
@@ -818,7 +836,11 @@ class _FormReader:
         return items
 
     def is_symbol(self, i: int) -> bool:
-        return classify(self.tokens[i], i)[0] == "atom"
+        """Whether token ``i`` is an atom, as ``classify`` has it: not a bracket
+        or a string by its first character, and not an integer."""
+        tok = self.tokens[i]
+        first = tok[0]
+        return first not in '()[]"' and not (first in "-0123456789" and _INT_RE.match(tok))
 
     def head_symbol(self, form: int) -> str:
         if self.ends[form] == form + 1 or not self.is_symbol(form + 1):
@@ -852,9 +874,10 @@ class _FormReader:
         if len(items) != 4:
             raise TokenError("locale form is (locale <name> :parent <name>|none)", form)
         child = self.spelling(items[1], "a locale name")
-        keyword = self.symbol(items[2], "':parent'")
-        if keyword != "parent" or not self.tokens[items[2]].startswith(":"):
-            raise TokenError("expected ':parent'", items[2])
+        if self.tokens[items[2]] != ":parent":  # any other spelling is checked in full
+            keyword = self.symbol(items[2], "':parent'")
+            if keyword != "parent" or not self.tokens[items[2]].startswith(":"):
+                raise TokenError("expected ':parent'", items[2])
         parent = self.spelling(items[3], "a parent locale or 'none'")
         return child, None if normalize_symbol(parent) == "none" else parent
 

@@ -5,28 +5,30 @@ all share one token alphabet: parens, brackets, double-quoted strings
 with ``\\"`` and ``\\\\`` escapes, integers, and bare atoms. ``;`` starts
 a comment running to end of line.
 
-One compiled pattern is searched through the text, and it serves every
-scan. Whitespace is the only text it never matches, so a search skips
-it; a comment matches with no group; every other match's one group is a
-token's spelling, which fixes the token's kind and value
-(``classify``): a bracket is itself, a string starts with ``"``, and a run
-of atom characters is an integer if it reads as one and an atom
-otherwise. A ``"`` that starts no well-formed string, or a lone ``\\``,
-is a fault, diagnosed where it stands.
+One compiled pattern defines the scan. Whitespace is the only text it
+never matches, so a search skips it; a comment matches with no group;
+every other match's one group is a token's spelling, which fixes the
+token's kind and value (``classify``): a bracket is itself, a string
+starts with ``"``, and a run of atom characters is an integer if it reads
+as one and an atom otherwise. A ``"`` that starts no well-formed string,
+or a lone ``\\``, is a fault, diagnosed where it stands.
 
-Every text is scanned without positions: ``tokenize`` is one ``findall``
-that returns the spellings (with the comments' empty groups dropped from a
-text that holds a ``;``), and a reader of spellings raises
-``TokenError`` with the index of the token at fault. Schema text is read
-without a node tree: ``read_spans`` makes one pass over the spellings
-that checks their structure and records where each form ends, so a form,
-or any item in it, is just the index of its first token. Only when an
-error is raised is it placed: ``position`` searches the pattern again up
-to that token, skipping comments, and one helper turns its character
-index into a byte offset, line and column, as it does for a lexical
-fault and for the first byte that is not UTF-8. The byte offset counts a
-lone surrogate as the three bytes that ``surrogatepass`` encodes it to,
-so text that is not from a file can still be placed.
+Every text is scanned without positions. ``tokenize``, for table lines
+and datum text, is one ``findall`` that returns the spellings (with the
+comments' empty groups dropped from a text that holds a ``;``). Schema
+text is longer and holds few strings and comments, so ``read_spans`` gets
+the same spellings from str methods (``_scan``): ``find`` locates each
+string and comment, and each run of text between them is split on
+whitespace. It then makes one pass over the spellings that checks their
+structure and records where each form ends, so a form, or any item in it,
+is just the index of its first token. A reader of spellings raises
+``TokenError`` with the index of the token at fault. Only when an error is
+raised is it placed: ``position`` searches the pattern again up to that
+token, skipping comments, and one helper turns its character index into a
+byte offset, line and column, as it does for a lexical fault and for the
+first byte that is not UTF-8. The byte offset counts a lone surrogate as
+the three bytes that ``surrogatepass`` encodes it to, so text that is not
+from a file can still be placed.
 
 Schema forms and datum sequences nest at most ``MAX_DEPTH`` deep, so no
 reader of the forms they make can exhaust Python's recursion. Integers
@@ -47,6 +49,7 @@ _SYMBOL_RE = re.compile(r"(?![0-9]+\Z)[a-z0-9][a-z0-9_-]*\Z")
 
 _STRING_BODY = r'[^"\\\x00-\x1f\x7f]*(?:\\["\\][^"\\\x00-\x1f\x7f]*)*'
 _STRING_BODY_RE = re.compile(_STRING_BODY)
+_STRING_RE = re.compile(f'"{_STRING_BODY}"')
 _UNESCAPE_RE = re.compile(r'\\(["\\])')
 # The pattern is searched, not anchored: whitespace is the only text that
 # no alternative matches, so a search skips it by itself. A comment
@@ -56,6 +59,7 @@ _UNESCAPE_RE = re.compile(r'\\(["\\])')
 # atom characters: both are faults.
 _TOKEN_RE = re.compile(rf';[^\n]*|([()\[\]]|"{_STRING_BODY}"|[^ \t\r\n()\[\]";]+|")')
 _FAULTS = ('"', "\\")  # the spellings that start no token
+_BRACKETS = frozenset("()[]")
 
 # How deep schema forms and datum sequences may nest. ``read_spans``
 # refuses a deeper form, so the recursive readers of validator
@@ -234,23 +238,67 @@ def read_spans(text: str) -> tuple[list[str], list[int]]:
     ``ends[i]`` is the index of the ')' that closes a '(' at ``i``, and ``i``
     itself for any other token, so the items of the form at ``i`` start at
     ``i + 1`` and each next one at ``ends[j] + 1``, up to ``ends[i]``.
-    Structural faults raise SexprError at their position, in token order:
-    a form nested deeper than ``MAX_DEPTH``, an unbalanced ')' or ']', a
-    '[', a token outside any form, an integer literal that is too long, and
-    last an unclosed '(' (the innermost).
+    The spellings are ``tokenize(text)``'s, and a lexical fault raises as
+    it does there. Structural faults raise SexprError at their position, in
+    token order: a form nested deeper than ``MAX_DEPTH``, an unbalanced ')'
+    or ']', a '[', a token outside any form, an integer literal that is too
+    long, and last an unclosed '(' (the innermost).
     """
-    tokens = tokenize(text)
+    tokens = _scan(text)
     try:
         return tokens, _spans(tokens)
     except TokenError as e:
         raise SexprError(str(e), *position(text, e.index)) from None
 
 
+def _scan(text: str) -> list[str]:
+    """``tokenize(text)``, from str methods rather than one match per token.
+
+    ``find`` locates the next '"' and the next ';'. A '"' starts a string
+    token, or if no well-formed string follows, a one-character fault; a
+    ';' starts a comment that runs to the next newline. In each run of text
+    between them, the three other whitespace characters become spaces and
+    each bracket is set apart by spaces, so splitting on " " gives the
+    run's tokens: every other character belongs to an atom.
+    """
+    tokens = []
+    n = len(text)
+    i = 0
+    quote = text.find('"') % (n + 1)  # n for none: -1 wraps around to it
+    semi = text.find(";") % (n + 1)
+    while True:
+        j = min(quote, semi)
+        if i < j:
+            tokens += filter(None, text[i:j].replace("\t", " ").replace("\r", " ")
+                             .replace("\n", " ").replace("(", " ( ").replace(")", " ) ")
+                             .replace("[", " [ ").replace("]", " ] ").split(" "))
+        if j == n:
+            break
+        if j == quote:
+            m = _STRING_RE.match(text, j)
+            tokens.append(m.group() if m else '"')
+            i = m.end() if m else j + 1
+        else:
+            i = text.find("\n", j) % (n + 1)
+        if quote < i:
+            quote = text.find('"', i) % (n + 1)
+        if semi < i:
+            semi = text.find(";", i) % (n + 1)
+    if '"' in tokens or "\\" in tokens:
+        tokenize(text)  # raises at the first fault
+    return tokens
+
+
 def _spans(tokens: list[str]) -> list[int]:
     ends = list(range(len(tokens)))
     opened = []  # the index of the '(' of each open form, innermost last
     for i, tok in enumerate(tokens):
-        if tok == "(":
+        if tok not in _BRACKETS:
+            if not opened:
+                raise TokenError("expected a parenthesized form at top level", i)
+            if len(tok) > MAX_INT_DIGITS and _INT_RE.match(tok):
+                read_int(tok, i)  # refuses one of more than MAX_INT_DIGITS digits
+        elif tok == "(":
             if len(opened) == MAX_DEPTH:
                 raise TokenError(f"forms nested deeper than {MAX_DEPTH}", i)
             opened.append(i)
@@ -260,12 +308,8 @@ def _spans(tokens: list[str]) -> list[int]:
             ends[opened.pop()] = i
         elif tok == "]":
             raise TokenError("unbalanced ']'", i)
-        elif tok == "[":
+        else:
             raise TokenError("brackets are not part of this grammar", i)
-        elif not opened:
-            raise TokenError("expected a parenthesized form at top level", i)
-        elif len(tok) > MAX_INT_DIGITS and _INT_RE.match(tok):
-            read_int(tok, i)  # refuses one of more than MAX_INT_DIGITS digits
     if opened:
         raise TokenError("unclosed '('", opened[-1])
     return ends

@@ -19,10 +19,17 @@ every key, is taken as it is spelled.
 Keys and table names are kept in canonical spelling, so a lookup tries a
 plain string as it is spelled and normalizes it only when that misses: a
 loaded table is found with one probe of the database's table map, and a
-canonical key with one probe of the table on a read or one symbol match on a
-write. Every get and put still takes its table's lock. A write checks its
-value (``require_valid``) before it touches a table; that is the one
+stored key with one probe of the table; a write checks a new key with one
+symbol match. Every get and put still takes its table's lock. A write checks
+its value (``require_valid``) before it touches a table; that is the one
 storability check of a table-backed ``parse_and_set``.
+
+A stored value that is not a sequence and slot 1 of a stored sequence are
+one slot, so that a widget whose ``:index`` changed between 1 and more
+destroys nothing it stored: ``put`` of such a value where a sequence is
+stored replaces only its slot 1, and ``put_slot`` makes a stored single
+value slot 1 before it writes another. ``get_indexed`` and ``put_indexed``
+refuse a stored single value.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ class _Table:
         self.entries: dict[str, Datum] = entries if entries is not None else {}
         self.dirty = False
         self.version = 0
-        self.lock = threading.Lock()
+        # reentrant: put_slot holds it across the put and put_indexed it makes
+        self.lock = threading.RLock()
 
 
 def _filename(table: str) -> str:
@@ -124,16 +132,26 @@ class Database:
             lock.release()
 
     def put(self, table: str, key: str, value: Datum) -> None:
+        """Store ``value`` under (table, key).
+
+        A value that is not a sequence, put where a sequence is stored,
+        replaces only the sequence's slot 1: the value of a widget of one slot
+        and slot 1 of an indexed widget are one slot, so a write under a changed
+        ``:index`` destroys no other slot.
+        """
         require_valid(value)
         t = self._tables.get(table) if type(table) is str else None
         if t is None:
             t = self._table(table)
-        if type(key) is not str or _SYMBOL_RE.match(key) is None:
-            key = _valid_key(key)
-        lock = t.lock
+        if type(key) is not str or (key not in t.entries and _SYMBOL_RE.match(key) is None):
+            key = _valid_key(key)  # a stored key is canonical: it was checked as it came in
+        lock, entries = t.lock, t.entries
         lock.acquire()
         try:
-            t.entries[key] = value
+            current = entries.get(key)
+            if type(current) is tuple and type(value) is not tuple:
+                value = (value,) + current[1:]
+            entries[key] = value
             t.dirty = True
             t.version += 1
         finally:
@@ -166,8 +184,8 @@ class Database:
         t = self._tables.get(table) if type(table) is str else None
         if t is None:
             t = self._table(table)
-        if type(key) is not str or _SYMBOL_RE.match(key) is None:
-            key = _valid_key(key)
+        if type(key) is not str or (key not in t.entries and _SYMBOL_RE.match(key) is None):
+            key = _valid_key(key)  # a stored key is canonical: it was checked as it came in
         lock = t.lock
         lock.acquire()
         try:
@@ -185,6 +203,27 @@ class Database:
             t.version += 1
         finally:
             lock.release()
+
+    def put_slot(self, table: str, key: str, index: int, value: Datum,
+                 max_index: int) -> None:
+        """``put_indexed``, except that a stored value that is not a sequence is
+        first made slot 1 rather than refused.
+
+        The value of a widget of one slot and slot 1 of an indexed widget are
+        one slot, so a write under a changed ``:index`` destroys nothing. Both
+        writes are made with the table's lock held, so no other write comes
+        between them.
+        """
+        require_valid(value)  # an unstorable value is refused before a table loads
+        t = self._tables.get(table) if type(table) is str else None
+        if t is None:
+            t = self._table(table)
+        with t.lock:
+            try:
+                self.put_indexed(table, key, index, value, max_index)
+            except WrongVariantError:  # which put_indexed raises having changed nothing
+                self.put(table, key, (self.get(table, key),))
+                self.put_indexed(table, key, index, value, max_index)
 
     def checkpoint(self) -> None:
         """Flush every dirty table atomically. Dirtiness survives I/O failure.

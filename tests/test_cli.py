@@ -735,6 +735,27 @@ class TestGrownIndex:
             0, "alias.1: Smith\nalias.2: #uninit\nalias.3: #uninit\n", "")
 
 
+class TestChangedIndex:
+    SCHEMA = TestGrownIndex.SCHEMA
+
+    def test_a_smaller_and_a_restored_index_lose_no_slot(self, tmp_path):
+        ws = ["--workspace", str(tmp_path / "ws")]
+        at = ["--db", str(tmp_path / "db"), "--locale", "root", "--medium", "default"]
+        steps = [(2, ["set", "--field", "alias.1", "Smith"], '"Smith"\n'),
+                 (2, ["set", "--field", "alias.2", "Jones"], '"Jones"\n'),
+                 (1, ["get", "--field", "alias"], "Smith\n"),
+                 (1, ["set", "--field", "alias", "Brown"], '"Brown"\n'),
+                 (2, ["get", "--field", "alias.1"], "Brown\n"),
+                 (2, ["get", "--field", "alias.2"], "Jones\n")]
+        for bound, (command, *args), shown in steps:
+            (tmp_path / "s.scm").write_text(self.SCHEMA.format(bound))
+            code, _, err = run_cli(["schema", "load", str(tmp_path / "s.scm"), *ws],
+                                   cwd=tmp_path)
+            assert code == 0, err
+            assert run_cli([command, *ws, *at, *args], cwd=tmp_path) == (0, shown, "")
+        assert (tmp_path / "db" / "t.tbl").read_text() == '(table t)\n(alias ["Brown" "Jones"])\n'
+
+
 class TestGen:
     def test_deterministic_across_processes(self, ws, tmp_path):
         args = ["gen", *ws_args(ws), "--locale", "arkansas", "--field", "sid",

@@ -1280,6 +1280,78 @@ class TestGrownIndex:
         assert db.get("t", "alias") == ("Smith", UNINITIALIZED, "Jones")
 
 
+@lru_cache(maxsize=None)
+def _alias_registry(bound: int) -> WidgetRegistry:
+    reg = WidgetRegistry()
+    reg.load_schema(TestGrownIndex.SCHEMA.format(bound))
+    return reg
+
+
+def _alias(index: int) -> WidgetCoord:
+    return WidgetCoord("alias", "root", "default", index)
+
+
+INDEX_OPS = st.lists(st.one_of(
+    st.tuples(st.just("reload"), st.integers(1, 4)),
+    st.tuples(st.just("set"), st.integers(1, 4), st.sampled_from(["Smith", "Jones", "Brown"])),
+    st.tuples(st.just("get"), st.integers(1, 4)),
+    st.tuples(st.just("reopen"))), max_size=30)
+
+
+class TestChangedIndex:
+    """The value of a widget of one slot and slot 1 of an indexed widget are one
+    slot, so a reload that changes ``:index`` leaves every stored slot readable,
+    and no write destroys one."""
+
+    def test_more_slots_read_and_write_a_stored_value_as_slot_1(self, tmp_path):
+        db = Database(tmp_path / "db")
+        one, three = _alias_registry(1), _alias_registry(3)
+        one.parse_and_set(db, _alias(1), "Smith")
+        assert db.get("t", "alias") == "Smith"
+        assert [three.get_and_format(db, _alias(i)) for i in (1, 2, 3)] == [
+            "Smith", UNINITIALIZED, UNINITIALIZED]
+        three.parse_and_set(db, _alias(3), "Jones")
+        assert db.get("t", "alias") == ("Smith", UNINITIALIZED, "Jones")
+        assert one.get_and_format(db, _alias(1)) == "Smith"
+
+    def test_a_sequence_value_of_one_slot_is_kept_whole(self, tmp_path):
+        db = Database(tmp_path / "db")
+        one = WidgetRegistry()
+        one.registries.parsers.register("pair", lambda text: (text, text))
+        one.load_schema(TestGrownIndex.SCHEMA.format(1).replace("identity always-ok",
+                                                                "pair always-ok"))
+        one.parse_and_set(db, _alias(1), "a")
+        assert db.get("t", "alias") == (("a", "a"),)
+        _alias_registry(2).parse_and_set(db, _alias(2), "Jones")
+        one.parse_and_set(db, _alias(1), "b")
+        assert db.get("t", "alias") == (("b", "b"), "Jones")
+        assert _table_accessors("t", 1)[0](db, "alias", 1, "root") == ("b", "b")
+
+    @settings(max_examples=300, deadline=None)
+    @given(INDEX_OPS)
+    def test_each_slot_reads_its_last_write(self, ops):
+        widest = _alias_registry(4)
+        with tempfile.TemporaryDirectory() as root:
+            db, bound, slots = Database(root), 2, {}
+            for op in ops:
+                if op[0] == "reload":
+                    bound = op[1]
+                elif op[0] == "reopen":
+                    db.checkpoint()
+                    db = Database(root)
+                elif op[0] == "set":
+                    index = (op[1] - 1) % bound + 1
+                    _alias_registry(bound).parse_and_set(db, _alias(index), op[2])
+                    slots[index] = op[2]
+                else:
+                    index = (op[1] - 1) % bound + 1
+                    assert _alias_registry(bound).get_and_format(db, _alias(index)) == \
+                        slots.get(index, UNINITIALIZED)
+                # no write changed another slot
+                assert [widest.get_and_format(db, _alias(i)) for i in range(1, 5)] == \
+                    [slots.get(i, UNINITIALIZED) for i in range(1, 5)]
+
+
 def _large_schema(widgets: int = 3000) -> str:
     """One locale and ``widgets`` stored widgets, each with an input and an output."""
     return "(locale root :parent none)\n" + "".join(

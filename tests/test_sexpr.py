@@ -985,6 +985,61 @@ def test_colon_spellings_load_like_the_tree_reader():
                 assert _registry(WidgetRegistry, texts) == _registry(TreeRegistry, texts)
 
 
+# -- the schema scanner against the pattern --------------------------------------
+
+def _scanned(scan, text):
+    try:
+        return scan(text)
+    except SexprError as e:
+        return ("error", str(e), e.offset, e.line, e.col)
+
+
+def _assert_scans_like_tokenize(text):
+    """``read_spans`` takes ``tokenize``'s spellings from its own scanner: the
+    same tokens, or the same lexical fault at the same place."""
+    expected = _scanned(tokenize, text)
+    assert _scanned(sexpr._scan, text) == expected
+    got = _scanned(lambda t: sexpr.read_spans(t)[0], text)
+    if isinstance(expected, list) and isinstance(got, tuple):
+        return  # a structural fault, which only read_spans looks for
+    assert got == expected
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(sexpr_text, schema_text, spliced_fixtures()))
+def test_schema_scan_matches_tokenize(text):
+    _assert_scans_like_tokenize(text)
+
+
+@pytest.mark.parametrize("text,spellings", [
+    ('; a "quote\n(a "b")', ["(", "a", '"b"', ")"]),                 # '"' in a comment
+    ('(a "b;c(d" e)', ["(", "a", '"b;c(d"', "e", ")"]),                # ';' and '(' in a string
+    ("(a\x0bb c\xa0d e\u2003f)", ["(", "a\x0bb", "c\xa0d", "e\u2003f", ")"]),  # not whitespace
+    ("(a\rb\tc)", ["(", "a", "b", "c", ")"]),                           # a bare '\r'
+    ("(a) ; no newline", ["(", "a", ")"]),                              # a comment at the end
+    ('(a "b\\"c\\\\" d)', ["(", "a", '"b\\"c\\\\"', "d", ")"]),             # escapes
+    ('(a"b"c)', ["(", "a", '"b"', "c", ")"]),                           # a string ends atoms
+    ("(a;b\nc)", ["(", "a", "c", ")"]),                                 # a comment ends an atom
+    ("", []),
+])
+def test_scanner_branches(text, spellings):
+    assert sexpr._scan(text) == spellings
+    _assert_scans_like_tokenize(text)
+
+
+@pytest.mark.parametrize("text,fault", [
+    ('(a "b', ("unterminated string", 3, 1, 4)),
+    ('(a "b\x01")', ("control character in string", 5, 1, 6)),
+    ("(a \\ b)", ("unexpected character '\\\\'", 3, 1, 4)),
+    ('(a \\)\n"', ("unexpected character '\\\\'", 3, 1, 4)),  # the first fault raises
+])
+def test_scanner_faults(text, fault):
+    with pytest.raises(SexprError) as exc:
+        sexpr._scan(text)
+    assert (str(exc.value), exc.value.offset, exc.value.line, exc.value.col) == fault
+    _assert_scans_like_tokenize(text)
+
+
 # -- pinned behaviour -------------------------------------------------------------
 
 def test_cold_load_tokenizes_each_nonblank_line_once(tmp_path, monkeypatch):

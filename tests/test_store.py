@@ -234,6 +234,47 @@ class TestIndexed:
         with pytest.raises(ValueError):
             db.put_indexed("a", "k", 1, "x", max_index=0)
 
+    def test_a_single_value_put_over_a_sequence_replaces_its_slot_1(self, db):
+        db.put("a", "k", ("x", "y"))
+        db.put("a", "k", "z")
+        assert db.get("a", "k") == ("z", "y")
+        db.put("a", "k", ("p",))  # a sequence replaces the whole value
+        assert db.get("a", "k") == ("p",)
+        db.put("a", "e", ())
+        db.put("a", "e", "q")
+        assert db.get("a", "e") == ("q",)
+
+    def test_put_slot_makes_a_stored_value_slot_1(self, db):
+        db.put("a", "k", "x")
+        db.put_slot("a", "k", 3, "z", 3)
+        assert db.get("a", "k") == ("x", UNINITIALIZED, "z")
+        db.put_slot("a", "k", 2, "y", 2)  # as put_indexed, over a sequence
+        assert db.get("a", "k") == ("x", "y", "z")
+        db.put("a", "j", "x")
+        with pytest.raises(ValueError, match="control character"):
+            db.put_slot("a", "j", 2, "\x01", 2)
+        with pytest.raises(IndexOutOfRangeError):
+            db.put_slot("a", "j", 3, "y", 2)
+        assert db.get("a", "j") == "x"
+
+    def test_a_write_made_during_put_slot_waits_for_it(self, tmp_path):
+        class Racing(Database):
+            racer = None
+
+            def get(self, table, key):  # put_slot reads the stored single value here
+                value = super().get(table, key)
+                if self.racer is None:
+                    self.racer = threading.Thread(target=self.put, args=(table, key, "Brown"))
+                    self.racer.start()
+                    self.racer.join(timeout=0.2)  # it would write now without the lock
+                return value
+
+        db = Racing(tmp_path / "db")
+        db.put("t", "alias", "Smith")
+        db.put_slot("t", "alias", 2, "Jones", 2)
+        db.racer.join(timeout=30)
+        assert db.get("t", "alias") == ("Brown", "Jones")
+
 
 class TestDurability:
     def test_checkpoint_reopen_round_trip(self, tmp_path):
