@@ -15,10 +15,11 @@ from .errors import (CorruptTableError, DatabaseLockedError, DuplicateLocaleErro
                      StoreError, UnknownLocaleError, UnknownParentError,
                      UnknownValidatorError, UnresolvedReferenceError,
                      ValidationError, WidgetSpaceError, WrongVariantError)
+from .compile import InputBinding, LoadReport, WidgetSpec
 from .fixtures import fixture_dir, fixture_paths, load_fixture_registry
 from .locales import LocaleTree
-from .registry import (InputBinding, LoadReport, Registries, ResolvedParts, ResolvedStorage,
-                       WidgetCoord, WidgetRegistry, WidgetSpec, standard_registries)
+from .registry import (Registries, ResolvedParts, ResolvedStorage, WidgetCoord, WidgetRegistry,
+                       standard_registries)
 from .store import Database
 from .textio import NamedRegistry
 from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,

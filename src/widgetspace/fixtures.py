@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .registry import LoadReport, WidgetRegistry
+from .compile import LoadReport
+from .registry import WidgetRegistry
 
 _DIR = Path(__file__).parent / "fixtures"
 

@@ -1,4 +1,4 @@
-"""Widget definitions, locale-aware resolution, and the schema language.
+"""The runtime: widget specs published as snapshots, resolved, and used.
 
 A widget is addressed by (name, index, locale, medium). Definitions are
 stored per (name, locale) pair and looked up at use time by walking the
@@ -14,56 +14,32 @@ The fused ``get_and_format`` and ``parse_and_set`` keep one plan per
 coordinate, made by that walk on first use and memoized with the published
 snapshot, so a load that publishes a new snapshot drops them all.
 
-Schema files are s-expressions::
-
-    (locale <sym> :parent <sym>|none)
-    (widget <name> <locale>
-      :index <int> :table <sym> :getter <sym> :setter <sym>
-      :doc <string> :type <sym> :generator <sym>
-      :heading (<medium> <string> ...)
-      :input ((<medium> <parser> <vexpr>) ...)
-      :output ((<medium> <formatter>) ...))
-
-A symbol is normalized once, where it enters, and never again: ``normalize_symbol``
-drops one leading ':'. Plans resolve from the caller's spelling, the locale form
-hands its spellings to ``LocaleTree.add``, and no locale may begin with ':'.
-
-A load is all-or-nothing: any error leaves the registry untouched. Within
-one load, each distinct ``:input``, ``:output`` and ``:heading`` clause is
-parsed once, and specs that spell it alike share its parsed bindings. An
-import of an exported state does the same for each distinct ``inputs`` map.
-Both keep one string object per symbol spelling.
+Specs come from the compiler (``compile``): ``load_schema``,
+``import_state`` and ``define_widget`` each hand it a staged copy of the
+snapshot and publish the copy only if the whole build succeeds, so a load
+is all-or-nothing. Every symbol a spec holds is canonical, so plans
+resolve from the caller's spelling by normalizing it once.
 """
 
 from __future__ import annotations
 
 import gc
-import marshal
 import random
-import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from . import accessors, generators
-from .datum import (UNINITIALIZED, Datum, Uninitialized, UnstorableError,
-                    require_valid)
-from .errors import (IndexOutOfRangeError, InvalidSpecError, NO_HANDLER_MESSAGE,
-                     NO_STORAGE_MESSAGE, ResolutionError, SchemaError, SchemaSyntaxError,
-                     UnknownLocaleError, UnresolvedReferenceError, ValidationError,
-                     WrongVariantError)
+from . import accessors, compile, generators
+from .compile import MAX_INDEX, InputBinding, LoadReport, WidgetSpec  # noqa: F401 (re-exported)
+from .datum import UNINITIALIZED, Datum, Uninitialized, UnstorableError, require_valid
+from .errors import (IndexOutOfRangeError, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE,
+                     ResolutionError, ValidationError, WrongVariantError)
 from .locales import LocaleTree
-from .sexpr import (_INT_RE, SexprError, TokenError, classify, int_text, is_valid_symbol,
-                    normalize_symbol, position, read_source, read_spans)
+from .sexpr import normalize_symbol
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
-from .validators import (And, Base, Not, Or, ValidatorContext, ValidatorExpr,
-                         ValidatorRegistry, bases, default_validator_registry)
-
-# The largest ``:index`` bound a widget may declare. The first write to an
-# indexed field stores all of its slots, so the bound must be one that fits.
-MAX_INDEX = 10_000
+from .validators import ValidatorContext, ValidatorRegistry, default_validator_registry
 
 
 @dataclass(frozen=True)
@@ -74,39 +50,6 @@ class WidgetCoord:
     locale: str
     medium: str
     index: int = 1
-
-
-@dataclass(frozen=True)
-class InputBinding:
-    """How one medium's input is handled: validate, then parse."""
-
-    parser: str
-    validator: ValidatorExpr
-
-
-@dataclass(frozen=True)
-class WidgetSpec:
-    """Everything declared about one widget name at one locale.
-
-    All parts are optional; whatever is absent here is inherited from
-    ancestor locales at resolution time.
-    """
-
-    name: str
-    locale: str
-    max_index: int = 1
-    table: Optional[str] = None
-    getter: Optional[str] = None
-    setter: Optional[str] = None
-    inputs: dict = field(default_factory=dict)    # medium -> InputBinding
-    outputs: dict = field(default_factory=dict)   # medium -> formatter name
-    headings: dict = field(default_factory=dict)  # medium -> display text
-    doc: Optional[str] = None
-    datatype: Optional[str] = None
-    generator: Optional[str] = None
-
-    def declares_storage(self) -> bool:
-        return bool(self.table or self.getter or self.setter)
 
 
 @dataclass
@@ -157,16 +100,6 @@ def standard_registries() -> Registries:
         getters=accessors.default_getter_registry(),
         setters=accessors.default_setter_registry(),
     )
-
-
-@dataclass
-class LoadReport:
-    locales: int
-    widgets: int
-    warnings: list
-
-    def summary(self) -> str:
-        return f"locales: {self.locales}, widgets: {self.widgets}"
 
 
 class WidgetRegistry:
@@ -223,7 +156,7 @@ class WidgetRegistry:
     def define_widget(self, spec: WidgetSpec) -> None:
         """Install a spec, replacing any prior spec for the same (name, locale)."""
         with self._staged() as (tree, specs):
-            self._install(_normalized(spec), tree, specs)
+            compile.define(spec, tree, specs, self.registries)
 
     def spec_at(self, name: str, locale: str) -> Optional[WidgetSpec]:
         return self._snapshot[1].get((normalize_symbol(name), normalize_symbol(locale)))
@@ -233,75 +166,6 @@ class WidgetRegistry:
         tree, specs, _ = self._snapshot
         chain = set(tree.ancestry(locale))
         return sorted({name for (name, loc) in specs if loc in chain})
-
-    def _install(self, spec: WidgetSpec, tree: LocaleTree, specs: dict,
-                 source: Optional[tuple[Callable, dict]] = None,
-                 checked: Optional[dict] = None) -> None:
-        """Check a normalized ``spec`` against ``tree`` and the registries, then add it.
-
-        The one check of a spec's meaning and types, whatever its source. For
-        a spec read from schema text, ``source`` is ``(place, nodes)``: the
-        token index of the node that spelled each part, and
-        ``place(cls, message, index)``, which makes an error positioned at a
-        token of that text. ``checked`` maps the ``id`` of each input binding
-        already checked in this build to the binding; this call skips those
-        and adds the ones it checks.
-        """
-        regs = self.registries
-        if checked is None:
-            checked = {}
-        if not (isinstance(spec.name, str) and is_valid_symbol(spec.name)):
-            raise _placed(InvalidSpecError(f"invalid widget name '{spec.name}'"),
-                          source, "name")
-        if not (isinstance(spec.locale, str) and not spec.locale.startswith(":")
-                and spec.locale in tree):
-            raise _placed(UnknownLocaleError(f"unknown locale '{spec.locale}'"),
-                          source, "locale")
-        if isinstance(spec.max_index, bool) or not isinstance(spec.max_index, int):
-            raise InvalidSpecError(f"max_index must be an integer, got {spec.max_index!r}")
-        if spec.max_index < 1:
-            raise _placed(InvalidSpecError(
-                f"max_index must be >= 1, got {int_text(spec.max_index)}"), source, "max_index")
-        if spec.max_index > MAX_INDEX:
-            raise _placed(InvalidSpecError(
-                f"max_index must be at most {MAX_INDEX}, got {int_text(spec.max_index)}"),
-                source, "max_index")
-        if spec.table is not None and not (isinstance(spec.table, str)
-                                           and is_valid_symbol(spec.table)):
-            raise _placed(InvalidSpecError(f"invalid table name '{spec.table}'"),
-                          source, "table")
-        for part, registry in (("getter", regs.getters), ("setter", regs.setters),
-                               ("generator", regs.generators)):
-            ref = getattr(spec, part)
-            if ref is not None and not (isinstance(ref, str) and ref in registry):
-                raise _placed(UnresolvedReferenceError(f"unknown {part} '{ref}'"),
-                              source, part)
-        if spec.datatype is not None:
-            _check_str(spec.datatype, "datatype")
-        if spec.doc is not None:
-            _check_str(spec.doc, "doc")
-        for medium, binding in spec.inputs.items():
-            _check_str(medium, "medium")
-            if checked.get(id(binding)) is binding:
-                continue
-            if not (isinstance(binding.parser, str) and binding.parser in regs.parsers):
-                raise _placed(UnresolvedReferenceError(f"unknown parser '{binding.parser}'"),
-                              source, ("input", medium))
-            for base in bases(binding.validator):
-                try:
-                    regs.validators.check_base(base)
-                except SchemaError as e:
-                    raise _placed(e, source, id(base)) from None
-            checked[id(binding)] = binding
-        for medium, formatter in spec.outputs.items():
-            _check_str(medium, "medium")
-            if not (isinstance(formatter, str) and formatter in regs.formatters):
-                raise _placed(UnresolvedReferenceError(f"unknown formatter '{formatter}'"),
-                              source, ("output", medium))
-        for medium, text in spec.headings.items():
-            _check_str(medium, "medium")
-            _check_str(text, "heading text")
-        specs[(spec.name, spec.locale)] = spec
 
     # -- resolution --------------------------------------------------------
 
@@ -472,101 +336,29 @@ class WidgetRegistry:
                                normalize_symbol(medium))
         return generator(rng, ctx)
 
-    # -- schema loading -------------------------------------------------------
+    # -- building ------------------------------------------------------------
 
     def load_schema(self, source: str, *, filename: str = "<schema>",
                     replace: bool = False) -> LoadReport:
         return self._load_sources([(filename, source)], replace)
 
     def load_schema_files(self, paths, *, replace: bool = False) -> LoadReport:
-        sources = []
-        for path in paths:
-            try:
-                sources.append((str(path), read_source(path)))
-            except SexprError as e:
-                raise _syntax_error(e, str(path)) from None
-        return self._load_sources(sources, replace)
+        return self._load_sources(compile.read_sources(paths), replace)
 
     def _load_sources(self, sources, replace: bool) -> LoadReport:
         """Load ``(filename, text)`` sources into one staged snapshot."""
-        n_locales = 0
-        n_widgets = 0
         with self._staged() as (tree, specs):
-            shared = _Shared()
-            for filename, text in sources:
-                locales, widgets = self._load_source(filename, text, tree, specs, replace,
-                                                     shared)
-                n_locales += locales
-                n_widgets += widgets
-            del shared  # the memo lives for one load, and goes before the collector resumes
-        return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
-
-    def _load_source(self, filename: str, text: str, tree: LocaleTree, specs: dict,
-                     replace: bool, shared: _Shared) -> tuple[int, int]:
-        """Add one source's forms to a staged snapshot; the locales and widgets it added.
-
-        The one place that positions an error in schema text: the form
-        readers raise TokenError at a node's token index, and an error of
-        ``tree.add`` or ``_install`` is placed at its form or its node.
-        """
-        try:
-            reader = _FormReader(*read_spans(text), shared)
-        except SexprError as e:
-            raise _syntax_error(e, filename) from None
-
-        def place(cls, message: str, index: int) -> SchemaError:
-            _, line, col = position(text, index)
-            return cls(message, filename=filename, line=line, col=col)
-
-        n_locales = 0
-        n_widgets = 0
-        for form in reader.forms():
-            try:
-                head = reader.head_symbol(form)
-                if head == "locale":
-                    child, parent = reader.locale_form(form)
-                    try:
-                        tree.add(child, parent, replace=replace)
-                    except SchemaError as e:
-                        raise place(type(e), str(e), form) from None
-                    n_locales += 1
-                elif head == "widget":
-                    spec, nodes = reader.widget_form(form)
-                    self._install(spec, tree, specs, (place, nodes), shared.checked)
-                    n_widgets += 1
-                else:
-                    raise TokenError(f"unknown form '{head}'", form)
-            except TokenError as e:
-                raise place(SchemaSyntaxError, str(e), e.index) from None
-        return n_locales, n_widgets
-
-    # -- state export (schema workspace support) -----------------------------
+            return compile.load(sources, tree, specs, self.registries, replace)
 
     def export_state(self) -> dict:
         """A JSON-ready snapshot of locales and specs, in definition order."""
         tree, specs, _ = self._snapshot
-        return {
-            "locales": [[loc, tree.parent(loc)] for loc in tree.locales()],
-            "widgets": [_spec_to_obj(spec) for spec in specs.values()],
-        }
+        return compile.export_state(tree, specs)
 
     def import_state(self, state: dict) -> None:
-        """Add an exported state, re-checking references; all-or-nothing, like a load.
-
-        As in a load, each distinct ``inputs`` map is built and checked once,
-        and the specs that repeat it share its bindings.
-        """
+        """Add an exported state, re-checking references; all-or-nothing, like a load."""
         with self._staged() as (tree, specs):
-            try:
-                widgets = list(state["widgets"])
-                for child, parent in state["locales"]:
-                    tree.add(child, parent)
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
-                raise SchemaError(f"malformed registry state: {e}") from None
-            shared = _Shared()
-            for obj in widgets:
-                self._install(_spec_from_obj(obj, shared), tree, specs, checked=shared.checked)
-            del shared  # as in a load
+            compile.import_state(state, tree, specs, self.registries)
 
 
 _collector_lock = threading.Lock()  # makes each save-and-disable one step
@@ -614,33 +406,6 @@ class _Plans(dict):
     """One snapshot's memo: (name, locale, medium) -> plan, filled on first use."""
 
     media: Optional[frozenset] = None  # every medium some spec declares, once asked
-
-
-def _orphans(tree: LocaleTree, specs: dict) -> list[str]:
-    """A warning for each spec with no storage at or above its locale, in spec order.
-
-    Each (name, locale) is probed at most once: a walk stops at the first
-    pair whose answer an earlier walk recorded.
-    """
-    stored: dict[tuple[str, str], bool] = {}  # storage declared at or above
-    warnings = []
-    for (name, locale) in specs:
-        walked = []
-        loc = locale
-        while loc is not None and (name, loc) not in stored:
-            spec = specs.get((name, loc))
-            if spec is not None and spec.declares_storage():
-                stored[(name, loc)] = True
-                break
-            walked.append(loc)
-            loc = tree.parent(loc)
-        found = loc is not None and stored[(name, loc)]
-        for loc in walked:
-            stored[(name, loc)] = found
-        if not found:
-            warnings.append(
-                f"widget '{name}' at '{locale}' has no storage anywhere in its ancestry")
-    return warnings
 
 
 def _at(entries: dict, medium: str):
@@ -715,416 +480,3 @@ def _table_accessors(table: Optional[str], max_index: int):
             except WrongVariantError:  # a stored value that is not a sequence
                 db.put_slot(table, name, index, value, max_index)
     return getter, setter
-
-
-def _normalized(spec: WidgetSpec) -> WidgetSpec:
-    """``spec`` with its symbols in canonical spelling; unchanged if one is not a string."""
-    try:
-        return _spec_of(vars(spec), normalize_symbol, lambda inputs: {
-            normalize_symbol(m): InputBinding(normalize_symbol(b.parser), b.validator)
-            for m, b in inputs.items()})
-    except AttributeError:  # a symbol is not a string, which _install rejects
-        return spec
-
-
-def _check_str(value, what: str) -> None:
-    if not isinstance(value, str):
-        raise InvalidSpecError(f"{what} must be a string, got {value!r}")
-
-
-def _placed(err: SchemaError, source: Optional[tuple[Callable, dict]], part) -> SchemaError:
-    """``err``, positioned at the node that spelled ``part`` if the spec came from text."""
-    if source is None:
-        return err
-    place, nodes = source
-    return place(type(err), str(err), nodes[part])
-
-
-# -- schema form parsing ------------------------------------------------------
-# Syntax only: what a parsed spec means is checked by WidgetRegistry._install.
-# A node is the index of its first token in ``tokenize(text)``. A fault
-# raises TokenError at the node at fault, which ``_load_source`` places in
-# the text.
-
-
-def _syntax_error(e: SexprError, filename: str) -> SchemaSyntaxError:
-    return SchemaSyntaxError(str(e), filename=filename, line=e.line, col=e.col)
-
-
-class _Shared:
-    """One build's memo, so that the specs it builds share their equal parts.
-
-    A load or an import makes one inside ``_staged`` and drops it before
-    the collector resumes. ``clauses`` maps ``(part, spellings)`` of each
-    ``:input``, ``:output`` and ``:heading`` clause of schema text to
-    ``(entries, parts)``: its medium map, and the offset from its first
-    token of each part ``_install`` may place an error at. ``inputs`` maps
-    the ``marshal`` bytes of each exported ``inputs`` value to its medium
-    map. ``checked`` is the ``checked`` of ``_install`` for the whole build,
-    and ``symbols`` maps each symbol spelling met to its interned canonical
-    spelling.
-    """
-
-    def __init__(self):
-        self.clauses: dict[tuple, tuple[dict, tuple]] = {}
-        self.inputs: dict[bytes, dict] = {}
-        self.checked: dict[int, InputBinding] = {}
-        self.symbols: dict[str, str] = {}
-
-    def symbol(self, text: str) -> str:
-        """``normalize_symbol(text)``, as one string object per canonical spelling."""
-        if type(text) is not str:  # normalized, or refused, as it would be without the memo
-            return normalize_symbol(text)
-        canonical = self.symbols.get(text)
-        if canonical is None:
-            canonical = self.symbols[text] = sys.intern(normalize_symbol(text))
-        return canonical
-
-    def inputs_of(self, value) -> dict:
-        """A copy of the medium map an exported ``inputs`` value describes, built once.
-
-        Equal ``marshal`` bytes decode to equal values of the same types, so a
-        hit is never false; format 2 writes no back-references, so the bytes do
-        not depend on reference counts. A value marshal refuses (a subclass of
-        ``str`` or ``int``, say) is built afresh.
-        """
-        try:
-            key = marshal.dumps(value, 2)
-        except ValueError:
-            return _inputs_of(value, self.symbol)
-        entries = self.inputs.get(key)
-        if entries is None:
-            entries = self.inputs[key] = _inputs_of(value, self.symbol)
-        return dict(entries)
-
-
-# clause keyword -> the WidgetSpec field it sets
-_CLAUSE_PARTS = {
-    "index": "max_index", "table": "table", "getter": "getter", "setter": "setter",
-    "doc": "doc", "type": "datatype", "generator": "generator",
-    "heading": "headings", "input": "inputs", "output": "outputs"}
-
-
-class _FormReader:
-    """The forms of one schema text, read from its token spellings.
-
-    ``ends[i]`` is the last token of the node at ``i`` (``sexpr.read_spans``),
-    so the items of a form are walked without a node tree.
-    """
-
-    def __init__(self, tokens: list[str], ends: list[int], shared: _Shared):
-        self.tokens = tokens
-        self.ends = ends
-        self.shared = shared
-
-    def forms(self):
-        """The node of each top-level form, in order."""
-        i = 0
-        while i < len(self.tokens):
-            yield i
-            i = self.ends[i] + 1
-
-    def items(self, i: int) -> list[int]:
-        """The nodes inside the form at ``i``; none if ``i`` is not a form."""
-        ends = self.ends
-        end = ends[i]
-        items = []
-        j = i + 1
-        while j < end:
-            items.append(j)
-            j = ends[j] + 1
-        return items
-
-    def is_symbol(self, i: int) -> bool:
-        """Whether token ``i`` is an atom, as ``classify`` has it: not a bracket
-        or a string by its first character, and not an integer."""
-        tok = self.tokens[i]
-        first = tok[0]
-        return first not in '()[]"' and not (first in "-0123456789" and _INT_RE.match(tok))
-
-    def head_symbol(self, form: int) -> str:
-        if self.ends[form] == form + 1 or not self.is_symbol(form + 1):
-            raise TokenError("form must start with a symbol", form)
-        return normalize_symbol(self.tokens[form + 1])
-
-    def spelling(self, i: int, what: str) -> str:
-        if not self.is_symbol(i):
-            raise TokenError(f"expected {what} (a symbol)", i)
-        return self.tokens[i]
-
-    def symbol(self, i: int, what: str) -> str:
-        return self.shared.symbol(self.spelling(i, what))
-
-    def literal(self, i: int, kind: str, what: str):
-        """The value of a ``kind`` token, "string" or "int"."""
-        found, value = classify(self.tokens[i], i)
-        if found != kind:
-            noun = "a string" if kind == "string" else "an integer"
-            raise TokenError(f"expected {what} ({noun})", i)
-        return value
-
-    def list_items(self, i: int, what: str) -> list[int]:
-        if self.tokens[i] != "(":
-            raise TokenError(f"expected {what} (a parenthesized list)", i)
-        return self.items(i)
-
-    def locale_form(self, form: int) -> tuple[str, Optional[str]]:
-        """The locale a locale form names and its parent (None for 'none'), as spelled."""
-        items = self.items(form)
-        if len(items) != 4:
-            raise TokenError("locale form is (locale <name> :parent <name>|none)", form)
-        child = self.spelling(items[1], "a locale name")
-        if self.tokens[items[2]] != ":parent":  # any other spelling is checked in full
-            keyword = self.symbol(items[2], "':parent'")
-            if keyword != "parent" or not self.tokens[items[2]].startswith(":"):
-                raise TokenError("expected ':parent'", items[2])
-        parent = self.spelling(items[3], "a parent locale or 'none'")
-        return child, None if normalize_symbol(parent) == "none" else parent
-
-    def widget_form(self, form: int) -> tuple[WidgetSpec, dict]:
-        """The spec a widget form spells, and the node that spelled each part of it.
-
-        The parts are keyed as ``_install`` names them: a field name, or
-        ``("input", medium)`` and ``("output", medium)`` for the parser and
-        formatter names, or the ``id()`` of a base validator.
-        """
-        items = self.items(form)
-        if len(items) < 3:
-            raise TokenError("widget form is (widget <name> <locale> clauses...)", form)
-        fields: dict = {"name": self.symbol(items[1], "a widget name"),
-                        "locale": self.symbol(items[2], "a locale name")}
-        nodes: dict = {"name": items[1], "locale": items[2]}
-        k = 3
-        while k < len(items):
-            node = items[k]
-            if not self.tokens[node].startswith(":"):  # so it is a symbol
-                raise TokenError("expected a clause keyword like ':table'", node)
-            keyword = normalize_symbol(self.tokens[node])
-            part = _CLAUSE_PARTS.get(keyword)
-            if part is None:
-                raise TokenError(f"unknown clause ':{keyword}'", node)
-            if part in nodes:  # each clause read records its value's node
-                raise TokenError(f"duplicate clause ':{keyword}'", node)
-            if k + 1 >= len(items):
-                raise TokenError(f"clause ':{keyword}' needs a value", node)
-            value = nodes[part] = items[k + 1]
-            k += 2
-            if keyword == "index":
-                fields[part] = self.literal(value, "int", "an occurrence bound")
-            elif keyword == "doc":
-                fields[part] = self.literal(value, "string", "documentation text")
-            elif part in ("headings", "inputs", "outputs"):
-                fields[part] = self.clause(part, value, nodes)
-            else:
-                fields[part] = self.symbol(value, f"a {keyword} name")
-        return WidgetSpec(**fields), nodes
-
-    def clause(self, part: str, i: int, nodes: dict) -> dict:
-        """A copy of the medium map of the clause for ``part`` whose value is at
-        ``i``, read by the method named ``part`` once per load and spelling;
-        ``nodes`` gets the node of each of its parts."""
-        key = (part, tuple(self.tokens[i:self.ends[i] + 1]))
-        memo = self.shared.clauses.get(key)
-        if memo is None:
-            found: dict = {}
-            entries = getattr(self, part)(i, found)
-            memo = self.shared.clauses[key] = (
-                entries, tuple((part, j - i) for part, j in found.items()))
-        entries, parts = memo
-        for part, offset in parts:
-            nodes[part] = i + offset
-        return dict(entries)
-
-    def headings(self, i: int, nodes: dict) -> dict:
-        items = self.list_items(i, "heading pairs")
-        if not items or len(items) % 2 != 0:
-            raise TokenError("heading clause wants (<medium> <text> ...) pairs", i)
-        headings: dict = {}
-        for j in range(0, len(items), 2):
-            medium = self.symbol(items[j], "a medium")
-            text = self.literal(items[j + 1], "string", "heading text")
-            if medium in headings:
-                raise TokenError(f"duplicate heading for medium '{medium}'", items[j])
-            headings[medium] = text
-        return headings
-
-    def inputs(self, i: int, nodes: dict) -> dict:
-        return self.entries(i, "input", "(<medium> <parser> <vexpr>)", nodes,
-                            lambda parser, vexpr: InputBinding(
-                                self.symbol(parser, "a parser name"),
-                                self.vexpr(vexpr, nodes)))
-
-    def outputs(self, i: int, nodes: dict) -> dict:
-        return self.entries(i, "output", "(<medium> <formatter>)", nodes,
-                            lambda formatter: self.symbol(formatter, "a formatter name"))
-
-    def entries(self, i: int, clause: str, shape: str, nodes: dict, build: Callable) -> dict:
-        """The medium map of an ``:input`` or ``:output`` clause, ``((<medium> ...) ...)``.
-
-        Every entry has the slots that ``shape`` spells. ``build`` makes the
-        entry's value from the nodes after the medium; the first of them (the
-        parser or formatter name) is recorded as ``(clause, medium)``.
-        """
-        items = self.list_items(i, f"{clause} entries")
-        if not items:
-            raise TokenError(f"{clause} clause must not be empty", i)
-        arity = shape.count("<")
-        what = f"an {clause} entry {shape}"
-        entries: dict = {}
-        for entry in items:
-            slots = self.list_items(entry, what)
-            if len(slots) != arity:
-                raise TokenError(f"{clause} entry is {shape}", entry)
-            medium = self.symbol(slots[0], "a medium")
-            value = build(*slots[1:])
-            if medium in entries:
-                raise TokenError(f"duplicate {clause} entry for medium '{medium}'", entry)
-            entries[medium] = value
-            nodes[(clause, medium)] = slots[1]
-        return entries
-
-    def vexpr(self, i: int, nodes: dict) -> ValidatorExpr:
-        """Parse one validator expression, recording the node of each base validator.
-
-        Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
-        | (not vexpr msg). Names and arities are checked by ``_install``.
-        """
-        if self.is_symbol(i):
-            expr = Base(normalize_symbol(self.tokens[i]))
-            nodes[id(expr)] = i
-            return expr
-        items = self.list_items(i, "a validator expression")
-        if not items:
-            raise TokenError("empty validator expression", i)
-        head = self.symbol(items[0], "a validator or combinator name")
-        rest = items[1:]
-        if head == "and":
-            if not rest:
-                raise TokenError("'and' needs at least one child", i)
-            return And(tuple(self.vexpr(child, nodes) for child in rest))
-        if head == "or":
-            if len(rest) < 2:
-                raise TokenError("'or' needs at least one child and a message", i)
-            message = self.literal(rest[-1], "string", "the 'or' failure message")
-            children = tuple(self.vexpr(child, nodes) for child in rest[:-1])
-            return Or(children, message)
-        if head == "not":
-            if len(rest) != 2:
-                raise TokenError("'not' wants exactly a child and a message", i)
-            message = self.literal(rest[1], "string", "the 'not' failure message")
-            return Not(self.vexpr(rest[0], nodes), message)
-        args = []
-        for arg in rest:
-            kind, value = classify(self.tokens[arg], arg)
-            if kind not in ("int", "string"):
-                raise TokenError("validator arguments must be integers or strings", arg)
-            args.append(value)
-        expr = Base(head, tuple(args))
-        nodes[id(expr)] = i
-        return expr
-
-
-# -- state serialization ------------------------------------------------------
-
-
-def _vexpr_to_obj(expr: ValidatorExpr):
-    if isinstance(expr, Base):
-        return ["base", expr.name, list(expr.args)]
-    if isinstance(expr, And):
-        return ["and", [_vexpr_to_obj(c) for c in expr.children]]
-    if isinstance(expr, Or):
-        return ["or", [_vexpr_to_obj(c) for c in expr.children], expr.message]
-    if isinstance(expr, Not):
-        return ["not", _vexpr_to_obj(expr.child), expr.message]
-    raise TypeError(f"not a validator expression: {expr!r}")
-
-
-def _vexpr_from_obj(obj) -> ValidatorExpr:
-    """The validator an exported object describes; ``_spec_from_obj`` reports faults."""
-    tag = obj[0]
-    if tag == "base":
-        return Base(obj[1], tuple(obj[2]))
-    if tag == "and":
-        return And(tuple(_vexpr_from_obj(c) for c in obj[1]))
-    if tag == "or":
-        return Or(tuple(_vexpr_from_obj(c) for c in obj[1]), obj[2])
-    if tag == "not":
-        return Not(_vexpr_from_obj(obj[1]), obj[2])
-    raise SchemaError(f"malformed validator expression: {obj!r}")
-
-
-def _exported(symbol: Optional[str]) -> Optional[str]:
-    """A canonical ``symbol`` as a workspace spells it, so that ``import_state``
-    reads it back as itself: ``normalize_symbol`` drops one leading ':', so
-    one that begins with ':' gets one more."""
-    return ":" + symbol if symbol is not None and symbol.startswith(":") else symbol
-
-
-def _spec_to_obj(spec: WidgetSpec) -> dict:
-    # widget and table names are valid symbols, and no locale begins with ':'
-    return {
-        "name": spec.name,
-        "locale": spec.locale,
-        "max_index": spec.max_index,
-        "table": spec.table,
-        "getter": _exported(spec.getter),
-        "setter": _exported(spec.setter),
-        "inputs": {_exported(m): [_exported(b.parser), _vexpr_to_obj(b.validator)]
-                   for m, b in spec.inputs.items()},
-        "outputs": {_exported(m): _exported(f) for m, f in spec.outputs.items()},
-        "headings": {_exported(m): t for m, t in spec.headings.items()},
-        "doc": spec.doc,
-        "datatype": _exported(spec.datatype),
-        "generator": _exported(spec.generator),
-    }
-
-
-def _spec_from_obj(obj: dict, shared: _Shared) -> WidgetSpec:
-    """The normalized spec an exported object describes; ``_install`` checks it.
-
-    Its symbols and its ``inputs`` map come from the build's ``shared``
-    memo. A symbol that is not a string leaves every symbol as it is, as
-    ``_normalized`` does, so that ``_install`` reports the same fault; that
-    spec is built afresh, for the memo holds only normalized parts.
-    """
-    try:
-        try:
-            return _spec_of(obj, shared.symbol, shared.inputs_of)
-        except AttributeError:  # a symbol is not a string
-            return _spec_of(obj, _as_is, lambda value: _inputs_of(value, _as_is))
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"malformed widget spec: {e}") from None
-
-
-def _as_is(symbol):
-    return symbol
-
-
-def _spec_of(obj: dict, sym: Callable, inputs_of: Callable) -> WidgetSpec:
-    """The spec ``obj`` describes, with ``sym`` applied to each symbol in it
-    and its ``inputs`` value built by ``inputs_of``."""
-    def opt(key):
-        value = obj.get(key)
-        return None if value is None else sym(value)
-
-    return WidgetSpec(
-        name=sym(obj["name"]),
-        locale=sym(obj["locale"]),
-        max_index=obj["max_index"],
-        table=opt("table"),
-        getter=opt("getter"),
-        setter=opt("setter"),
-        inputs=inputs_of(obj.get("inputs", {})),
-        outputs={sym(m): sym(f) for m, f in dict(obj.get("outputs", {})).items()},
-        headings={sym(m): t for m, t in dict(obj.get("headings", {})).items()},
-        doc=obj.get("doc"),
-        datatype=opt("datatype"),
-        generator=opt("generator"),
-    )
-
-
-def _inputs_of(value, sym: Callable) -> dict:
-    """The medium map an exported ``inputs`` value describes, with ``sym``
-    applied to each symbol in it."""
-    return {sym(m): InputBinding(sym(pair[0]), _vexpr_from_obj(pair[1]))
-            for m, pair in value.items()}

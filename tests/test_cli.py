@@ -416,6 +416,97 @@ class TestMalformedWorkspace:
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+DROP = object()  # stands for a key removed from the workspace
+
+
+def _edited_workspace(path, value) -> dict:
+    """``FIXTURE_WORKSPACE`` with the value at ``path`` replaced, or removed for DROP."""
+    if value is not DROP:
+        return _replaced(FIXTURE_WORKSPACE, path, value)
+    data = copy.deepcopy(FIXTURE_WORKSPACE)
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    return data
+
+
+WIDGET = ("state", "widgets", 0)  # dob at common, the first widget the import reads
+
+
+class TestMalformedWorkspaceFirstError:
+    """The first fault of a malformed workspace, as ``get`` reports it."""
+
+    @pytest.mark.parametrize("path,value,message", [
+        (WIDGET + ("name",), DROP, "malformed widget spec: 'name'"),
+        (WIDGET + ("name",), 5, "invalid widget name '5'"),
+        (WIDGET + ("locale",), "::x", "unknown locale ':x'"),
+        (WIDGET + ("inputs",), [["m", ["identity", ["base", "required", []]]]],
+         "malformed widget spec: 'list' object has no attribute 'items'"),
+        (WIDGET + ("outputs",), {"default": 7}, "unknown formatter '7'"),
+        (WIDGET + ("inputs",), {"m": ["nope", ["base", "required", []]]},
+         "unknown parser 'nope'"),
+        (WIDGET + ("inputs",), {"m": ["identity", ["base", "nope", []]]},
+         "unknown validator 'nope'"),
+        (WIDGET + ("inputs",), {"m": ["identity", ["base", "length", [1]]]},
+         "validator 'length' takes 2 arguments, got 1"),
+        (WIDGET + ("inputs",), {"m": ["identity", ["xor", []]]},
+         "malformed validator expression: ['xor', []]"),
+        (WIDGET + ("max_index",), True, "max_index must be an integer, got True"),
+        (("state", "locales"), 7, "malformed registry state: 'int' object is not iterable"),
+        (("state", "locales"), [["a", "b", "c"]],
+         "malformed registry state: too many values to unpack (expected 2)"),
+    ])
+    def test_get_exit_2(self, tmp_path, path, value, message):
+        workspace = tmp_path / "w.ws"
+        workspace.write_text(json.dumps(_edited_workspace(path, value)))
+        code, out, err = run_cli(
+            ["get", "--workspace", str(workspace), "--db", str(tmp_path / "db"),
+             "--locale", "arkansas", "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_outputs_as_pairs_read_as_a_map(self, tmp_path):
+        # a JSON array of pairs is accepted where an object is written
+        workspace = tmp_path / "w.ws"
+        workspace.write_text(json.dumps(_edited_workspace(
+            WIDGET + ("outputs",), [["default", "format-date-card"]])))
+        code, out, err = run_cli(
+            ["get", "--workspace", str(workspace), "--db", str(tmp_path / "db"),
+             "--locale", "arkansas", "--field", "dob", "--medium", "ar-arrest"], cwd=tmp_path)
+        assert (code, out, err) == (0, "#uninit\n", "")
+
+
+# Prints whether the schema-text reader was imported by one command run in
+# a fresh interpreter.
+READER_IMPORTED = ("import sys\n"
+                   "from widgetspace import cli\n"
+                   "code = cli.main(sys.argv[1:])\n"
+                   "print(code, 'widgetspace.schematext' in sys.modules)\n")
+
+
+class TestImportBoundary:
+    """Only a command that reads schema text loads the schema-text reader."""
+
+    def _run(self, args, cwd) -> str:
+        proc = subprocess.run([sys.executable, "-c", READER_IMPORTED, *args], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_get_set_and_show_do_not_import_it(self, ws, tmp_path):
+        db = ["--db", str(tmp_path / "db"), "--locale", "arkansas"]
+        field = ["--field", "sid", "--medium", "ls1100-entry"]
+        assert self._run(["set", *ws_args(ws), *db, *field, "ab12cd"], tmp_path) == "0 False"
+        assert self._run(["get", *ws_args(ws), *db, *field], tmp_path) == "0 False"
+        assert self._run(["show", *ws_args(ws), *db, "--medium", "ls1100-entry"],
+                         tmp_path) == "0 False"
+
+    def test_schema_load_imports_it(self, tmp_path):
+        assert self._run(["schema", "load", *ALL_FIXTURES, "--workspace",
+                          str(tmp_path / "w.ws")], tmp_path) == "0 True"
+
+
 class TestSetGet:
     def test_set_prints_stored_datum(self, ws, tmp_path):
         code, out, err = run_cli(

@@ -25,6 +25,7 @@ from widgetspace import (
     ValidatorContext, WidgetCoord, WidgetRegistry, WidgetSpec, WrongVariantError, accessors,
     load_fixture_registry, standard_registries,
 )
+from widgetspace.compile import install
 from widgetspace.registry import MAX_INDEX, _table_accessors
 from widgetspace.sexpr import normalize_symbol
 from widgetspace.validators import And, Not, Or, ValidatorExpr, ValidatorRegistry
@@ -1692,7 +1693,7 @@ class ReferenceRegistry(WidgetRegistry):
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise SchemaError(f"malformed registry state: {e}") from None
             for obj in widgets:
-                self._install(ref_spec_from_obj(obj), tree, specs)
+                install(ref_spec_from_obj(obj), tree, specs, self.registries)
 
 
 def ref_vexpr_from_obj(obj) -> ValidatorExpr:
@@ -1710,10 +1711,10 @@ def ref_vexpr_from_obj(obj) -> ValidatorExpr:
 
 
 def ref_spec_from_obj(obj: dict) -> WidgetSpec:
-    """The normalized spec an exported object describes; ``_install`` checks it.
+    """The normalized spec an exported object describes; ``install`` checks it.
 
-    A symbol that is not a string leaves every symbol as it is, as
-    ``_normalized`` does, so that ``_install`` reports the same fault.
+    A symbol that is not a string leaves every symbol as it is, as the
+    compiler's builder does, so that ``install`` reports the same fault.
     """
     try:
         try:

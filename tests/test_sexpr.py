@@ -25,10 +25,10 @@ from hypothesis import given, settings, strategies as st
 from widgetspace import (UNINITIALIZED, CorruptTableError, Database, MalformedEncodingError,
                          PersonName, SchemaError, SchemaSyntaxError, SimpleDate, WidgetRegistry)
 from widgetspace import datum, fixture_paths, sexpr, store
+from widgetspace.compile import (InputBinding, LoadReport, WidgetSpec, install, orphans,
+                                 syntax_error)
 from widgetspace.datum import Datum
 from widgetspace.locales import LocaleTree
-from widgetspace.registry import (InputBinding, LoadReport, WidgetSpec, _orphans,
-                                  _syntax_error)
 from widgetspace.sexpr import (MAX_DEPTH, SexprError, TokenError, is_valid_symbol,
                                normalize_symbol, position, read_int, tokenize, unquote)
 from widgetspace.validators import And, Base, Not, Or, ValidatorExpr
@@ -478,7 +478,7 @@ TREE_CLAUSE_PARTS = {
 def tree_parse_widget_form(form: TreeList) -> tuple[WidgetSpec, dict]:
     """The spec a widget form spells, and the node that spelled each part of it.
 
-    The parts are keyed as ``_install`` names them: a field name, or
+    The parts are keyed as ``install`` names them: a field name, or
     ``("input", medium)`` and ``("output", medium)`` for the parser and
     formatter names, or the ``id()`` of a base validator.
     """
@@ -568,7 +568,7 @@ def tree_parse_vexpr(node, nodes: dict) -> ValidatorExpr:
     """Parse one validator expression, recording the node of each base validator.
 
     Grammar: symbol | (symbol arg...) | (and vexpr...) | (or vexpr... msg)
-    | (not vexpr msg). Names and arities are checked by ``_install``.
+    | (not vexpr msg). Names and arities are checked by ``install``.
     """
     if tree_is_atom(node):
         expr = Base(normalize_symbol(str(node.value)))
@@ -617,7 +617,7 @@ class TreeRegistry(WidgetRegistry):
                 locales, widgets = self._load_source(filename, text, tree, specs, replace)
                 n_locales += locales
                 n_widgets += widgets
-        return LoadReport(n_locales, n_widgets, _orphans(tree, specs))
+        return LoadReport(n_locales, n_widgets, orphans(tree, specs))
 
     def _load_source(self, filename: str, text: str, tree: LocaleTree, specs: dict,
                      replace: bool) -> tuple[int, int]:
@@ -625,13 +625,13 @@ class TreeRegistry(WidgetRegistry):
 
         The one place that positions an error in schema text: the form
         readers raise TokenError at a node's token index, and an error of
-        ``tree.add`` or ``_install`` is placed at its form or its node. The
+        ``tree.add`` or ``install`` is placed at its form or its node. The
         form tree is dropped on return, while the collector is still paused.
         """
         try:
             forms = tree_read_forms(text)
         except SexprError as e:
-            raise _syntax_error(e, filename) from None
+            raise syntax_error(e, filename) from None
 
         def place(cls, message: str, index: int) -> SchemaError:
             _, line, col = position(text, index)
@@ -651,9 +651,9 @@ class TreeRegistry(WidgetRegistry):
                     n_locales += 1
                 elif head == "widget":
                     spec, nodes = tree_parse_widget_form(form)
-                    # the one change: ``_install`` now takes token indices
-                    self._install(spec, tree, specs,
-                                  (place, {part: n.index for part, n in nodes.items()}))
+                    # the one change: ``install`` now takes token indices
+                    install(spec, tree, specs, self.registries,
+                            source=(place, {part: n.index for part, n in nodes.items()}))
                     n_widgets += 1
                 else:
                     raise TokenError(f"unknown form '{head}'", form.index)
