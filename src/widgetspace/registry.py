@@ -34,10 +34,11 @@ from typing import Callable, NamedTuple, Optional
 from . import accessors, compile, generators
 from .compile import MAX_INDEX, InputBinding, LoadReport, WidgetSpec  # noqa: F401 (re-exported)
 from .datum import UNINITIALIZED, Datum, Uninitialized, UnstorableError, require_valid
-from .errors import (IndexOutOfRangeError, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE,
-                     ResolutionError, ValidationError, WrongVariantError)
+from .errors import (NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE, ResolutionError,
+                     ValidationError)
 from .locales import LocaleTree
 from .sexpr import normalize_symbol
+from .store import check_index
 from .textio import NamedRegistry, default_formatter_registry, default_parser_registry
 from .validators import ValidatorContext, ValidatorRegistry, default_validator_registry
 
@@ -232,7 +233,7 @@ class WidgetRegistry:
             or self._new_plan(coord))
         index = coord.index
         if type(index) is not int or not 1 <= index <= max_index:
-            _check_index(index, max_index)
+            check_index(index, max_index)
         if getter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "getter"})
@@ -258,7 +259,7 @@ class WidgetRegistry:
             or self._new_plan(coord))
         index = coord.index
         if type(index) is not int or not 1 <= index <= max_index:
-            _check_index(index, max_index)
+            check_index(index, max_index)
         if setter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "setter"})
@@ -425,11 +426,6 @@ def _found(part, direction: str, name: str, locale: str, medium: Optional[str] =
                           context)
 
 
-def _check_index(index: int, max_index: int) -> None:
-    if not isinstance(index, int) or not 1 <= index <= max_index:
-        raise IndexOutOfRangeError(f"index {index} out of range [1, {max_index}]")
-
-
 def _located(registry: NamedRegistry, name: Optional[str], fallback=None) -> tuple:
     """``registry.locate(name)``, or ``(None, fallback)`` where there is no name."""
     return (None, fallback) if name is None else registry.locate(name)
@@ -444,39 +440,24 @@ def _canonical(symbol: str) -> str:
 @lru_cache(maxsize=256)  # one shared pair per (table, max_index), not one per plan
 def _table_accessors(table: Optional[str], max_index: int):
     """The getter and setter of a widget stored in ``table`` with ``max_index``
-    slots. The value of a widget of one slot and slot 1 of a stored sequence
-    are one slot, so a reload that changes ``:index`` leaves every stored slot
-    readable and lets no write destroy one. One slot reads slot 1 of a stored
-    sequence, and writes it through ``Database.put``, or ``put_slot`` for a
-    value that is itself a sequence. More slots read a stored single value as
-    slot 1 and any slot it or a shorter sequence does not reach as
-    UNINITIALIZED; their first write makes that value slot 1 (``put_slot``)."""
+    slots: ``Database.get_indexed`` and ``put_indexed``, which own the rule that
+    a stored single value and slot 1 of a stored sequence are one slot. The
+    fused operations check the index against ``max_index`` before either call.
+    One slot writes a value that is not a sequence through ``Database.put``, so
+    that it is stored as it is."""
     if table is None:
         return None, None
-    if max_index == 1:
-        def getter(db, name, index, locale):
-            value = db.get(table, name)
-            if type(value) is tuple:
-                return value[0] if value else UNINITIALIZED
-            return value
 
+    def getter(db, name, index, locale):
+        return db.get_indexed(table, name, index)
+
+    if max_index == 1:
         def setter(db, name, index, locale, value):
-            if type(value) is tuple:
-                db.put_slot(table, name, 1, value, 1)
+            if type(value) is tuple:  # kept whole, as slot 1
+                db.put_indexed(table, name, 1, value, 1)
             else:
                 db.put(table, name, value)
     else:
-        def getter(db, name, index, locale):
-            if type(index) is not int or not 1 <= index <= max_index:
-                _check_index(index, max_index)
-            value = db.get(table, name)
-            if type(value) is tuple:
-                return value[index - 1] if index <= len(value) else UNINITIALIZED
-            return value if index == 1 else UNINITIALIZED
-
         def setter(db, name, index, locale, value):
-            try:
-                db.put_indexed(table, name, index, value, max_index)
-            except WrongVariantError:  # a stored value that is not a sequence
-                db.put_slot(table, name, index, value, max_index)
+            db.put_indexed(table, name, index, value, max_index)
     return getter, setter

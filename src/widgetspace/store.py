@@ -26,10 +26,11 @@ storability check of a table-backed ``parse_and_set``.
 
 A stored value that is not a sequence and slot 1 of a stored sequence are
 one slot, so that a widget whose ``:index`` changed between 1 and more
-destroys nothing it stored: ``put`` of such a value where a sequence is
-stored replaces only its slot 1, and ``put_slot`` makes a stored single
-value slot 1 before it writes another. ``get_indexed`` and ``put_indexed``
-refuse a stored single value.
+destroys nothing it stored. This module is the one owner of that rule:
+``put`` of such a value where a sequence is stored replaces only its slot 1;
+``get_indexed`` reads a stored single value as slot 1 and any slot that no
+stored value reaches as ``UNINITIALIZED``; ``put_indexed`` makes a stored
+single value slot 1 before it writes another slot.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ import threading
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .datum import UNINITIALIZED, Datum, dumps, is_uninitialized, read_datum, require_valid
-from .errors import (CorruptTableError, IndexOutOfRangeError, StoreError,
-                     WrongVariantError)
+from .datum import UNINITIALIZED, Datum, dumps, read_datum, require_valid
+from .errors import CorruptTableError, IndexOutOfRangeError, StoreError
 from . import sexpr
 from .sexpr import (_SYMBOL_RE, SexprError, TokenError, _at, classify, expected,
                     is_valid_symbol, normalize_symbol, position, read_source)
@@ -60,8 +60,7 @@ class _Table:
         self.entries: dict[str, Datum] = entries if entries is not None else {}
         self.dirty = False
         self.version = 0
-        # reentrant: put_slot holds it across the put and put_indexed it makes
-        self.lock = threading.RLock()
+        self.lock = threading.Lock()
 
 
 def _filename(table: str) -> str:
@@ -158,28 +157,33 @@ class Database:
             lock.release()
 
     def get_indexed(self, table: str, key: str, index: int) -> Datum:
-        """One slot of an indexed value. 1-based."""
-        if not isinstance(index, int) or index < 1:
-            raise IndexOutOfRangeError(f"index must be >= 1, got {index}")
-        value = self.get(table, key)
-        if is_uninitialized(value):
-            return UNINITIALIZED
-        if not isinstance(value, tuple):
-            raise WrongVariantError(
-                f"({table}, {key}) holds a non-sequence; indexed access is invalid")
-        if index > len(value):
-            raise IndexOutOfRangeError(
-                f"index {index} out of range for ({table}, {key}) of size {len(value)}")
-        return value[index - 1]
+        """Slot ``index`` (1-based) of the value under (table, key): a stored value
+        that is not a sequence is slot 1, and a slot none reaches is UNINITIALIZED."""
+        if type(index) is not int or index < 1:
+            check_index(index)
+        t = self._tables.get(table) if type(table) is str else None
+        if t is None:
+            t = self._table(table)
+        lock, entries = t.lock, t.entries
+        lock.acquire()
+        try:
+            if type(key) is not str or key not in entries:
+                key = _lookup_key(key)
+            value = entries.get(key, UNINITIALIZED)
+        finally:
+            lock.release()
+        if type(value) is tuple:
+            return value[index - 1] if index <= len(value) else UNINITIALIZED
+        return value if index == 1 else UNINITIALIZED
 
     def put_indexed(self, table: str, key: str, index: int, value: Datum,
                     max_index: int) -> None:
-        """Write one slot, materializing an UNINITIALIZED-filled sequence on first use."""
+        """Write slot ``index``, padding with UNINITIALIZED to ``max_index`` slots;
+        a stored value that is not a sequence is made slot 1 first."""
         if not isinstance(max_index, int) or max_index < 1:
             raise ValueError(f"max_index must be >= 1, got {max_index}")
-        if not isinstance(index, int) or not 1 <= index <= max_index:
-            raise IndexOutOfRangeError(
-                f"index {index} out of range [1, {max_index}]")
+        if type(index) is not int or not 1 <= index <= max_index:
+            check_index(index, max_index)
         require_valid(value)
         t = self._tables.get(table) if type(table) is str else None
         if t is None:
@@ -190,40 +194,14 @@ class Database:
         lock.acquire()
         try:
             current = t.entries.get(key, UNINITIALIZED)
-            if is_uninitialized(current):
-                slots = [UNINITIALIZED] * max_index
-            elif isinstance(current, tuple):
-                slots = list(current) + [UNINITIALIZED] * (max_index - len(current))
-            else:
-                raise WrongVariantError(
-                    f"({table}, {key}) holds a non-sequence; indexed access is invalid")
+            slots = list(current) if type(current) is tuple else [current]
+            slots += [UNINITIALIZED] * (max_index - len(slots))
             slots[index - 1] = value
             t.entries[key] = tuple(slots)
             t.dirty = True
             t.version += 1
         finally:
             lock.release()
-
-    def put_slot(self, table: str, key: str, index: int, value: Datum,
-                 max_index: int) -> None:
-        """``put_indexed``, except that a stored value that is not a sequence is
-        first made slot 1 rather than refused.
-
-        The value of a widget of one slot and slot 1 of an indexed widget are
-        one slot, so a write under a changed ``:index`` destroys nothing. Both
-        writes are made with the table's lock held, so no other write comes
-        between them.
-        """
-        require_valid(value)  # an unstorable value is refused before a table loads
-        t = self._tables.get(table) if type(table) is str else None
-        if t is None:
-            t = self._table(table)
-        with t.lock:
-            try:
-                self.put_indexed(table, key, index, value, max_index)
-            except WrongVariantError:  # which put_indexed raises having changed nothing
-                self.put(table, key, (self.get(table, key),))
-                self.put_indexed(table, key, index, value, max_index)
 
     def checkpoint(self) -> None:
         """Flush every dirty table atomically. Dirtiness survives I/O failure.
@@ -330,6 +308,17 @@ class Database:
 
     def _write_file(self, filename: str, text: str) -> None:
         _replace(self._root / filename, text)
+
+
+def check_index(index: int, max_index: int | None = None) -> None:
+    """IndexOutOfRangeError unless ``index`` is an int, and not a bool, from 1
+    to ``max_index``, or from 1 up where no bound is given."""
+    if (isinstance(index, int) and not isinstance(index, bool) and index >= 1
+            and (max_index is None or index <= max_index)):
+        return
+    if max_index is None:
+        raise IndexOutOfRangeError(f"index must be >= 1, got {index}")
+    raise IndexOutOfRangeError(f"index {index} out of range [1, {max_index}]")
 
 
 def read_text(path: str | os.PathLike, filename: str | None = None) -> str:

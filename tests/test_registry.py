@@ -330,6 +330,16 @@ class TestParseAndSet:
             registry.parse_and_set(
                 db, WidgetCoord("alias", "arkansas", "m", index=3), "X")
 
+    def test_a_bool_index_is_refused(self, registry, db):
+        for name, text in (("dob", "20100704"), ("alias", "SMITH")):
+            for index in (True, False):
+                at = WidgetCoord(name, "arkansas", "ls1100-entry", index)
+                with pytest.raises(IndexOutOfRangeError, match=rf"^index {index} out of range"):
+                    registry.parse_and_set(db, at, text)
+                with pytest.raises(IndexOutOfRangeError, match=rf"^index {index} out of range"):
+                    registry.get_and_format(db, at)
+        assert db.is_empty()
+
     def test_validator_sees_coordinate_context(self, tmp_path):
         reg = tiny_registry()
         seen = []
@@ -1275,8 +1285,7 @@ class TestGrownIndex:
         assert shown == ["Smith", UNINITIALIZED, UNINITIALIZED]
         with pytest.raises(IndexOutOfRangeError, match=r"^index 4 out of range \[1, 3\]$"):
             grown.get_and_format(db, WidgetCoord("alias", "root", "default", 4))
-        with pytest.raises(IndexOutOfRangeError, match="of size 2$"):
-            db.get_indexed("t", "alias", 3)  # the store knows no bound
+        assert db.get_indexed("t", "alias", 3) is UNINITIALIZED  # as get_and_format reads it
         grown.parse_and_set(db, WidgetCoord("alias", "root", "default", 3), "Jones")
         assert db.get("t", "alias") == ("Smith", UNINITIALIZED, "Jones")
 

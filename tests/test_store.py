@@ -6,6 +6,7 @@ import stat
 import sys
 import tempfile
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
     UNINITIALIZED, CorruptTableError, Database, IndexOutOfRangeError, PersonName,
-    SimpleDate, StoreError, WrongVariantError, dumps, is_uninitialized, store,
+    SimpleDate, StoreError, WidgetRegistry, dumps, is_uninitialized, store,
 )
 from widgetspace import datum, sexpr
 from widgetspace.datum import MAX_DEPTH
@@ -220,15 +221,20 @@ class TestIndexed:
         with pytest.raises(IndexOutOfRangeError):
             db.put_indexed("a", "k", 3, "x", max_index=2)
         db.put_indexed("a", "k", 1, "x", max_index=2)
-        with pytest.raises(IndexOutOfRangeError):
-            db.get_indexed("a", "k", 3)
+        assert db.get_indexed("a", "k", 3) is UNINITIALIZED  # the store knows no bound
+        for index in (True, False):  # a bool is not an index
+            with pytest.raises(IndexOutOfRangeError):
+                db.get_indexed("a", "k", index)
+            with pytest.raises(IndexOutOfRangeError, match=rf"^index {index} out of range"):
+                db.put_indexed("a", "k", index, "z", max_index=2)
+        assert db.get("a", "k") == ("x", UNINITIALIZED)
 
-    def test_indexed_access_to_scalar_rejected(self, db):
+    def test_indexed_access_reads_a_scalar_as_slot_1(self, db):
         db.put("a", "k", "scalar")
-        with pytest.raises(WrongVariantError):
-            db.get_indexed("a", "k", 1)
-        with pytest.raises(WrongVariantError):
-            db.put_indexed("a", "k", 1, "x", max_index=2)
+        assert db.get_indexed("a", "k", 1) == "scalar"
+        assert db.get_indexed("a", "k", 2) is UNINITIALIZED
+        db.put("a", "e", ())
+        assert db.get_indexed("a", "e", 1) is UNINITIALIZED
 
     def test_bad_max_index(self, db):
         with pytest.raises(ValueError):
@@ -244,36 +250,80 @@ class TestIndexed:
         db.put("a", "e", "q")
         assert db.get("a", "e") == ("q",)
 
-    def test_put_slot_makes_a_stored_value_slot_1(self, db):
+    def test_put_indexed_makes_a_stored_value_slot_1(self, db):
         db.put("a", "k", "x")
-        db.put_slot("a", "k", 3, "z", 3)
+        db.put_indexed("a", "k", 3, "z", 3)
         assert db.get("a", "k") == ("x", UNINITIALIZED, "z")
-        db.put_slot("a", "k", 2, "y", 2)  # as put_indexed, over a sequence
+        db.put_indexed("a", "k", 2, "y", 2)  # over a sequence longer than the bound
         assert db.get("a", "k") == ("x", "y", "z")
         db.put("a", "j", "x")
         with pytest.raises(ValueError, match="control character"):
-            db.put_slot("a", "j", 2, "\x01", 2)
+            db.put_indexed("a", "j", 2, "\x01", 2)
         with pytest.raises(IndexOutOfRangeError):
-            db.put_slot("a", "j", 3, "y", 2)
+            db.put_indexed("a", "j", 3, "y", 2)
         assert db.get("a", "j") == "x"
 
-    def test_a_write_made_during_put_slot_waits_for_it(self, tmp_path):
-        class Racing(Database):
-            racer = None
 
-            def get(self, table, key):  # put_slot reads the stored single value here
-                value = super().get(table, key)
-                if self.racer is None:
-                    self.racer = threading.Thread(target=self.put, args=(table, key, "Brown"))
-                    self.racer.start()
-                    self.racer.join(timeout=0.2)  # it would write now without the lock
-                return value
+SLOT_VALUES = st.sampled_from(["Smith", "Jones", 7, UNINITIALIZED])
+SLOT_VALUE = st.one_of(SLOT_VALUES, st.lists(SLOT_VALUES, max_size=3).map(tuple))
 
-        db = Racing(tmp_path / "db")
-        db.put("t", "alias", "Smith")
-        db.put_slot("t", "alias", 2, "Jones", 2)
-        db.racer.join(timeout=30)
-        assert db.get("t", "alias") == ("Brown", "Jones")
+
+@st.composite
+def _slot_op(draw):
+    kind = draw(st.sampled_from(["put", "put_indexed", "get_indexed", "reopen"]))
+    if kind == "put":
+        return kind, draw(SLOT_VALUE)
+    if kind == "put_indexed":
+        bound = draw(st.integers(1, 4))
+        return kind, draw(st.integers(1, bound)), draw(SLOT_VALUE), bound
+    if kind == "get_indexed":
+        return kind, draw(st.integers(1, 5))
+    return (kind,)
+
+
+@lru_cache(maxsize=None)
+def _slot_getter(bound: int):
+    """``resolve_storage(...).getter`` of a widget ``k`` stored in table ``t`` with
+    ``bound`` slots."""
+    reg = WidgetRegistry()
+    reg.load_schema(f"(locale root :parent none)(widget k root :table t :index {bound})")
+    return reg.resolve_storage("k", "root").getter
+
+
+class TestSlotRuleModel:
+    """The slot rule against a list of slots: a stored value that is not a
+    sequence is slot 1, a slot no stored value reaches is UNINITIALIZED, and
+    ``put_indexed`` pads the slots to its bound before it writes one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_slot_op(), max_size=30))
+    def test_every_read_matches_the_model(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            db, slots = Database(root), []
+            for op in ops:
+                if op[0] == "put":
+                    db.put("t", "k", op[1])
+                    if type(op[1]) is tuple:
+                        slots = list(op[1])
+                    else:
+                        slots[:1] = [op[1]]
+                elif op[0] == "put_indexed":
+                    _, index, value, bound = op
+                    db.put_indexed("t", "k", index, value, bound)
+                    slots += [UNINITIALIZED] * (bound - len(slots))
+                    slots[index - 1] = value
+                    assert db.get("t", "k") == tuple(slots)
+                elif op[0] == "get_indexed":
+                    index = op[1]
+                    expected = slots[index - 1] if index <= len(slots) else UNINITIALIZED
+                    assert db.get_indexed("t", "k", index) == expected
+                    for bound in range(index, 5):
+                        assert _slot_getter(bound)(db, "k", index, "root") == expected
+                else:
+                    db.checkpoint()
+                    db = Database(root)
+            assert [db.get_indexed("t", "k", i) for i in range(1, 6)] == \
+                [slots[i] if i < len(slots) else UNINITIALIZED for i in range(5)]
 
 
 class TestDurability:
@@ -927,5 +977,52 @@ class TestTableLockStress:
                     for r in range(self.ROUNDS)}
         expected.update((f"p{n}-{r}", r) for n in range(putters) for r in range(self.ROUNDS))
         assert dict(db.items("t")) == expected
+        db.checkpoint()
+        assert Database(tmp_path / "db").items("t") == db.items("t")
+
+
+class TestSlotOneStress:
+    """Writes of slot 1 by ``put`` and of other slots by ``put_indexed`` race on
+    keys that start as a stored single value: ``put_indexed`` makes that value
+    slot 1 in the same critical section that writes its own slot, so neither
+    write can be lost."""
+
+    ROUNDS = 5000
+    BOUND = 4  # one writer thread per slot
+
+    def test_no_write_is_lost(self, tmp_path):
+        db = Database(tmp_path / "db")
+        for r in range(self.ROUNDS):
+            db.put("t", f"s{r}", "old")
+        errors = []
+        in_step = threading.Barrier(self.BOUND, timeout=30)
+
+        def write(slot):
+            try:
+                for r in range(self.ROUNDS):
+                    in_step.wait()
+                    if slot == 1:
+                        db.put("t", f"s{r}", f"new{r}")
+                    else:
+                        db.put_indexed("t", f"s{r}", slot, slot * 1000 + r, self.BOUND)
+            except BaseException as e:  # reported by the assertion below
+                errors.append(e)
+
+        writers = [threading.Thread(target=write, args=(slot,), daemon=True)
+                   for slot in range(1, self.BOUND + 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers)
+        assert errors == []
+        assert dict(db.items("t")) == {
+            f"s{r}": (f"new{r}",) + tuple(s * 1000 + r for s in range(2, self.BOUND + 1))
+            for r in range(self.ROUNDS)}
         db.checkpoint()
         assert Database(tmp_path / "db").items("t") == db.items("t")
