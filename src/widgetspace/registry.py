@@ -237,8 +237,8 @@ class WidgetRegistry:
         if getter is None:
             raise ResolutionError(NO_STORAGE_MESSAGE, {"name": ctx.name, "locale": ctx.locale,
                                                        "missing": "getter"})
-        value = (getter if getters is None else getters[getter])(
-            db, ctx.name, index, ctx.locale)
+        value = (db.get_indexed(getter, ctx.name, index) if getters is None
+                 else getters[getter](db, ctx.name, index, ctx.locale))
         if value is UNINITIALIZED:
             return UNINITIALIZED
         if formatter is None:
@@ -268,11 +268,10 @@ class WidgetRegistry:
         validators.validate(validator, ctx, text)
         value = parsers[parser](text)
         try:
-            if setters is not None:  # a registered setter gets only a storable value
-                require_valid(value)
-            else:  # a table accessor's put checks the value before it touches the table
-                setter(db, ctx.name, index, ctx.locale, value)
+            if setters is None:  # the table's put_indexed checks the value before it writes
+                db.put_indexed(setter, ctx.name, index, value, max_index)
                 return value
+            require_valid(value)  # a registered setter gets only a storable value
         except UnstorableError as e:
             raise ValidationError(text, str(e)) from None
         setters[setter](db, ctx.name, index, ctx.locale, value)
@@ -287,11 +286,12 @@ class WidgetRegistry:
         else of ``registries``. Each named function is a table and its key
         there (``NamedRegistry.locate``), found once per plan; a call
         subscripts the table, and a registration writes into that same
-        table, so it takes effect at the next call. A table accessor is
-        held itself, with None for its table. A part no ancestor declares is
-        None with its table, and the fused operation that needs it raises
-        from the plan. The fused operations probe the memo with the caller's
-        spelling and come here on a miss.
+        table, so it takes effect at the next call. A table-backed accessor
+        is the table's name, with None for its function table: the call goes
+        to ``Database.get_indexed`` or ``put_indexed`` itself. A part no
+        ancestor declares is None with its table, and the fused operation
+        that needs it raises from the plan. The fused operations probe the
+        memo with the caller's spelling and come here on a miss.
 
         Plans are keyed by canonical spelling, and a medium that no spec
         declares uses the ``default`` plan, so the memo stays bounded by
@@ -313,11 +313,10 @@ class WidgetRegistry:
                 regs = self.registries  # read after the snapshot, which its setter publishes
                 parts = self.resolve_parts(coord.name, coord.locale, coord.medium)
                 spec = _found(parts.storage, "storage", coord.name, coord.locale)
-                get, put = _table_accessors(spec.table, spec.max_index)
                 binding = parts.binding
-                plan = (spec.max_index, *_located(regs.getters, spec.getter, get),
+                plan = (spec.max_index, *_located(regs.getters, spec.getter, spec.table),
                         *_located(regs.formatters, parts.formatter),
-                        *_located(regs.setters, spec.setter, put),
+                        *_located(regs.setters, spec.setter, spec.table),
                         *_located(regs.parsers, binding and binding.parser),
                         regs.validators, binding and binding.validator,
                         ValidatorContext(*key))
@@ -437,27 +436,18 @@ def _canonical(symbol: str) -> str:
     return symbol if text == symbol else text
 
 
-@lru_cache(maxsize=256)  # one shared pair per (table, max_index), not one per plan
+@lru_cache(maxsize=256)  # equal ResolvedStorage values share one pair
 def _table_accessors(table: Optional[str], max_index: int):
-    """The getter and setter of a widget stored in ``table`` with ``max_index``
-    slots: ``Database.get_indexed`` and ``put_indexed``, which own the rule that
-    a stored single value and slot 1 of a stored sequence are one slot. The
-    fused operations check the index against ``max_index`` before either call.
-    One slot writes a value that is not a sequence through ``Database.put``, so
-    that it is stored as it is."""
+    """The getter and setter that ``resolve_storage`` hands out for a widget
+    stored in ``table`` with ``max_index`` slots: ``Database.get_indexed`` and
+    ``put_indexed``, which own the slot rule and store a one-slot value as it
+    is. The fused operations call those two directly, not through this pair."""
     if table is None:
         return None, None
 
     def getter(db, name, index, locale):
         return db.get_indexed(table, name, index)
 
-    if max_index == 1:
-        def setter(db, name, index, locale, value):
-            if type(value) is tuple:  # kept whole, as slot 1
-                db.put_indexed(table, name, 1, value, 1)
-            else:
-                db.put(table, name, value)
-    else:
-        def setter(db, name, index, locale, value):
-            db.put_indexed(table, name, index, value, max_index)
+    def setter(db, name, index, locale, value):
+        db.put_indexed(table, name, index, value, max_index)
     return getter, setter

@@ -30,7 +30,9 @@ destroys nothing it stored. This module is the one owner of that rule:
 ``put`` of such a value where a sequence is stored replaces only its slot 1;
 ``get_indexed`` reads a stored single value as slot 1 and any slot that no
 stored value reaches as ``UNINITIALIZED``; ``put_indexed`` makes a stored
-single value slot 1 before it writes another slot.
+single value slot 1 before it writes another slot, and with one slot stores
+a value that is not a sequence, where none is stored, as it is. A
+table-backed widget's plan calls ``get_indexed`` and ``put_indexed`` directly.
 """
 
 from __future__ import annotations
@@ -179,10 +181,12 @@ class Database:
     def put_indexed(self, table: str, key: str, index: int, value: Datum,
                     max_index: int) -> None:
         """Write slot ``index``, padding with UNINITIALIZED to ``max_index`` slots;
-        a stored value that is not a sequence is made slot 1 first."""
-        if not isinstance(max_index, int) or max_index < 1:
-            raise ValueError(f"max_index must be >= 1, got {max_index}")
-        if type(index) is not int or not 1 <= index <= max_index:
+        a stored value that is not a sequence is made slot 1 first. With one
+        slot, a value that is not a sequence, written where none is stored, is
+        stored as it is, as ``put`` stores it."""
+        if type(index) is not int or type(max_index) is not int or not 1 <= index <= max_index:
+            if isinstance(max_index, bool) or not isinstance(max_index, int) or max_index < 1:
+                raise ValueError(f"max_index must be an integer >= 1, got {max_index!r}")
             check_index(index, max_index)
         require_valid(value)
         t = self._tables.get(table) if type(table) is str else None
@@ -190,14 +194,16 @@ class Database:
             t = self._table(table)
         if type(key) is not str or (key not in t.entries and _SYMBOL_RE.match(key) is None):
             key = _valid_key(key)  # a stored key is canonical: it was checked as it came in
-        lock = t.lock
+        lock, entries = t.lock, t.entries
         lock.acquire()
         try:
-            current = t.entries.get(key, UNINITIALIZED)
-            slots = list(current) if type(current) is tuple else [current]
-            slots += [UNINITIALIZED] * (max_index - len(slots))
-            slots[index - 1] = value
-            t.entries[key] = tuple(slots)
+            current = entries.get(key, UNINITIALIZED)
+            if max_index > 1 or type(current) is tuple or type(value) is tuple:
+                slots = list(current) if type(current) is tuple else [current]
+                slots += [UNINITIALIZED] * (max_index - len(slots))
+                slots[index - 1] = value
+                value = tuple(slots)
+            entries[key] = value
             t.dirty = True
             t.version += 1
         finally:
@@ -317,7 +323,7 @@ def check_index(index: int, max_index: int | None = None) -> None:
             and (max_index is None or index <= max_index)):
         return
     if max_index is None:
-        raise IndexOutOfRangeError(f"index must be >= 1, got {index}")
+        raise IndexOutOfRangeError(f"index must be an integer >= 1, got {index!r}")
     raise IndexOutOfRangeError(f"index {index} out of range [1, {max_index}]")
 
 

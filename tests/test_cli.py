@@ -847,6 +847,28 @@ class TestChangedIndex:
         assert (tmp_path / "db" / "t.tbl").read_text() == '(table t)\n(alias ["Brown" "Jones"])\n'
 
 
+class TestSetBytes:
+    """``set`` of every settable fixture field at one locale, one-slot and indexed,
+    writes what it always wrote: the dump is a literal golden."""
+
+    FIELDS = [("alias.1", "SMITH", '"SMITH"'), ("alias.2", "JONES", '"JONES"'),
+              ("dob", "20100704", "(date 2010 7 4)"), ("name-first", "Jane", '"Jane"'),
+              ("name-last", "Doe", '"Doe"'), ("name-middle", "Quinn", '"Quinn"'),
+              ("name-suffix", "Jr", '"Jr"'), ("sid", "ab123456", '"ab123456"')]
+    GOLDEN = (b'(table demographics)\n(alias ["SMITH" "JONES"])\n(dob (date 2010 7 4))\n'
+              b'(name-first "Jane")\n(name-last "Doe")\n(name-middle "Quinn")\n'
+              b'(name-suffix "Jr")\n(table identifiers)\n(sid "ab123456")\n')
+
+    def test_every_settable_field_at_arkansas(self, ws, tmp_path):
+        db = ["--db", str(tmp_path / "db")]
+        for field, text, shown in self.FIELDS:
+            assert run_cli(["set", *ws_args(ws), *db, "--locale", "arkansas", "--medium",
+                            "ls1100-entry", "--field", field, text],
+                           cwd=tmp_path) == (0, shown + "\n", "")
+        assert run_cli(["dump", *db, str(tmp_path / "out")], cwd=tmp_path)[0] == 0
+        assert (tmp_path / "out").read_bytes() == self.GOLDEN
+
+
 class TestGen:
     def test_deterministic_across_processes(self, ws, tmp_path):
         args = ["gen", *ws_args(ws), "--locale", "arkansas", "--field", "sid",

@@ -11,7 +11,7 @@ import threading
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1360,6 +1360,92 @@ class TestChangedIndex:
                 # no write changed another slot
                 assert [widest.get_and_format(db, _alias(i)) for i in range(1, 5)] == \
                     [slots.get(i, UNINITIALIZED) for i in range(1, 5)]
+
+
+SLOT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("reload"), st.integers(1, 4)),
+    st.tuples(st.just("set"), st.integers(0, 5), st.sampled_from(["Smith", "Jones"]),
+              st.booleans()),
+    st.tuples(st.just("get"), st.integers(1, 4)),
+    st.tuples(st.just("reopen"))), max_size=30)
+
+
+@lru_cache(maxsize=None)
+def _slot_registry(bound: int, pairs: bool) -> WidgetRegistry:
+    """``alias`` with ``bound`` slots, shown as stored; with ``pairs``, its parser
+    makes a sequence."""
+    reg = WidgetRegistry()
+    reg.registries.parsers.register("pair", lambda text: (text, text))
+    reg.registries.formatters.register("as-stored", lambda value: value)
+    reg.load_schema(f"(locale root :parent none)(widget alias root :table t :index {bound}"
+                    f" :input ((default {'pair' if pairs else 'identity'} always-ok))"
+                    " :output ((default as-stored)))")
+    return reg
+
+
+def _error(call) -> Optional[tuple]:
+    """``(class, message)`` of what ``call`` raises, or None."""
+    try:
+        call()
+    except SchemaError as e:
+        return type(e), str(e)
+    return None
+
+
+class TestTableBackedPlans:
+    """A table-backed plan calls ``Database.get_indexed`` and ``put_indexed``
+    itself, and the accessors ``resolve_storage`` hands out make the same calls."""
+
+    def test_a_one_slot_setter_refuses_an_index_past_its_bound(self, registry, db):
+        registry.parse_and_set(db, WidgetCoord("dob", "arkansas", "ls1100-entry"), "20100704")
+        setter = registry.resolve_storage("dob", "arkansas").setter
+        with pytest.raises(IndexOutOfRangeError, match=r"^index 7 out of range \[1, 1\]$"):
+            setter(db, "dob", 7, "arkansas", "B")
+        assert db.get("demographics", "dob") == SimpleDate(2010, 7, 4)
+
+    @pytest.mark.parametrize("name, index, text", [("dob", 1, "20100704"), ("alias", 2, "SMITH")])
+    def test_a_warm_call_makes_one_database_call(self, registry, db, monkeypatch,
+                                                 name, index, text):
+        at = WidgetCoord(name, "arkansas", "ls1100-entry", index)
+        registry.parse_and_set(db, at, text)  # cold: the plan is made and the table loaded
+        registry.get_and_format(db, at)
+        calls = []
+        for attr, method in vars(Database).items():
+            if callable(method) and not attr.startswith("_"):
+                def counted(*args, attr=attr, method=method, **kwargs):
+                    calls.append(attr)
+                    return method(*args, **kwargs)
+                monkeypatch.setattr(Database, attr, counted)
+        registry.parse_and_set(db, at, text)
+        assert calls == ["put_indexed"]
+        registry.get_and_format(db, at)
+        assert calls == ["put_indexed", "get_indexed"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(SLOT_OPS)
+    def test_resolved_accessors_match_the_fused_operations(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            fused, direct, bound = Database(Path(root, "f")), Database(Path(root, "d")), 1
+            for op in ops:
+                if op[0] == "reload":
+                    bound = op[1]
+                elif op[0] == "reopen":
+                    fused.checkpoint()
+                    direct.checkpoint()
+                    fused, direct = Database(fused.root), Database(direct.root)
+                elif op[0] == "set":
+                    _, index, text, pairs = op
+                    reg = _slot_registry(bound, pairs)
+                    setter = reg.resolve_storage("alias", "root").setter
+                    value = (text, text) if pairs else text
+                    assert (_error(lambda: reg.parse_and_set(fused, _alias(index), text))
+                            == _error(lambda: setter(direct, "alias", index, "root", value)))
+                else:
+                    index, reg = (op[1] - 1) % bound + 1, _slot_registry(bound, False)
+                    getter = reg.resolve_storage("alias", "root").getter
+                    assert (reg.get_and_format(fused, _alias(index))
+                            == getter(direct, "alias", index, "root"))
+                assert fused.dump_text() == direct.dump_text()
 
 
 def _large_schema(widgets: int = 3000) -> str:

@@ -240,6 +240,25 @@ class TestIndexed:
         with pytest.raises(ValueError):
             db.put_indexed("a", "k", 1, "x", max_index=0)
 
+    @pytest.mark.parametrize("bound", [True, False, 1.0, "2", None])
+    def test_a_bound_that_is_no_integer_is_refused_as_0_is(self, db, bound):
+        with pytest.raises(ValueError, match=rf"^max_index must be an integer >= 1, got {bound!r}$"):
+            db.put_indexed("a", "k", 1, "x", max_index=bound)
+        assert db.is_empty()
+
+    @pytest.mark.parametrize("index", [True, 0, "1", 1.0])
+    def test_an_unbounded_refusal_names_the_type(self, db, index):
+        with pytest.raises(IndexOutOfRangeError) as exc:
+            db.get_indexed("a", "k", index)
+        assert str(exc.value) == f"index must be an integer >= 1, got {index!r}"
+
+    def test_one_slot_stores_a_single_value_as_it_is(self, db):
+        db.put_indexed("a", "k", 1, "x", 1)
+        assert db.items("a") == [("k", "x")]
+        db.put_indexed("a", "k", 1, ("y",), 1)  # a sequence is kept whole, as slot 1
+        db.put_indexed("a", "k", 1, "z", 1)  # over a sequence, slot 1 only
+        assert db.items("a") == [("k", ("z",))]
+
     def test_a_single_value_put_over_a_sequence_replaces_its_slot_1(self, db):
         db.put("a", "k", ("x", "y"))
         db.put("a", "k", "z")
@@ -293,26 +312,33 @@ def _slot_getter(bound: int):
 class TestSlotRuleModel:
     """The slot rule against a list of slots: a stored value that is not a
     sequence is slot 1, a slot no stored value reaches is UNINITIALIZED, and
-    ``put_indexed`` pads the slots to its bound before it writes one."""
+    ``put_indexed`` pads the slots to its bound before it writes one, except
+    that with one slot it stores a value that is not a sequence as it is where
+    no sequence is stored."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_slot_op(), max_size=30))
     def test_every_read_matches_the_model(self, ops):
         with tempfile.TemporaryDirectory() as root:
-            db, slots = Database(root), []
+            db, slots, single = Database(root), [], True  # single: no sequence is stored
             for op in ops:
                 if op[0] == "put":
                     db.put("t", "k", op[1])
                     if type(op[1]) is tuple:
-                        slots = list(op[1])
+                        slots, single = list(op[1]), False
                     else:
                         slots[:1] = [op[1]]
                 elif op[0] == "put_indexed":
                     _, index, value, bound = op
                     db.put_indexed("t", "k", index, value, bound)
-                    slots += [UNINITIALIZED] * (bound - len(slots))
-                    slots[index - 1] = value
-                    assert db.get("t", "k") == tuple(slots)
+                    if bound == 1 and single and type(value) is not tuple:
+                        slots = [value]
+                        assert db.get("t", "k") == value
+                    else:
+                        slots += [UNINITIALIZED] * (bound - len(slots))
+                        slots[index - 1] = value
+                        single = False
+                        assert db.get("t", "k") == tuple(slots)
                 elif op[0] == "get_indexed":
                     index = op[1]
                     expected = slots[index - 1] if index <= len(slots) else UNINITIALIZED
