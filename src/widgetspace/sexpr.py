@@ -13,9 +13,11 @@ starts with ``"``, and a run of atom characters is an integer if it reads
 as one and an atom otherwise. A ``"`` that starts no well-formed string,
 or a lone ``\\``, is a fault, diagnosed where it stands.
 
-Every text is scanned without positions. ``tokenize``, for table lines
-and datum text, is one ``findall`` that returns the spellings (with the
-comments' empty groups dropped from a text that holds a ``;``). Schema
+Every text is scanned without positions. ``tokenize``, for datum text and
+the table lines that the store's line pattern does not cover (any but a
+string or date entry as ``dumps`` writes it), is one ``findall`` that
+returns the spellings (with the comments' empty groups dropped from a text
+that holds a ``;``). Schema
 text is longer and holds few strings and comments, so ``read_spans`` gets
 the same spellings from str methods (``_scan``): ``find`` locates each
 string and comment, and each run of text between them is split on

@@ -10,11 +10,14 @@ corrupt what a previous checkpoint saved.
 
 Table file format: line one is ``(table <name>)``, then one ``(<key>
 <datum>)`` pair per line, sorted by key, UTF-8, LF line endings. A table
-file or dump is read one line at a time, each line scanned once into token
-spellings without positions (``sexpr.tokenize``) and each value read from
-them by ``datum.read_datum``; the byte offset of a fault is computed only
-when one is found. A key spelled as a valid symbol, as the store writes
-every key, is taken as it is spelled.
+file or dump is read with one pattern match per line (``_LINE_RE``). A
+covered line, a pair under a canonical key that is not all digits whose
+value is a string or a date spelled exactly as ``dumps`` writes it, is read
+from the match's groups. Every other line is scanned into token spellings
+without positions (``sexpr.tokenize``), and its value is read from them by
+``datum.read_datum``. The byte offset of a fault is computed only when one
+is found. A key spelled as a valid symbol, as the store writes every key,
+is taken as it is spelled.
 
 Keys and table names are kept in canonical spelling, so a lookup tries a
 plain string as it is spelled and normalizes it only when that misses: a
@@ -44,11 +47,13 @@ import threading
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .datum import UNINITIALIZED, Datum, dumps, read_datum, require_valid
+from .datum import UNINITIALIZED, Datum, SimpleDate, dumps, read_datum, require_valid
 from .errors import CorruptTableError, IndexOutOfRangeError, StoreError
 from . import sexpr
-from .sexpr import (_SYMBOL_RE, SexprError, TokenError, _at, classify, expected,
-                    is_valid_symbol, normalize_symbol, position, read_source)
+from .sexpr import (_STRING_BODY, _SYMBOL_RE, SexprError, TokenError, _at, classify,
+                    expected, int_text, is_valid_symbol, normalize_symbol, position,
+                    read_source)
+from .sexpr import unquote as unquote_string
 
 _SUFFIX = ".tbl"
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -186,7 +191,7 @@ class Database:
         stored as it is, as ``put`` stores it."""
         if type(index) is not int or type(max_index) is not int or not 1 <= index <= max_index:
             if isinstance(max_index, bool) or not isinstance(max_index, int) or max_index < 1:
-                raise ValueError(f"max_index must be an integer >= 1, got {max_index!r}")
+                raise ValueError(f"max_index must be an integer >= 1, got {_shown(max_index)}")
             check_index(index, max_index)
         require_valid(value)
         t = self._tables.get(table) if type(table) is str else None
@@ -323,8 +328,14 @@ def check_index(index: int, max_index: int | None = None) -> None:
             and (max_index is None or index <= max_index)):
         return
     if max_index is None:
-        raise IndexOutOfRangeError(f"index must be an integer >= 1, got {index!r}")
-    raise IndexOutOfRangeError(f"index {index} out of range [1, {max_index}]")
+        raise IndexOutOfRangeError(f"index must be an integer >= 1, got {_shown(index)}")
+    raise IndexOutOfRangeError(
+        f"index {_shown(index, str)} out of range [1, {_shown(max_index, str)}]")
+
+
+def _shown(value: object, spell=repr) -> str:
+    """``spell(value)``, but an integer of any length as its digits (``int_text``)."""
+    return int_text(value) if type(value) is int else spell(value)
 
 
 def read_text(path: str | os.PathLike, filename: str | None = None) -> str:
@@ -395,21 +406,39 @@ def _render_table(name: str, entries: dict[str, Datum]) -> str:
                    + [f"({key} {dumps(entries[key])})\n" for key in sorted(entries)])
 
 
+# One line of table text, up to its newline. A pair as ``dumps`` writes a
+# string or a date under a canonical key that is not all digits is covered:
+# group 1 is the key, group 2 the string token, or groups 3-5 the date's year,
+# month and day. Group 6 is any other line, which is read token by token.
+_LINE_RE = re.compile(
+    rf'(?:\(((?![0-9]+ )[a-z0-9][a-z0-9_-]*) (?:("{_STRING_BODY}")'
+    r"|\(date ([0-9]{1,4}) (1[0-2]|[1-9]) (3[01]|[12][0-9]|[1-9])\))\)|([^\n]*))\n")
+
+
 def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
     """Parse one or more concatenated table sections. Line-oriented.
 
-    Lines are read as position-free tokens; a fault is placed on its line
-    only once it is found.
+    One match of ``_LINE_RE`` per line reads a covered line's value from its
+    groups; every other line is read as position-free tokens. A fault is
+    placed on its line only once it is found.
     """
     tables: dict[str, dict[str, Datum]] = {}
     current: dict[str, Datum] | None = None
-    start = 0  # character index of the line's start
 
     def corrupt(message: str, at: int = 0) -> CorruptTableError:
-        # ``at`` bytes into the line; a fault of the whole line is at its start
+        # ``at`` bytes into line ``n``; a fault of the whole line is at its start
+        start = len(text) - len(text.split("\n", n)[-1])
         return CorruptTableError(message, filename=filename, offset=_at(text, start)[0] + at)
 
-    for line in text.split("\n"):
+    for n, (key, string, year, month, day, line) in enumerate(_LINE_RE.findall(text + "\n")):
+        if key and current is not None and key not in current:
+            if string:
+                current[key] = unquote_string(string)
+            else:
+                current[key] = SimpleDate(int(year), int(month), int(day))
+            continue
+        if key:  # a covered line before any header, or a duplicate key: it fails below
+            line = text.split("\n", n + 1)[n]
         if line.strip(" \t\r\n"):  # the whitespace the tokenizer skips
             try:
                 # sexpr.tokenize is looked up at each call so that it can be wrapped
@@ -438,7 +467,6 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
                 raise corrupt(str(e), e.offset) from None
             except TokenError as e:
                 raise corrupt(str(e), position(line, e.index)[0]) from None
-        start += len(line) + 1
     return tables
 
 

@@ -25,6 +25,7 @@ def test_traced_records_run_is_correct():
     traced_run("records")
 
 
-def test_traced_catalog_run_tokenizes_each_table_line_once():
+def test_traced_catalog_run_tokenizes_only_some_table_lines():
+    # the table layer is still reached, and a text or date line is never tokenized
     result = traced_run("catalog")
-    assert result["metrics"]["sexpr.tokenize.calls_per_line"]["value"] == 1.0
+    assert 0 < result["metrics"]["sexpr.tokenize.calls_per_line"]["value"] < 1

@@ -27,7 +27,7 @@ from widgetspace import (
 )
 from widgetspace.compile import install
 from widgetspace.registry import MAX_INDEX, _table_accessors
-from widgetspace.sexpr import normalize_symbol
+from widgetspace.sexpr import int_text, normalize_symbol
 from widgetspace.validators import And, Not, Or, ValidatorExpr, ValidatorRegistry
 
 from conftest import Shouting
@@ -338,6 +338,16 @@ class TestParseAndSet:
                     registry.parse_and_set(db, at, text)
                 with pytest.raises(IndexOutOfRangeError, match=rf"^index {index} out of range"):
                     registry.get_and_format(db, at)
+        assert db.is_empty()
+
+    def test_an_index_of_any_length_is_refused(self, registry, db):
+        huge = 10 ** 5000  # more digits than the interpreter's str(int) limit
+        at = WidgetCoord("alias", "arkansas", "ls1100-entry", huge)
+        message = rf"^index {int_text(huge)} out of range \[1, 2\]$"
+        with pytest.raises(IndexOutOfRangeError, match=message):
+            registry.get_and_format(db, at)
+        with pytest.raises(IndexOutOfRangeError, match=message):
+            registry.parse_and_set(db, at, "SMITH")
         assert db.is_empty()
 
     def test_validator_sees_coordinate_context(self, tmp_path):
