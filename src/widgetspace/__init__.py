@@ -18,7 +18,7 @@ from .errors import (CorruptTableError, DatabaseLockedError, DuplicateLocaleErro
 from .compile import InputBinding, LoadReport, WidgetSpec
 from .fixtures import fixture_dir, fixture_paths, load_fixture_registry
 from .locales import LocaleTree
-from .registry import (Registries, ResolvedParts, ResolvedStorage, WidgetCoord, WidgetRegistry,
+from .registry import (Registries, ResolvedParts, WidgetCoord, WidgetRegistry,
                        standard_registries)
 from .store import Database
 from .textio import NamedRegistry
@@ -42,7 +42,7 @@ __all__ = [
     "WidgetSpaceError", "WrongVariantError",
     "fixture_dir", "fixture_paths", "load_fixture_registry",
     "LocaleTree",
-    "InputBinding", "LoadReport", "Registries", "ResolvedParts", "ResolvedStorage",
+    "InputBinding", "LoadReport", "Registries", "ResolvedParts",
     "WidgetCoord", "WidgetRegistry", "WidgetSpec", "standard_registries",
     "Database",
     "NamedRegistry",

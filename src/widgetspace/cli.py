@@ -63,7 +63,7 @@ def main(argv=None) -> int:
         _print_error(e)
         return EXIT_USAGE
     except ValidationError as e:
-        print(str(e), file=sys.stderr)
+        _print_error(e, prefix="")
         return EXIT_VALIDATION
     except (SchemaError, ParseError) as e:
         _print_error(e)
@@ -76,10 +76,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _print_error(e: Exception | str) -> None:
-    """One ``error:`` line: unprintable characters appear as their escapes."""
+def _print_error(e: Exception | str, prefix: str = "error: ") -> None:
+    """One line on stderr: unprintable characters appear as their escapes."""
     text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(e))
-    print(f"error: {text}", file=sys.stderr)
+    print(f"{prefix}{text}", file=sys.stderr)
 
 
 def entry():
@@ -96,7 +96,7 @@ def field_spec(text: str):
         raise argparse.ArgumentTypeError(f"empty field name in {text!r}")
     if not sep:
         return name, 1
-    if not idx.isdigit() or int(idx) < 1:
+    if not (idx.isascii() and idx.isdigit()) or int(idx) < 1:
         raise argparse.ArgumentTypeError(
             f"field index must be a positive integer, got {text!r}")
     return name, int(idx)

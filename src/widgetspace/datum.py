@@ -113,7 +113,9 @@ class UnstorableError(ValueError):
 def require_valid(d: Datum, depth: int = 0) -> None:
     """Reject values outside the datum universe.
 
-    Text is limited to printable characters plus space, integers to
+    Text may hold no C0 control character (U+0000 to U+001F, tab and
+    newline among them), no DEL and no lone surrogate; any other character,
+    a C1 control such as U+0085 included, is stored. Integers are limited to
     ``MAX_INT_DIGITS`` digits, and sequences nest at most ``MAX_DEPTH``
     deep, so every datum survives the line-oriented dump format and reads
     back. ``depth`` counts the sequences around ``d``. A value of no datum

@@ -28,8 +28,7 @@ import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import accessors, compile, generators
 from .compile import MAX_INDEX, InputBinding, LoadReport, WidgetSpec  # noqa: F401 (re-exported)
@@ -51,16 +50,6 @@ class WidgetCoord:
     locale: str
     medium: str
     index: int = 1
-
-
-@dataclass
-class ResolvedStorage:
-    """Accessors and capacity contributed by the nearest storage-declaring spec."""
-
-    getter: Optional[Callable]
-    setter: Optional[Callable]
-    max_index: int
-    locale: str
 
 
 class ResolvedParts(NamedTuple):
@@ -201,16 +190,11 @@ class WidgetRegistry:
         return _found(self.resolve_parts(name, locale, medium).binding,
                       "input", name, locale, medium)
 
-    def resolve_storage(self, name: str, locale: str) -> ResolvedStorage:
-        """Accessors from the nearest ancestor spec that declares storage."""
-        spec = _found(self.resolve_parts(name, locale, "default").storage,
+    def resolve_storage(self, name: str, locale: str) -> WidgetSpec:
+        """The nearest ancestor spec that declares storage: its ``table``,
+        ``getter`` and ``setter`` names, ``max_index`` and ``locale``."""
+        return _found(self.resolve_parts(name, locale, "default").storage,
                       "storage", name, locale)
-        getter, setter = _table_accessors(spec.table, spec.max_index)
-        if spec.getter is not None:
-            getter = self.registries.getters.get(spec.getter)
-        if spec.setter is not None:
-            setter = self.registries.setters.get(spec.setter)
-        return ResolvedStorage(getter, setter, spec.max_index, spec.locale)
 
     def resolve_heading(self, name: str, locale: str, medium: str) -> Optional[str]:
         """The display heading, or None when no ancestor declares one."""
@@ -434,20 +418,3 @@ def _canonical(symbol: str) -> str:
     """``normalize_symbol(symbol)``, as the caller's own string when already canonical."""
     text = normalize_symbol(symbol)
     return symbol if text == symbol else text
-
-
-@lru_cache(maxsize=256)  # equal ResolvedStorage values share one pair
-def _table_accessors(table: Optional[str], max_index: int):
-    """The getter and setter that ``resolve_storage`` hands out for a widget
-    stored in ``table`` with ``max_index`` slots: ``Database.get_indexed`` and
-    ``put_indexed``, which own the slot rule and store a one-slot value as it
-    is. The fused operations call those two directly, not through this pair."""
-    if table is None:
-        return None, None
-
-    def getter(db, name, index, locale):
-        return db.get_indexed(table, name, index)
-
-    def setter(db, name, index, locale, value):
-        db.put_indexed(table, name, index, value, max_index)
-    return getter, setter

@@ -8,9 +8,11 @@ signals its own message, ``Not`` inverts its child.
 A registry evaluates an expression by compiling it, once per expression
 object and registry generation, into a tree of ``(function, data)`` nodes:
 each base is looked up and its arity checked when it is compiled, not at
-each call. ``register`` starts a new generation, so a re-registration takes
-effect at the next evaluation. A base whose name or arity does not check
-out compiles to a node that raises that error when evaluation reaches it.
+each call. The root node is kept on the expression itself, tagged with the
+generation, so it lives exactly as long as its expression. ``register``
+starts a new generation, so a re-registration takes effect at the next
+evaluation. A base whose name or arity does not check out compiles to a
+node that raises that error when evaluation reaches it.
 
 Validators see the input text and a (name, locale, medium) context. The
 context deliberately has no occurrence index: rules may vary by
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import datetime
 import re
-import weakref
 from dataclasses import dataclass
 from string import ascii_letters, digits
 from typing import Callable, Union
@@ -136,11 +137,7 @@ class ValidatorRegistry:
 
     def __init__(self):
         self._entries: dict[str, tuple[int, int, BaseImpl]] = {}
-        # id(expr) -> its compiled node, for this generation only. An entry
-        # never keeps its expression alive: a finalizer drops it when the
-        # expression dies, before the id can be reused.
-        self._compiled: dict[int, tuple] = {}
-        self._watched: set[int] = set()   # ids that have such a finalizer
+        self._generation = object()  # the tag of every node compiled since the last register
 
     def register(self, name: str, min_args: int, max_args: int, impl: BaseImpl,
                  *, replace: bool = False) -> None:
@@ -151,7 +148,7 @@ class ValidatorRegistry:
         if key in self._entries and not replace:
             raise DuplicateNameError(f"validator '{key}' is already registered")
         self._entries[key] = (min_args, max_args, impl)
-        self._compiled = {}   # a new generation: compile again at the next call
+        self._generation = object()  # a new generation: compile again at the next call
 
     def __contains__(self, name: str) -> bool:
         return lowered_key(self._entries, name) in self._entries
@@ -183,33 +180,23 @@ class ValidatorRegistry:
         first evaluated after any registration, because
         ``register(..., replace=True)`` may change it after a load.
         """
-        fn, data = self._compiled.get(id(expr)) or self._compile_root(expr)
+        try:
+            generation, fn, data = expr._compiled
+        except AttributeError:  # never compiled, or not an expression
+            generation = None
+        if generation is not self._generation:
+            fn, data = self._compile_root(expr)
         fn(ctx, data, text)
 
     def _compile_root(self, expr) -> tuple:
-        """Compile ``expr`` and memoize it for this generation."""
-        # Without a lock: a register meanwhile leaves this generation's dict
-        # behind, and two threads compiling at once each add a finalizer.
-        compiled = self._compiled
+        """Compile ``expr`` and keep the node in its ``__dict__``, as
+        ``functools.cached_property`` does on a frozen dataclass, tagged with the
+        generation read first: a register meanwhile leaves a stale tag."""
+        generation = self._generation
         node = _compile(self._entries, expr)
-        if isinstance(expr, _EXPRESSIONS):
-            key = id(expr)
-            if key not in self._watched:
-                self._watched.add(key)
-                weakref.finalize(expr, _forget, weakref.ref(self), key).atexit = False
-            compiled[key] = node
+        if isinstance(expr, (Base, And, Or, Not)):
+            expr.__dict__["_compiled"] = (generation, *node)
         return node
-
-
-_EXPRESSIONS = (Base, And, Or, Not)
-
-
-def _forget(ref: weakref.ref, key: int) -> None:
-    """Drop the memo entry of a dead expression whose id was ``key``."""
-    registry = ref()
-    if registry is not None:
-        registry._compiled.pop(key, None)
-        registry._watched.discard(key)
 
 
 def _resolve(entries: dict, name: str, args: tuple) -> BaseImpl:

@@ -567,6 +567,15 @@ class TestSetGet:
         assert out == ""
         assert err == "The character '!' is not alphanumeric\n"
 
+    @pytest.mark.parametrize("value,shown", [("ab\x1b[31mX", "\\x1b"), ("ab\ncd", "\\n")])
+    def test_unprintable_validation_message_is_escaped(self, ws, tmp_path, value, shown):
+        code, out, err = run_cli(
+            ["set", *ws_args(ws), "--db", str(tmp_path / "db"),
+             "--locale", "arkansas", "--field", "sid",
+             "--medium", "ls1100-entry", value], cwd=tmp_path)
+        assert (code, out) == (1, "")
+        assert err == f"The character '{shown}' is not alphanumeric\n"
+
     def test_no_parser_exit_2(self, ws, tmp_path):
         code, _, err = run_cli(
             ["set", *ws_args(ws), "--db", str(tmp_path / "db"),
@@ -611,12 +620,15 @@ class TestSetGet:
         assert code == 2
         assert "out of range" in err
 
-    def test_bad_field_index_exit_4(self, ws, tmp_path):
+    @pytest.mark.parametrize("field", ["alias.x", "alias.\u0663", "alias.\u00b2"])
+    def test_bad_field_index_exit_4(self, ws, tmp_path, field):
         code, _, err = run_cli(
             ["get", *ws_args(ws), "--db", str(tmp_path / "db"),
-             "--locale", "arkansas", "--field", "alias.x",
+             "--locale", "arkansas", "--field", field,
              "--medium", "transmission"], cwd=tmp_path)
         assert code == 4
+        assert err.endswith("error: argument --field: field index must be a positive "
+                            f"integer, got {field!r}\n")
 
     @pytest.mark.parametrize("locale,shown", [
         ("ark\nansas", "ark\\nansas"), ("\x1b[31m", "\\x1b[31m"),

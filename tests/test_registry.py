@@ -19,14 +19,14 @@ from hypothesis import given, settings, strategies as st
 from widgetspace import (
     UNINITIALIZED, Base, CorruptTableError, Database, IndexOutOfRangeError, InputBinding,
     InvalidSpecError, LocaleTree, NamedRegistry, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE,
-    PersonName, ResolutionError, ResolvedParts, ResolvedStorage, SchemaError, SchemaSyntaxError,
+    PersonName, ResolutionError, ResolvedParts, SchemaError, SchemaSyntaxError,
     SimpleDate, UnknownLocaleError,
     UnknownParentError, UnknownValidatorError, UnresolvedReferenceError, ValidationError,
     ValidatorContext, WidgetCoord, WidgetRegistry, WidgetSpec, WrongVariantError, accessors,
     load_fixture_registry, standard_registries,
 )
 from widgetspace.compile import install
-from widgetspace.registry import MAX_INDEX, _table_accessors
+from widgetspace.registry import MAX_INDEX
 from widgetspace.sexpr import int_text, normalize_symbol
 from widgetspace.validators import And, Not, Or, ValidatorExpr, ValidatorRegistry
 
@@ -185,8 +185,8 @@ class TestResolutionFixtures:
 
     def test_getter_only_widget(self, registry):
         s = registry.resolve_storage("subject-name", "arkansas")
-        assert s.getter is not None
-        assert s.setter is None
+        assert (s.table, s.getter, s.setter) == (None, "person-name-from-fields", None)
+        assert s.locale == "common"
 
     def test_widget_names_at(self, registry):
         assert registry.widget_names_at("arkansas") == [
@@ -629,15 +629,9 @@ def ref_resolve(reg, pick: Callable, name: str, locale: str, medium, direction: 
     return tree.resolve(locale, probe, message=message, context=context)
 
 
-def ref_resolve_storage(reg, name: str, locale: str) -> ResolvedStorage:
-    spec = ref_resolve(reg, lambda spec: spec if spec.declares_storage() else None,
+def ref_resolve_storage(reg, name: str, locale: str) -> WidgetSpec:
+    return ref_resolve(reg, lambda spec: spec if spec.declares_storage() else None,
                        name, locale, None, "storage", NO_STORAGE_MESSAGE)
-    getter, setter = _table_accessors(spec.table, spec.max_index)
-    if spec.getter is not None:
-        getter = reg.registries.getters.get(spec.getter)
-    if spec.setter is not None:
-        setter = reg.registries.setters.get(spec.setter)
-    return ResolvedStorage(getter, setter, spec.max_index, spec.locale)
 
 
 def ref_resolve_heading(reg, name: str, locale: str, medium: str):
@@ -1162,12 +1156,12 @@ class TestWriteAccessors:
         assert str(exc.value) == "expected a name, got str"
         assert db.is_empty()
 
-    def test_resolve_storage_returns_the_registered_setter(self):
+    def test_resolve_storage_names_the_registered_accessors(self):
         reg = self._registry()
         storage = reg.resolve_storage("full-name", "leaf")
-        assert storage.setter is accessors.person_name_setter
-        assert storage.getter is accessors.person_name_getter
-        assert (storage.max_index, storage.locale) == (1, "root")
+        assert reg.registries.setters.get(storage.setter) is accessors.person_name_setter
+        assert reg.registries.getters.get(storage.getter) is accessors.person_name_getter
+        assert (storage.table, storage.max_index, storage.locale) == (None, 1, "root")
 
 
 class TestPlanTables:
@@ -1345,7 +1339,7 @@ class TestChangedIndex:
         _alias_registry(2).parse_and_set(db, _alias(2), "Jones")
         one.parse_and_set(db, _alias(1), "b")
         assert db.get("t", "alias") == (("b", "b"), "Jones")
-        assert _table_accessors("t", 1)[0](db, "alias", 1, "root") == ("b", "b")
+        assert db.get_indexed("t", "alias", 1) == ("b", "b")
 
     @settings(max_examples=300, deadline=None)
     @given(INDEX_OPS)
@@ -1404,13 +1398,14 @@ def _error(call) -> Optional[tuple]:
 
 class TestTableBackedPlans:
     """A table-backed plan calls ``Database.get_indexed`` and ``put_indexed``
-    itself, and the accessors ``resolve_storage`` hands out make the same calls."""
+    itself, with the ``table`` and ``max_index`` that ``resolve_storage`` names."""
 
-    def test_a_one_slot_setter_refuses_an_index_past_its_bound(self, registry, db):
+    def test_a_one_slot_put_refuses_an_index_past_its_bound(self, registry, db):
         registry.parse_and_set(db, WidgetCoord("dob", "arkansas", "ls1100-entry"), "20100704")
-        setter = registry.resolve_storage("dob", "arkansas").setter
+        storage = registry.resolve_storage("dob", "arkansas")
+        assert (storage.table, storage.max_index) == ("demographics", 1)
         with pytest.raises(IndexOutOfRangeError, match=r"^index 7 out of range \[1, 1\]$"):
-            setter(db, "dob", 7, "arkansas", "B")
+            db.put_indexed(storage.table, "dob", 7, "B", storage.max_index)
         assert db.get("demographics", "dob") == SimpleDate(2010, 7, 4)
 
     @pytest.mark.parametrize("name, index, text", [("dob", 1, "20100704"), ("alias", 2, "SMITH")])
@@ -1433,7 +1428,7 @@ class TestTableBackedPlans:
 
     @settings(max_examples=300, deadline=None)
     @given(SLOT_OPS)
-    def test_resolved_accessors_match_the_fused_operations(self, ops):
+    def test_direct_store_calls_match_the_fused_operations(self, ops):
         with tempfile.TemporaryDirectory() as root:
             fused, direct, bound = Database(Path(root, "f")), Database(Path(root, "d")), 1
             for op in ops:
@@ -1446,15 +1441,16 @@ class TestTableBackedPlans:
                 elif op[0] == "set":
                     _, index, text, pairs = op
                     reg = _slot_registry(bound, pairs)
-                    setter = reg.resolve_storage("alias", "root").setter
+                    s = reg.resolve_storage("alias", "root")
                     value = (text, text) if pairs else text
                     assert (_error(lambda: reg.parse_and_set(fused, _alias(index), text))
-                            == _error(lambda: setter(direct, "alias", index, "root", value)))
+                            == _error(lambda: direct.put_indexed(s.table, "alias", index,
+                                                                 value, s.max_index)))
                 else:
                     index, reg = (op[1] - 1) % bound + 1, _slot_registry(bound, False)
-                    getter = reg.resolve_storage("alias", "root").getter
+                    s = reg.resolve_storage("alias", "root")
                     assert (reg.get_and_format(fused, _alias(index))
-                            == getter(direct, "alias", index, "root"))
+                            == direct.get_indexed(s.table, "alias", index))
                 assert fused.dump_text() == direct.dump_text()
 
 

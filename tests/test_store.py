@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
     UNINITIALIZED, CorruptTableError, Database, IndexOutOfRangeError, PersonName,
-    SimpleDate, StoreError, WidgetRegistry, dumps, is_uninitialized, store,
+    SimpleDate, StoreError, WidgetCoord, WidgetRegistry, dumps, is_uninitialized, store,
 )
 from widgetspace import datum, sexpr
 from widgetspace.datum import MAX_DEPTH
@@ -314,12 +314,13 @@ def _slot_op(draw):
 
 
 @lru_cache(maxsize=None)
-def _slot_getter(bound: int):
-    """``resolve_storage(...).getter`` of a widget ``k`` stored in table ``t`` with
-    ``bound`` slots."""
+def _slot_registry(bound: int) -> WidgetRegistry:
+    """A widget ``k`` stored in table ``t`` with ``bound`` slots, shown as stored."""
     reg = WidgetRegistry()
-    reg.load_schema(f"(locale root :parent none)(widget k root :table t :index {bound})")
-    return reg.resolve_storage("k", "root").getter
+    reg.registries.formatters.register("as-stored", lambda value: value)
+    reg.load_schema(f"(locale root :parent none)(widget k root :table t :index {bound}"
+                    " :output ((default as-stored)))")
+    return reg
 
 
 class TestSlotRuleModel:
@@ -356,8 +357,9 @@ class TestSlotRuleModel:
                     index = op[1]
                     expected = slots[index - 1] if index <= len(slots) else UNINITIALIZED
                     assert db.get_indexed("t", "k", index) == expected
-                    for bound in range(index, 5):
-                        assert _slot_getter(bound)(db, "k", index, "root") == expected
+                    for bound in range(index, 5):  # the fused read, at every bound that reaches it
+                        assert _slot_registry(bound).get_and_format(
+                            db, WidgetCoord("k", "root", "default", index)) == expected
                 else:
                     db.checkpoint()
                     db = Database(root)

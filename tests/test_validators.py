@@ -7,6 +7,7 @@ systems match on them byte for byte, so they are pinned exactly.
 import datetime
 import gc
 import string
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -488,19 +489,24 @@ class TestCompiledEvaluator:
         reg.validate(expr, CTX, "12")
         assert len(lookups) == 6
 
-    def test_the_memo_drops_a_dead_expression(self, reg):
+    def test_an_evaluated_expression_dies_with_its_last_reference(self, reg):
         expr = And((Base("required"), Base("numeric")))
         reg.validate(expr, CTX, "1")
-        assert list(reg._compiled) == [id(expr)]
-        del expr
-        gc.collect()
-        assert not reg._compiled and not reg._watched
+        dead = weakref.ref(expr)
+        del expr  # freed at once: nothing refers to it, and it is in no cycle
+        assert dead() is None
 
     def test_a_non_expression_is_never_memoized(self, reg):
-        for _ in range(2):
-            with pytest.raises(TypeError, match="^not a validator expression: 'numeric'$"):
-                reg.validate("numeric", CTX, "x")
-        assert not reg._compiled
+        class Other:
+            def __repr__(self):
+                return "other"
+
+        other = Other()
+        for expr, shown in (("numeric", "'numeric'"), (other, "other")):
+            for _ in range(2):
+                with pytest.raises(TypeError, match=f"^not a validator expression: {shown}$"):
+                    reg.validate(expr, CTX, "x")
+        assert vars(other) == {}
 
 
 class TestCompiledWrites:
@@ -526,16 +532,14 @@ class TestCompiledWrites:
     def test_reloads_leave_no_expression_of_a_dropped_snapshot(self, tmp_path):
         reg = WidgetRegistry()
         db = Database(tmp_path / "db")
+        evaluated = []  # a weak reference to each snapshot's validator of w
         for bound in range(1, 30):
             reg.load_schema(self.SCHEMA.replace("(length 1 3)", f"(length 1 {bound})"),
                             replace=True)
             reg.parse_and_set(db, WidgetCoord("w", "leaf", "default"), "12")
+            evaluated.append(weakref.ref(reg.resolve_parser("w", "leaf", "default").validator))
         gc.collect()
-        live = {id(binding.validator) for spec in reg._snapshot[1].values()
-                for binding in spec.inputs.values()}
-        memo = reg.registries.validators
-        assert set(memo._compiled) <= live and memo._watched <= live
-        assert len(memo._compiled) == 1
+        assert [ref() is not None for ref in evaluated] == [False] * 28 + [True]
 
 
 # --- the sped-up base validators against the loops they replaced ---------------
