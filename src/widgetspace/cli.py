@@ -130,12 +130,12 @@ def _build_parser() -> _Parser:
     locales.set_defaults(handler=cmd_locales)
 
     set_p = sub.add_parser("set", help="validate, parse, and store one field")
-    _common_data_flags(set_p, medium=True)
+    _common_data_flags(set_p)
     set_p.add_argument("value", metavar="VALUE")
     set_p.set_defaults(handler=cmd_set)
 
     get_p = sub.add_parser("get", help="read and format one field")
-    _common_data_flags(get_p, medium=True)
+    _common_data_flags(get_p)
     get_p.set_defaults(handler=cmd_get)
 
     show = sub.add_parser("show", help="render every widget visible at a locale")
@@ -168,14 +168,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _common_data_flags(p: argparse.ArgumentParser, *, medium: bool) -> None:
+def _common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workspace", help="workspace file to read")
     p.add_argument("--db", help=f"database directory (default ${ENV_DB})")
     p.add_argument("--locale", required=True)
     p.add_argument("--field", required=True, type=field_spec,
                    help="field name, optionally with .index (alias.2)")
-    if medium:
-        p.add_argument("--medium", required=True)
+    p.add_argument("--medium", required=True)
 
 
 def _workspace_path(args) -> Path:

@@ -67,9 +67,9 @@ class ResolvedParts(NamedTuple):
 class Registries:
     """The pluggable function tables a widget registry resolves names against.
 
-    Frozen, since a plan holds these tables: to swap one, assign a new
-    ``Registries`` to ``WidgetRegistry.registries``, which drops every plan.
-    Registering into a table needs neither, as a plan sees it at once.
+    Frozen, since a plan holds these tables, and a ``WidgetRegistry`` keeps
+    one set for its life. Registering into a table, with ``replace=True`` for
+    a name it holds, needs no new plan: a plan sees the table at once.
     """
 
     validators: ValidatorRegistry
@@ -100,10 +100,10 @@ class WidgetRegistry:
     Readers take no lock and read the snapshot once per call, so they never
     see a tree from one load with specs from another. Writers edit a private
     copy under the writer lock and publish it, with an empty plan memo, only
-    when they succeed. The published tree is never mutated in place, since the
-    plans made from it would go stale: ``locales.add`` publishes a new
-    snapshot too. Assigning ``registries`` publishes an empty plan memo as
-    well, since each plan holds the tables it calls through.
+    when they succeed. ``_staged`` is the one writer of the snapshot after
+    ``__init__``, so no plan outlives the tree it was made from: ``locales``
+    hands out a copy of the published tree, and ``add_locale`` adds to a
+    staged one.
     """
 
     def __init__(self):
@@ -114,20 +114,13 @@ class WidgetRegistry:
 
     @property
     def registries(self) -> Registries:
-        """The function tables; assigning new ones publishes an empty plan memo."""
+        """The function tables, the same for the registry's whole life."""
         return self._registries
-
-    @registries.setter
-    def registries(self, registries: Registries) -> None:
-        with self._lock:  # the tables first: a plan made from the new snapshot uses them
-            self._registries = registries
-            tree, specs, _ = self._snapshot
-            self._snapshot = (tree, specs, _Plans())
 
     @property
     def locales(self) -> LocaleTree:
-        """The locale tree of the published snapshot; its ``add`` publishes a new one."""
-        return _PublishedTree(self)
+        """A copy of the published locale tree; changing it changes nothing here."""
+        return self._snapshot[0].copy()
 
     @contextmanager
     def _staged(self):
@@ -142,6 +135,12 @@ class WidgetRegistry:
             self._snapshot = (*staged, _Plans())
 
     # -- definition ------------------------------------------------------
+
+    def add_locale(self, child: str, parent: Optional[str] = None, *,
+                   replace: bool = False) -> None:
+        """``LocaleTree.add`` on a staged tree, published if it succeeds."""
+        with self._staged() as (tree, _):
+            tree.add(child, parent, replace=replace)
 
     def define_widget(self, spec: WidgetSpec) -> None:
         """Install a spec, replacing any prior spec for the same (name, locale)."""
@@ -294,7 +293,7 @@ class WidgetRegistry:
             key = (name, locale, medium if medium in plans.media else "default")
             plan = plans.get(key)
             if plan is None:
-                regs = self.registries  # read after the snapshot, which its setter publishes
+                regs = self.registries
                 parts = self.resolve_parts(coord.name, coord.locale, coord.medium)
                 spec = _found(parts.storage, "storage", coord.name, coord.locale)
                 binding = parts.binding
@@ -370,20 +369,6 @@ def _collector_paused():
         if enabled:
             with _collector_lock:
                 gc.enable()
-
-
-class _PublishedTree(LocaleTree):
-    """A published snapshot's tree, read as it is. ``add`` edits a staged copy
-    and publishes it, so no plan outlives the tree it was made from."""
-
-    def __init__(self, registry: WidgetRegistry):
-        self._registry = registry
-        self._parents = registry._snapshot[0]._parents
-
-    def add(self, child: str, parent: Optional[str] = None, *, replace: bool = False) -> None:
-        with self._registry._staged() as (tree, _):
-            tree.add(child, parent, replace=replace)
-        self._parents = self._registry._snapshot[0]._parents
 
 
 class _Plans(dict):

@@ -1,8 +1,8 @@
 """Embedded persistent key-value store with typed absence.
 
-A database is a directory; each table is one text file. Reads of absent
-keys return ``UNINITIALIZED`` rather than failing, and a stored
-``UNINITIALIZED`` is distinguishable from never-written via
+A database is a directory; each table is one text file, ``<name>.tbl``.
+Reads of absent keys return ``UNINITIALIZED`` rather than failing, and a
+stored ``UNINITIALIZED`` is distinguishable from never-written via
 ``contains_key``. Writes stay in memory until ``checkpoint``, which
 replaces each dirty table's file (temp file, fsync, rename) and then
 fsyncs the directory once, so a crash can lose recent writes but never
@@ -45,15 +45,13 @@ import re
 import sys
 import threading
 from pathlib import Path
-from urllib.parse import quote, unquote
 
 from .datum import UNINITIALIZED, Datum, SimpleDate, dumps, read_datum, require_valid
 from .errors import CorruptTableError, IndexOutOfRangeError, StoreError
 from . import sexpr
 from .sexpr import (_STRING_BODY, _SYMBOL_RE, SexprError, TokenError, _at, classify,
                     expected, int_text, is_valid_symbol, normalize_symbol, position,
-                    read_source)
-from .sexpr import unquote as unquote_string
+                    read_source, unquote)
 
 _SUFFIX = ".tbl"
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -71,12 +69,8 @@ class _Table:
 
 
 def _filename(table: str) -> str:
-    # Percent-encoding keeps distinct table names on distinct files.
-    return quote(table, safe="abcdefghijklmnopqrstuvwxyz0123456789-_") + _SUFFIX
-
-
-def _tablename(filename: str) -> str:
-    return unquote(filename[:-len(_SUFFIX)])
+    """The file of a table: its canonical name, which is a valid symbol, and ``.tbl``."""
+    return table + _SUFFIX
 
 
 def _valid_key(key: str) -> str:
@@ -240,8 +234,9 @@ class Database:
                     t.dirty = False
 
     def table_names(self) -> list[str]:
-        """Tables present on disk or written in memory, sorted."""
-        names = {_tablename(p.name) for p in self._root.glob("*" + _SUFFIX)}
+        """Tables written in memory or on disk, sorted; a file is one only if its
+        stem is a canonical name, the one spelling ``_table`` reads it by."""
+        names = {p.stem for p in self._root.glob("*" + _SUFFIX) if is_valid_symbol(p.stem)}
         with self._lock:
             names.update(name for name, t in self._tables.items() if t.entries)
         return sorted(names)
@@ -252,7 +247,8 @@ class Database:
             return sorted(t.entries.items())
 
     def is_empty(self) -> bool:
-        return not self.table_names()
+        """No table in memory and no ``.tbl`` file on disk, named as a table or not."""
+        return not self.table_names() and not any(self._root.glob("*" + _SUFFIX))
 
     def dump_text(self) -> str:
         """The whole database in the table file format, tables sorted by name."""
@@ -433,7 +429,7 @@ def _parse_tables(text: str, filename: str) -> dict[str, dict[str, Datum]]:
     for n, (key, string, year, month, day, line) in enumerate(_LINE_RE.findall(text + "\n")):
         if key and current is not None and key not in current:
             if string:
-                current[key] = unquote_string(string)
+                current[key] = unquote(string)
             else:
                 current[key] = SimpleDate(int(year), int(month), int(day))
             continue

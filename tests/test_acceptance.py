@@ -149,9 +149,9 @@ def test_06_resolution_matches_oracle_at_scale():
     for trial in range(250):
         reg = WidgetRegistry()
         names = [f"loc{i}" for i in range(rng.randint(1, 50))]
-        reg.locales.add(names[0])
+        reg.add_locale(names[0])
         for name in names[1:]:
-            reg.locales.add(name, rng.choice(reg.locales.locales()))
+            reg.add_locale(name, rng.choice(reg.locales.locales()))
         table = {}
         for loc in names:
             if rng.random() < 0.45:

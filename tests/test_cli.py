@@ -947,6 +947,25 @@ class TestDumpRestore:
         assert code == 3
         assert "--force" in err
 
+    def test_a_file_not_named_as_a_table_is_not_dumped(self, tmp_path):
+        """A table's file is ``<canonical name>.tbl``: a copy under another
+        spelling is not dumped, but it still makes the directory non-empty.
+        This runs ``cli.main`` in this process."""
+        db = Database(tmp_path / "db")
+        db.put("demographics", "sid", "ab12cd")
+        db.checkpoint()
+        stray = (db.root / "demographics.tbl").read_bytes()
+        (db.root / "Demographics.tbl").write_bytes(stray)
+        dump = tmp_path / "d.widgetdump"
+        assert _main_in_process(["dump", "--db", str(db.root), str(dump)]) == (0, "")
+        assert dump.read_text() == '(table demographics)\n(sid "ab12cd")\n'
+        assert _main_in_process(["restore", "--db", str(tmp_path / "fresh"), str(dump)]) == (0, "")
+        only = tmp_path / "only"
+        only.mkdir()
+        (only / "Demographics.tbl").write_bytes(stray)
+        code, err = _main_in_process(["restore", "--db", str(only), str(dump)])
+        assert code == 3 and "--force" in err
+
     def test_restore_force_replaces(self, ws, tmp_path):
         db = ["--db", str(tmp_path / "db")]
         self._populate(ws, tmp_path, db)

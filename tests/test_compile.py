@@ -41,7 +41,7 @@ def _rebuilt(reg: WidgetRegistry, *, defined: bool) -> list:
         return [imported]
     redefined = WidgetRegistry()
     for child, parent in state["locales"]:
-        redefined.locales.add(child, parent)
+        redefined.add_locale(child, parent)
     for widget in state["widgets"]:
         redefined.define_widget(reg.spec_at(widget["name"], widget["locale"]))
     return [imported, redefined]

@@ -13,7 +13,8 @@ escapes and `` (esc)`` after it, and a last line that lacks its newline with
 A command is ``widgetspace`` and its arguments, split as a POSIX shell
 splits them; ``$'...'`` is read as the shell's ANSI-C quoting. Each
 transcript runs ``cli.main`` in-process, in a fresh directory that holds the
-bundled fixture schemas, with no ``WIDGETSPACE_*`` variable set.
+bundled fixture schemas and the files of ``tests/contract/files``, with no
+``WIDGETSPACE_*`` variable set.
 """
 
 import contextlib
@@ -87,8 +88,8 @@ def matches(expected: str, actual: str) -> bool:
 
 @pytest.mark.parametrize("path", sorted(CONTRACT.glob("*.t")), ids=lambda path: path.name)
 def test_transcript(path, tmp_path, monkeypatch):
-    for schema in fixture_paths():
-        shutil.copy(schema, tmp_path)
+    for source in (*fixture_paths(), *(CONTRACT / "files").iterdir()):
+        shutil.copy(source, tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.ENV_DB, raising=False)
     monkeypatch.delenv(cli.ENV_WORKSPACE, raising=False)

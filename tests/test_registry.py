@@ -564,9 +564,9 @@ class TestResolutionOracle:
     def _random_registry(self, rng):
         reg = WidgetRegistry()
         names = [f"loc{i}" for i in range(rng.randint(1, 30))]
-        reg.locales.add(names[0])
+        reg.add_locale(names[0])
         for name in names[1:]:
-            reg.locales.add(name, rng.choice(reg.locales.locales()))
+            reg.add_locale(name, rng.choice(reg.locales.locales()))
         table = {}
         for loc in names:
             if rng.random() < 0.5:
@@ -665,9 +665,9 @@ def _walk_cases(draw) -> tuple:
     ``v`` along it, and coordinates to resolve, some of them unknown."""
     reg = WidgetRegistry()
     locales = [f"loc{i}" for i in range(draw(st.integers(1, 8)))]
-    reg.locales.add(locales[0])
+    reg.add_locale(locales[0])
     for i, loc in enumerate(locales[1:], 1):
-        reg.locales.add(loc, locales[draw(st.integers(0, i - 1))])
+        reg.add_locale(loc, locales[draw(st.integers(0, i - 1))])
 
     def medium_map(media, values):
         return draw(st.dictionaries(st.sampled_from(media), values, max_size=len(media)))
@@ -1102,7 +1102,10 @@ class TestPlanMemo:
                 reg.get_and_format(db, coord)
         assert len(reg._snapshot[2]) == 0
 
-    def test_an_in_place_locale_change_drops_the_plans(self, tmp_path):
+    @staticmethod
+    def _reparentable(tmp_path):
+        """A registry where ``w`` at ``x`` formats upper-cased under ``a`` and as
+        it is under ``b``, with "hello" stored and its plan made."""
         reg = WidgetRegistry()
         reg.load_schema("(locale root :parent none) (locale a :parent root)"
                         "(locale b :parent root) (locale x :parent a)"
@@ -1113,14 +1116,29 @@ class TestPlanMemo:
         at = WidgetCoord("w", "x", "default")
         reg.parse_and_set(db, at, "hello")
         assert reg.get_and_format(db, at) == "HELLO"
-        tree = reg.locales
-        tree.add("x", "b", replace=True)
+        return reg, db, at
+
+    def test_add_locale_drops_the_plans(self, tmp_path):
+        reg, db, at = self._reparentable(tmp_path)
+        reg.add_locale("x", "b", replace=True)
+        assert reg.locales.parent("x") == "b"
         assert reg.resolve_formatter("w", "x", "default") == "identity"
         assert reg.get_and_format(db, at) == "hello"
-        assert tree.parent("x") == "b" and reg.locales.parent("x") == "b"
+        published = reg._snapshot
         with pytest.raises(UnknownParentError):  # a refused add publishes nothing
-            reg.locales.add("y", "nowhere")
-        assert "y" not in reg.locales and reg.get_and_format(db, at) == "hello"
+            reg.add_locale("y", "nowhere")
+        assert reg._snapshot is published and "y" not in reg.locales
+
+    def test_a_changed_copy_of_the_locales_changes_nothing(self, tmp_path):
+        reg, db, at = self._reparentable(tmp_path)
+        tree = reg.locales
+        tree.add("x", "b", replace=True)
+        tree.add("y", "x")
+        assert tree.parent("x") == "b" and reg.locales.parent("x") == "a"
+        assert reg.resolve_formatter("w", "x", "default") == "string-upcase"
+        assert reg.get_and_format(db, at) == "HELLO"
+        with pytest.raises(UnknownLocaleError):
+            reg.get_and_format(db, WidgetCoord("w", "y", "default"))
 
 
 class TestWriteAccessors:
@@ -1249,21 +1267,16 @@ class TestPlanTables:
             assert reg.get_and_format(db, coord) == "<b>"
         assert calls == []
 
-    def test_registries_are_swapped_whole(self, tmp_path):
+    def test_registries_cannot_be_reassigned(self, tmp_path):
         reg, db = self._registry(tmp_path)
+        regs = reg.registries
         at = WidgetCoord("w", "leaf", "default")
         reg.parse_and_set(db, at, "a")
-        assert reg.get_and_format(db, at) == "<a>"
         with pytest.raises(dataclasses.FrozenInstanceError):
-            reg.registries.formatters = standard_registries().formatters
-        swapped = dataclasses.replace(reg.registries, formatters=NamedRegistry("formatter"))
-        reg.registries = swapped
-        assert reg.registries is swapped and len(reg._snapshot[2]) == 0
-        # a name the new table lacks raises as a lookup by name would, until registered
-        with pytest.raises(UnresolvedReferenceError, match="^unknown formatter 'f'$"):
-            reg.get_and_format(db, at)
-        swapped.formatters.register("f", lambda value: f"{{{value}}}")
-        assert reg.get_and_format(db, at) == "{a}"
+            regs.formatters = standard_registries().formatters
+        with pytest.raises(AttributeError):
+            reg.registries = standard_registries()
+        assert reg.registries is regs and reg.get_and_format(db, at) == "<a>"
 
 
 def _refuse(ctx, args, text):
