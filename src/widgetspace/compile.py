@@ -8,9 +8,9 @@ reads a workspace never loads it. ``import_state`` reads the state that
 builder, ``Build.spec``: its symbols as spelled, and its medium maps
 through ``Build.medium_map``. The builder normalizes each symbol through
 the build's memo (``normalize_symbol`` drops one leading ':') and builds
-each distinct medium map once per build, so the specs of one build share
-their equal parts. ``install`` is the one check of what a spec means,
-whichever reader made it.
+each distinct medium map once per build: the specs of one build share
+each distinct map, and ``install`` checks it once. ``install`` is the one
+check of what a spec means, whichever reader made it.
 
 Nothing here publishes: ``WidgetRegistry`` hands each build a staged
 locale tree and spec map, and publishes them if the build succeeds, so a
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import marshal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Optional
 
 from .errors import (InvalidSpecError, SchemaError, SchemaSyntaxError, UnknownLocaleError,
@@ -43,12 +43,13 @@ class InputBinding:
     validator: ValidatorExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WidgetSpec:
     """Everything declared about one widget name at one locale.
 
     All parts are optional; whatever is absent here is inherited from
-    ancestor locales at resolution time.
+    ancestor locales at resolution time. A registry's specs share their
+    equal medium maps, so like the spec they are read-only.
     """
 
     name: str
@@ -87,15 +88,16 @@ class Build:
     A load, an import or a ``define`` makes one inside ``_staged`` and drops
     it before the collector resumes. ``media`` maps the key of each medium
     map built so far to the map: ``(part, spellings)`` for a clause of
-    schema text, the ``marshal`` bytes of an exported ``inputs`` value.
+    schema text, ``(part, marshal bytes)`` for an exported value, and
+    ``()`` for the empty map of every part a spec does not declare.
     ``checked`` is the ``checked`` of ``install`` for the whole build, and
     ``symbols`` maps each symbol spelling met to its interned canonical
     spelling.
     """
 
     def __init__(self):
-        self.media: dict[tuple | bytes, dict] = {}
-        self.checked: dict[int, InputBinding] = {}
+        self.media: dict[tuple, dict] = {(): {}}
+        self.checked: dict[int, dict] = {}
         self.symbols: dict[str, str] = {}
 
     def symbol(self, text: str) -> str:
@@ -113,11 +115,12 @@ class Build:
         value an ``InputBinding``), with its symbols normalized.
 
         Built once per ``key`` in this build, or every time where ``key`` is
-        None; each call gets a map of its own.
+        None. The specs of one build share the map of a key, so it must not
+        be changed.
         """
         entries = self.media.get(key)
         if entries is not None:
-            return dict(entries)
+            return entries
         sym = self.symbol
         if part == "inputs":
             entries = {sym(m): InputBinding(sym(b.parser), b.validator) for m, b in read()}
@@ -125,17 +128,17 @@ class Build:
             entries = {sym(m): sym(f) for m, f in read()}
         else:
             entries = {sym(m): text for m, text in read()}
-        if key is None:
-            return entries
-        self.media[key] = entries
-        return dict(entries)
+        if key is not None:
+            self.media[key] = entries
+        return entries
 
     def spec(self, parts: Mapping, media: Optional[Callable] = None) -> WidgetSpec:
         """The spec of ``parts``, which maps each ``WidgetSpec`` field a reader
         read to its value as spelled; ``name``, ``locale`` and ``max_index``
         are required. ``media(part, value)`` gives the ``key`` and ``read`` of
         ``medium_map`` for the value of each medium map part; without
-        ``media``, those values are maps ``medium_map`` made.
+        ``media``, those values are maps ``medium_map`` made. A part
+        ``parts`` lacks gets the build's one empty map.
 
         If a symbol is not a string, every part is kept as spelled and
         nothing is memoized, so that ``install`` reports the first fault of
@@ -154,17 +157,20 @@ _SYMBOLS = ("table", "getter", "setter", "datatype", "generator")
 
 def _spec(parts: Mapping, media: Optional[Callable], sym: Callable,
           medium_map: Callable) -> WidgetSpec:
-    fields = {"name": sym(parts["name"]), "locale": sym(parts["locale"]),
+    values = {"name": sym(parts["name"]), "locale": sym(parts["locale"]),
               "max_index": parts["max_index"], "doc": parts.get("doc")}
     for part in _MEDIA:
-        if part in parts:
-            value = parts[part]
-            fields[part] = value if media is None else medium_map(part, *media(part, value))
+        if part not in parts:
+            values[part] = medium_map(part, (), tuple)
+        elif media is None:
+            values[part] = parts[part]
+        else:
+            values[part] = medium_map(part, *media(part, parts[part]))
     for part in _SYMBOLS:
         value = parts.get(part)
         if value is not None:
-            fields[part] = sym(value)
-    return WidgetSpec(**fields)
+            values[part] = sym(value)
+    return WidgetSpec(**values)
 
 
 # -- the checker ----------------------------------------------------------------
@@ -179,9 +185,9 @@ def install(spec: WidgetSpec, tree: LocaleTree, specs: dict, registries,
     a spec read from schema text, ``source`` is ``(place, nodes)``: the
     token index of the node that spelled each part, and
     ``place(cls, message, index)``, which makes an error positioned at a
-    token of that text. ``checked`` maps the ``id`` of each input binding
-    already checked in this build to the binding; this call skips those
-    and adds the ones it checks.
+    token of that text. ``checked`` maps the ``id`` of each medium map
+    already checked in this build to the map; this call skips those and
+    adds the ones it checks.
     """
     regs = registries
     if checked is None:
@@ -216,10 +222,8 @@ def install(spec: WidgetSpec, tree: LocaleTree, specs: dict, registries,
         _check_str(spec.datatype, "datatype")
     if spec.doc is not None:
         _check_str(spec.doc, "doc")
-    for medium, binding in spec.inputs.items():
+    for medium, binding in _unchecked(spec.inputs, checked):
         _check_str(medium, "medium")
-        if checked.get(id(binding)) is binding:
-            continue
         if not (isinstance(binding.parser, str) and binding.parser in regs.parsers):
             raise _placed(UnresolvedReferenceError(f"unknown parser '{binding.parser}'"),
                           source, ("input", medium))
@@ -228,16 +232,26 @@ def install(spec: WidgetSpec, tree: LocaleTree, specs: dict, registries,
                 regs.validators.check_base(base)
             except SchemaError as e:
                 raise _placed(e, source, id(base)) from None
-        checked[id(binding)] = binding
-    for medium, formatter in spec.outputs.items():
+    for medium, formatter in _unchecked(spec.outputs, checked):
         _check_str(medium, "medium")
         if not (isinstance(formatter, str) and formatter in regs.formatters):
             raise _placed(UnresolvedReferenceError(f"unknown formatter '{formatter}'"),
                           source, ("output", medium))
-    for medium, text in spec.headings.items():
+    for medium, text in _unchecked(spec.headings, checked):
         _check_str(medium, "medium")
         _check_str(text, "heading text")
     specs[(spec.name, spec.locale)] = spec
+
+
+def _unchecked(media: dict, checked: dict):
+    """The entries of a medium map, or none if this build has checked it.
+
+    The map counts as checked from here on: a fault in it ends the build.
+    """
+    if checked.get(id(media)) is media:
+        return ()
+    checked[id(media)] = media
+    return media.items()
 
 
 def _check_str(value, what: str) -> None:
@@ -285,7 +299,8 @@ def orphans(tree: LocaleTree, specs: dict) -> list[str]:
 
 def define(spec: WidgetSpec, tree: LocaleTree, specs: dict, registries) -> None:
     """Build ``spec``, given in code, and install it into a staged (tree, specs)."""
-    built = Build().spec(vars(spec), lambda part, value: (
+    parts = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    built = Build().spec(parts, lambda part, value: (
         None, (value if part == "inputs" else dict(value)).items))
     install(built, tree, specs, registries)
 
@@ -333,8 +348,9 @@ def export_state(tree: LocaleTree, specs: dict) -> dict:
 def import_state(state: dict, tree: LocaleTree, specs: dict, registries) -> None:
     """Add an exported state to a staged (tree, specs), re-checking references.
 
-    As in a load, each distinct ``inputs`` map is built and checked once,
-    and the specs that repeat it share its bindings.
+    As in a load, each distinct ``inputs``, ``outputs`` and ``headings``
+    value is built and checked once, and the specs that repeat it share
+    its map.
     """
     try:
         widgets = list(state["widgets"])
@@ -352,17 +368,17 @@ def import_state(state: dict, tree: LocaleTree, specs: dict, registries) -> None
 
 
 def _exported_media(part: str, value) -> tuple:
-    """The ``media`` of ``Build.spec`` for an exported map. An ``inputs`` value
-    is keyed by its ``marshal`` bytes: equal bytes decode to equal values of
-    the same types, so a hit is never false, and format 2 writes no
+    """The ``media`` of ``Build.spec`` for an exported map, keyed by its part
+    and its ``marshal`` bytes: equal bytes decode to equal values of the
+    same types, so a hit is never false, and format 2 writes no
     back-references, so the bytes do not depend on reference counts. A value
     marshal refuses (a subclass of ``str`` or ``int``, say) is not memoized."""
-    if part != "inputs":
-        return None, dict(value).items
     try:
-        key = marshal.dumps(value, 2)
+        key = (part, marshal.dumps(value, 2))
     except ValueError:
         key = None
+    if part != "inputs":
+        return key, lambda: dict(value).items()
     return key, lambda: ((m, InputBinding(pair[0], _vexpr_from_obj(pair[1])))
                          for m, pair in value.items())
 

@@ -13,8 +13,8 @@ Schema files are s-expressions::
 This module checks syntax only: a widget form's parts go, as spelled, to
 the builder (``compile.Build``), and what they mean is checked by
 ``compile.install``. Each distinct ``:input``, ``:output`` and ``:heading``
-clause is read once per load, and the specs that spell it alike share its
-parsed bindings. A locale form hands its spellings to ``LocaleTree.add``,
+clause is read and checked once per load, and the specs that spell it
+alike share its medium map, which must not be changed. A locale form hands its spellings to ``LocaleTree.add``,
 which refuses a locale that begins with ':'.
 
 Only ``compile.load`` imports this module, so a command that reads a
@@ -165,7 +165,8 @@ class _FormReader:
         ``("input", medium)`` and ``("output", medium)`` for the parser and
         formatter names, or the ``id()`` of a base validator. A clause read
         earlier in the load is not read again, and its entries get no
-        node: its first reader's spec passed ``install``'s checks of them.
+        node: ``install`` checked the map they share with its first
+        reader's spec.
         """
         items = self.items(form)
         if len(items) < 3:

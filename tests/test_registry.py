@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import json
+import pickle
 import random
 import sys
 import tempfile
@@ -1567,7 +1568,7 @@ class TestSharedClauses:
         specs = [reg.spec_at(f"w{i}", "root") for i in range(200)]
         binding = specs[0].inputs["m"]
         assert all(spec.inputs["m"] is binding for spec in specs)
-        assert len({id(spec.inputs) for spec in specs}) == 200  # each spec its own map
+        _assert_one_map_per_distinct_value(reg)
 
     def test_a_second_load_does_not_reuse_the_memo(self, monkeypatch):
         checked = self._counting_checks(monkeypatch)
@@ -1588,6 +1589,19 @@ class TestSharedClauses:
         with pytest.raises(SchemaError) as exc:
             WidgetRegistry().load_schema(text, filename="s.scm")
         assert str(exc.value) == "s.scm:6:55: unknown validator 'ghost'"
+
+
+def _assert_one_map_per_distinct_value(reg: WidgetRegistry) -> None:
+    """The specs of ``reg`` hold one ``inputs``, ``outputs`` and ``headings``
+    map object per distinct value that ``export_state`` writes for the part."""
+    widgets = reg.export_state()["widgets"]
+    for part in ("inputs", "outputs", "headings"):
+        maps: dict = {}  # exported value -> the ids of the maps that export it
+        for obj in widgets:
+            spec = reg.spec_at(obj["name"], obj["locale"])
+            maps.setdefault(json.dumps(obj[part]), set()).add(id(getattr(spec, part)))
+        assert all(len(ids) == 1 for ids in maps.values()), part
+        assert len(set().union(*maps.values())) == len(maps), part
 
 
 def _shared_import_state(inputs, widgets=200) -> dict:
@@ -1628,7 +1642,7 @@ class TestSharedImport:
         specs = [reg.spec_at(f"w{i}", "root") for i in range(200)]
         binding = specs[0].inputs["m"]
         assert all(spec.inputs["m"] is binding for spec in specs)
-        assert len({id(spec.inputs) for spec in specs}) == 200  # each spec its own map
+        _assert_one_map_per_distinct_value(reg)
         assert all(spec.locale is specs[0].locale for spec in specs)
         assert all(spec.table is specs[0].table for spec in specs)
 
@@ -1697,6 +1711,118 @@ class TestSharedImport:
             assert error is None
             assert [w["inputs"]["m"][0] for w in exported["widgets"]] == \
                 ["identity", parser, "identity"]
+
+
+class TestSharedMaps:
+    """The specs of one build share one medium map per distinct clause or
+    exported value, in every part; a part a spec does not declare is the
+    build's one empty map. Each map is checked once per build."""
+
+    CLAUSES = {  # part -> the clauses widget i picks from, by i modulo their number
+        "inputs": [":input ((m identity required))", ":input ((m identity (length 1 9)))"],
+        "outputs": [":output ((m string-upcase))", ":output ((m identity) (default identity))",
+                    ":output ((default identity) (m identity))", ""],
+        "headings": [':heading (m "A")', "", ':heading (m "B" default "B")']}
+
+    def _schema(self, widgets=24):
+        return "(locale root :parent none)\n(locale leaf :parent root)\n" + "".join(
+            f"(widget w{i} {('root', 'leaf')[i % 2]} :table t "
+            + " ".join(clauses[i % len(clauses)] for clauses in self.CLAUSES.values()) + ")\n"
+            for i in range(widgets))
+
+    def test_one_map_per_distinct_clause_in_every_part(self):
+        loaded, imported = WidgetRegistry(), WidgetRegistry()
+        loaded.load_schema(self._schema())
+        imported.import_state(loaded.export_state())
+        for reg in (loaded, imported):
+            _assert_one_map_per_distinct_value(reg)
+            specs = reg._snapshot[1].values()
+            for part, clauses in self.CLAUSES.items():
+                assert len({id(getattr(spec, part)) for spec in specs}) == len(clauses)
+        assert imported.export_state() == loaded.export_state()
+
+    def test_an_undeclared_part_is_the_builds_one_empty_map(self):
+        reg = WidgetRegistry()
+        reg.load_schema("(locale root :parent none)(widget a root :table t)"
+                        "(widget b root :table t :output ((m identity)))")
+        a, b = reg.spec_at("a", "root"), reg.spec_at("b", "root")
+        assert a.inputs == {} and a.inputs is a.outputs is a.headings is b.inputs is b.headings
+        other = WidgetRegistry()
+        other.load_schema("(locale root :parent none)(widget a root :table t)")
+        assert other.spec_at("a", "root").inputs is not a.inputs
+
+    def test_a_repeated_output_formatter_is_looked_up_once_per_build(self, monkeypatch):
+        looked_up = []
+        contains = NamedRegistry.__contains__
+
+        def counting(registry, name):
+            if name == "string-upcase":
+                looked_up.append(registry)
+            return contains(registry, name)
+
+        monkeypatch.setattr(NamedRegistry, "__contains__", counting)
+        schema = "(locale root :parent none)\n" + "".join(
+            f"(widget w{i} root :table t :output ((m string-upcase)))\n" for i in range(50))
+        first, second = WidgetRegistry(), WidgetRegistry()
+        first.load_schema(schema)
+        assert len(looked_up) == 1
+        second.load_schema(schema)
+        assert len(looked_up) == 2
+        imported = WidgetRegistry()
+        imported.import_state(first.export_state())
+        assert len(looked_up) == 3
+        imported.import_state({**first.export_state(), "locales": []})
+        assert len(looked_up) == 4
+        maps = {id(reg.spec_at("w0", "root").outputs) for reg in (first, second, imported)}
+        assert len(maps) == 3  # a later build shares nothing with an earlier one
+        assert looked_up == [first.registries.formatters, second.registries.formatters,
+                             imported.registries.formatters, imported.registries.formatters]
+
+    def test_an_imported_catalog_shares_one_map_per_distinct_value(self):
+        reg = WidgetRegistry()
+        reg.import_state(json.loads(_exported_workspaces()[1]))
+        _assert_one_map_per_distinct_value(reg)
+
+
+class TestSlottedSpec:
+    """A ``WidgetSpec`` has slots and no instance ``__dict__``, and copies,
+    pickles, replaces and defines as an equal spec."""
+
+    def _spec(self):
+        reg = load_fixture_registry()[0]
+        return reg, reg.spec_at("dob", "common")
+
+    def test_no_instance_dict(self):
+        _, spec = self._spec()
+        assert not hasattr(spec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.table = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del spec.doc
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        _, spec = self._spec()
+        assert spec.inputs and spec.outputs and spec.headings and spec.doc
+        assert pickle.loads(pickle.dumps(spec, protocol)) == spec
+
+    def test_copies_and_replace(self):
+        _, spec = self._spec()
+        assert copy.copy(spec) == spec
+        assert copy.deepcopy(spec) == spec
+        assert dataclasses.replace(spec) == spec
+        assert dataclasses.replace(spec, table="other") == WidgetSpec(
+            **{**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)},
+               "table": "other"})
+
+    def test_define_widget_of_a_loaded_spec(self):
+        reg, spec = self._spec()
+        other = load_fixture_registry()[0]
+        other.define_widget(spec)
+        reg.define_widget(spec)
+        for registry in (reg, other):
+            assert registry.spec_at("dob", "common") == spec
+        assert other.export_state() == reg.export_state() == load_fixture_registry()[0].export_state()
 
 
 class TestDoubleColonSpellings:
@@ -2005,4 +2131,44 @@ def _shared_import_cases(draw) -> dict:
 @settings(max_examples=300, deadline=None)
 @given(_shared_import_cases())
 def test_shared_import_matches_reference(state):
+    assert _import_outcome(WidgetRegistry, state) == _import_outcome(ReferenceRegistry, state)
+
+
+@st.composite
+def _shared_media_cases(draw) -> dict:
+    """An exported state in which a few later widgets repeat one edited
+    ``outputs`` or ``headings`` value."""
+    state = json.loads(draw(st.sampled_from(_exported_workspaces())))
+    widgets = state["widgets"]
+    part = draw(st.sampled_from(["outputs", "headings"]))
+    source = draw(st.sampled_from([k for k, w in enumerate(widgets) if w[part]]))
+    value = copy.deepcopy(widgets[source][part])
+    medium = draw(st.sampled_from(list(value)))
+    kind = draw(st.sampled_from(["case", "colon", "colons", "shout", "unknown", "type",
+                                 "pairs", "short"]))
+    spell = {"case": str.upper, "colon": lambda s: ":" + s, "colons": lambda s: "::" + s,
+             "shout": Shouting}.get(kind)
+    if spell is not None:
+        if draw(st.booleans()):
+            value = {spell(m) if m == medium else m: v for m, v in value.items()}
+        else:
+            value[medium] = spell(value[medium])
+    elif kind == "unknown":
+        value[medium] = "no-such-formatter"
+    elif kind == "type":
+        value[medium] = draw(st.sampled_from([7, True, 1.0, None, ["x"]]))
+    elif kind == "pairs":  # a list of pairs, which ``dict`` reads as the map
+        value = [[m, v] for m, v in value.items()]
+    else:
+        value = [[m] for m in value]
+    targets = sorted(set(draw(st.lists(st.integers(source, len(widgets) - 1),
+                                       min_size=2, max_size=4))))
+    for k in targets:
+        widgets[k][part] = copy.deepcopy(value)
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_media_cases())
+def test_shared_outputs_and_headings_import_as_the_reference_does(state):
     assert _import_outcome(WidgetRegistry, state) == _import_outcome(ReferenceRegistry, state)
