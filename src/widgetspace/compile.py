@@ -7,9 +7,10 @@ reads a workspace never loads it. ``import_state`` reads the state that
 ``WidgetSpec`` made in code. Each reader hands the parts it read to one
 builder, ``Build.spec``: its symbols as spelled, and its medium maps
 through ``Build.medium_map``. The builder normalizes each symbol through
-the build's memo (``normalize_symbol`` drops one leading ':') and builds
-each distinct medium map once per build: the specs of one build share
-each distinct map, and ``install`` checks it once. ``install`` is the one
+the build's memo (``normalize_symbol`` lowers it and drops every leading
+':', so every reader reads a canonical symbol as itself) and builds each
+distinct medium map once per build: the specs of one build share each
+distinct map, and ``install`` checks it once. ``install`` is the one
 check of what a spec means, whichever reader made it.
 
 Nothing here publishes: ``WidgetRegistry`` hands each build a staged
@@ -195,8 +196,7 @@ def install(spec: WidgetSpec, tree: LocaleTree, specs: dict, registries,
     if not (isinstance(spec.name, str) and is_valid_symbol(spec.name)):
         raise _placed(InvalidSpecError(f"invalid widget name '{spec.name}'"),
                       source, "name")
-    if not (isinstance(spec.locale, str) and not spec.locale.startswith(":")
-            and spec.locale in tree):
+    if not (isinstance(spec.locale, str) and spec.locale in tree):
         raise _placed(UnknownLocaleError(f"unknown locale '{spec.locale}'"),
                       source, "locale")
     if isinstance(spec.max_index, bool) or not isinstance(spec.max_index, int):
@@ -409,27 +409,18 @@ def _vexpr_from_obj(obj) -> ValidatorExpr:
     raise SchemaError(f"malformed validator expression: {obj!r}")
 
 
-def _exported(symbol: Optional[str]) -> Optional[str]:
-    """A canonical ``symbol`` as a workspace spells it, so that ``import_state``
-    reads it back as itself: ``normalize_symbol`` drops one leading ':', so
-    one that begins with ':' gets one more."""
-    return ":" + symbol if symbol is not None and symbol.startswith(":") else symbol
-
-
 def _spec_to_obj(spec: WidgetSpec) -> dict:
-    # widget and table names are valid symbols, and no locale begins with ':'
     return {
         "name": spec.name,
         "locale": spec.locale,
         "max_index": spec.max_index,
         "table": spec.table,
-        "getter": _exported(spec.getter),
-        "setter": _exported(spec.setter),
-        "inputs": {_exported(m): [_exported(b.parser), _vexpr_to_obj(b.validator)]
-                   for m, b in spec.inputs.items()},
-        "outputs": {_exported(m): _exported(f) for m, f in spec.outputs.items()},
-        "headings": {_exported(m): t for m, t in spec.headings.items()},
+        "getter": spec.getter,
+        "setter": spec.setter,
+        "inputs": {m: [b.parser, _vexpr_to_obj(b.validator)] for m, b in spec.inputs.items()},
+        "outputs": dict(spec.outputs),
+        "headings": dict(spec.headings),
         "doc": spec.doc,
-        "datatype": _exported(spec.datatype),
-        "generator": _exported(spec.generator),
+        "datatype": spec.datatype,
+        "generator": spec.generator,
     }

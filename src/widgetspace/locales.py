@@ -22,9 +22,8 @@ T = TypeVar("T")
 class LocaleTree:
     """Parent-pointer tree. Symbols are case-insensitive, stored lowercase.
 
-    Each method normalizes a locale as its caller spells it, once. ``add``
-    refuses one spelled ``::x``, whose canonical spelling begins with ':', so
-    a second normalization leaves every key as it is.
+    Each method normalizes a locale as its caller spells it, once; a key
+    is canonical, so normalizing it again leaves it as it is.
 
     ``add`` checks everything before it changes anything, so a rejected
     add leaves the tree as it was. It then sets one key of the parent map
@@ -47,8 +46,6 @@ class LocaleTree:
         parent = normalize_symbol(parent) if parent is not None else None
         if not child:
             raise InvalidSpecError("locale symbol must be non-empty")
-        if child.startswith(":"):
-            raise InvalidSpecError(f"locale symbol ':{child}' begins with more than one ':'")
         parents = self._parents
         if child in parents and not replace:
             raise DuplicateLocaleError(f"locale '{child}' is already defined")

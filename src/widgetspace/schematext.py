@@ -14,8 +14,8 @@ This module checks syntax only: a widget form's parts go, as spelled, to
 the builder (``compile.Build``), and what they mean is checked by
 ``compile.install``. Each distinct ``:input``, ``:output`` and ``:heading``
 clause is read and checked once per load, and the specs that spell it
-alike share its medium map, which must not be changed. A locale form hands its spellings to ``LocaleTree.add``,
-which refuses a locale that begins with ':'.
+alike share its medium map, which must not be changed. A locale form hands
+its spellings to ``LocaleTree.add``.
 
 Only ``compile.load`` imports this module, so a command that reads a
 workspace and never a schema does not load it.

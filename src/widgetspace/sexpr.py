@@ -105,11 +105,9 @@ class TokenError(Exception):
 
 
 def normalize_symbol(text: str) -> str:
-    """Canonical spelling of a symbol: lowercase, optional leading ':' dropped."""
-    text = text.lower()
-    if text.startswith(":"):
-        text = text[1:]
-    return text
+    """Canonical spelling of a symbol: lowercase, every leading ':' dropped, so
+    a canonical spelling is its own, and ``x``, ``:X`` and ``::x`` are one."""
+    return text.lower().lstrip(":")
 
 
 def is_valid_symbol(text: str) -> bool:

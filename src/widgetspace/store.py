@@ -6,7 +6,10 @@ stored ``UNINITIALIZED`` is distinguishable from never-written via
 ``contains_key``. Writes stay in memory until ``checkpoint``, which
 replaces each dirty table's file (temp file, fsync, rename) and then
 fsyncs the directory once, so a crash can lose recent writes but never
-corrupt what a previous checkpoint saved.
+corrupt what a previous checkpoint saved. A database commits one
+checkpoint or restore at a time, and each writer's temp file is its own,
+so threads that commit to one database never write one file at once; gets
+and puts never wait for a commit's I/O.
 
 Table file format: line one is ``(table <name>)``, then one ``(<key>
 <datum>)`` pair per line, sorted by key, UTF-8, LF line endings. A table
@@ -100,6 +103,7 @@ class Database:
         self._root.mkdir(parents=True, exist_ok=True)
         self._tables: dict[str, _Table] = {}
         self._lock = threading.Lock()
+        self._commit = threading.Lock()  # held by checkpoint and restore_text
 
     @property
     def root(self) -> Path:
@@ -214,24 +218,25 @@ class Database:
         A table is marked clean only once the one directory fsync after the
         last rename has made its new file durable.
         """
-        with self._lock:
-            tables = list(self._tables.values())
-        written = []
-        for t in tables:
-            with t.lock:
-                if not t.dirty:
-                    continue
-                version = t.version
-                text = _render_table(t.name, t.entries)
-            self._write_file(_filename(t.name), text)
-            written.append((t, version))
-        if not written:
-            return
-        _fsync_dir(self._root)
-        for t, version in written:
-            with t.lock:
-                if t.version == version:
-                    t.dirty = False
+        with self._commit:
+            with self._lock:
+                tables = list(self._tables.values())
+            written = []
+            for t in tables:
+                with t.lock:
+                    if not t.dirty:
+                        continue
+                    version = t.version
+                    text = _render_table(t.name, t.entries)
+                self._write_file(_filename(t.name), text)
+                written.append((t, version))
+            if not written:
+                return
+            _fsync_dir(self._root)
+            for t, version in written:
+                with t.lock:
+                    if t.version == version:
+                        t.dirty = False
 
     def table_names(self) -> list[str]:
         """Tables written in memory or on disk, sorted; a file is one only if its
@@ -267,17 +272,18 @@ class Database:
         if bad is not None:
             raise CorruptTableError(f"surrogate {bad.group()!r} is not storable text",
                                     filename=filename, offset=_at(text, bad.start())[0])
-        with self._lock:
-            self._tables = {}  # so that after a failure below, reads go to the disk
-        for name, entries in tables.items():
-            self._write_file(_filename(name), _render_table(name, entries))
-        keep = {_filename(name) for name in tables}
-        for path in self._root.glob("*" + _SUFFIX):
-            if path.name not in keep:
-                os.unlink(path)
-        _fsync_dir(self._root)
-        with self._lock:
-            self._tables = {name: _Table(name, entries) for name, entries in tables.items()}
+        with self._commit:
+            with self._lock:
+                self._tables = {}  # so that after a failure below, reads go to the disk
+            for name, entries in tables.items():
+                self._write_file(_filename(name), _render_table(name, entries))
+            keep = {_filename(name) for name in tables}
+            for path in self._root.glob("*" + _SUFFIX):
+                if path.name not in keep:
+                    os.unlink(path)
+            _fsync_dir(self._root)
+            with self._lock:
+                self._tables = {name: _Table(name, entries) for name, entries in tables.items()}
 
     # -- internals -----------------------------------------------------
 
@@ -373,9 +379,11 @@ def _is_stdout(path: str | os.PathLike) -> bool:
 
 def _replace(path: str | os.PathLike, text: str) -> Path:
     """Write ``text`` to a temp file beside ``path``, fsync it and rename it over
-    the file ``path`` resolves to; the caller fsyncs that file's directory."""
+    the file ``path`` resolves to; the caller fsyncs that file's directory.
+    The temp file's name holds the process and thread ids, so no two writers
+    share it."""
     path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -276,14 +276,14 @@ class TestLocales:
         assert "malformed registry state" in err
         assert "Traceback" not in err
 
-    def test_double_colon_locale_in_workspace_exit_2(self, tmp_path):
-        bad = tmp_path / "bad.ws"
-        bad.write_text(json.dumps({"version": 1, "state": {
-            "locales": [["root", None], ["::x", "root"]], "widgets": []}}))
-        for args in (["locales"], ["locales", "--tree"]):
-            code, out, err = run_cli([*args, "--workspace", str(bad)], cwd=tmp_path)
-            assert (code, out) == (2, "")
-            assert err == "error: locale symbol '::x' begins with more than one ':'\n"
+    def test_double_colon_locale_in_workspace_reads_as_the_locale(self, tmp_path):
+        # every leading ':' is dropped, so '::X' names the locale 'x'
+        ws = tmp_path / "colons.ws"
+        ws.write_text(json.dumps({"version": 1, "state": {
+            "locales": [["root", None], ["::X", "::root"]], "widgets": []}}))
+        for args, shown in ((["locales"], "root\nx\n"), (["locales", "--tree"], "root\n  x\n")):
+            code, out, err = run_cli([*args, "--workspace", str(ws)], cwd=tmp_path)
+            assert (code, out, err) == (0, shown, "")
 
     def test_wrong_version_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ws"
@@ -440,7 +440,7 @@ class TestMalformedWorkspaceFirstError:
     @pytest.mark.parametrize("path,value,message", [
         (WIDGET + ("name",), DROP, "malformed widget spec: 'name'"),
         (WIDGET + ("name",), 5, "invalid widget name '5'"),
-        (WIDGET + ("locale",), "::x", "unknown locale ':x'"),
+        (WIDGET + ("locale",), "::X", "unknown locale 'x'"),
         (WIDGET + ("inputs",), [["m", ["identity", ["base", "required", []]]]],
          "malformed widget spec: 'list' object has no attribute 'items'"),
         (WIDGET + ("outputs",), {"default": 7}, "unknown formatter '7'"),

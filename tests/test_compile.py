@@ -7,13 +7,14 @@ same state and answer every coordinate alike.
 """
 
 import json
+import re
 
 from hypothesis import given, settings, strategies as st
 
 from widgetspace import SchemaError, WidgetCoord, WidgetRegistry
 
 from test_registry import _walk_cases
-from test_sexpr import repeated_clauses, schema_text, spliced_fixtures
+from test_sexpr import WHOLE_FIXTURES, repeated_clauses, schema_text, spliced_fixtures
 
 
 class FakeDb:
@@ -30,15 +31,12 @@ def _outcome(call):
         return type(e).__name__, str(e)
 
 
-def _rebuilt(reg: WidgetRegistry, *, defined: bool) -> list:
-    """``reg`` built again from its exported JSON, and if ``defined``, by
-    ``define_widget`` of each of its specs, in order, into a registry with
-    its locales."""
+def _rebuilt(reg: WidgetRegistry) -> list:
+    """``reg`` built again from its exported JSON, and by ``define_widget`` of
+    each of its specs, in order, into a registry with its locales."""
     state = reg.export_state()
     imported = WidgetRegistry()
     imported.import_state(json.loads(json.dumps(state)))
-    if not defined:
-        return [imported]
     redefined = WidgetRegistry()
     for child, parent in state["locales"]:
         redefined.add_locale(child, parent)
@@ -49,11 +47,8 @@ def _rebuilt(reg: WidgetRegistry, *, defined: bool) -> list:
 
 def _assert_one_registry(reg: WidgetRegistry, coords):
     state = reg.export_state()
-    # define_widget normalizes what it is given, so a canonical symbol that
-    # begins with ':' (exported as '::x') would lose that ':'
-    defined = '"::' not in json.dumps(state)
     db = FakeDb()
-    for other in _rebuilt(reg, defined=defined):
+    for other in _rebuilt(reg):
         assert other.export_state() == state
         for name, locale, medium in coords:
             assert _outcome(lambda: other.resolve_parts(name, locale, medium)) == \
@@ -63,9 +58,30 @@ def _assert_one_registry(reg: WidgetRegistry, coords):
                 _outcome(lambda: reg.get_and_format(db, coord))
 
 
-# repeated_clauses loads more often than the others, whose splices mostly break the text
+# where a clause entry's first symbol starts, spelled without ':': most are
+# media, the rest validators
+_ENTRY_HEAD = re.compile(r"(?:(?<=\(\()|(?<=\)\s\())(?=[A-Za-z])")
+
+
+@st.composite
+def colon_spelled(draw, texts):
+    """A text of ``texts`` with one to three clause entries' first symbols
+    spelled with two leading colons."""
+    text = draw(texts)
+    starts = [m.start() for m in _ENTRY_HEAD.finditer(text)]
+    chosen = draw(st.lists(st.sampled_from(starts), min_size=1, max_size=3,
+                           unique=True)) if starts else []
+    for at in sorted(chosen, reverse=True):
+        text = text[:at] + "::" + text[at:]
+    return text
+
+
+# repeated_clauses and the respelled fixtures load more often than the
+# others, whose splices mostly break the text
 @settings(max_examples=200, deadline=None)
-@given(text=st.one_of(spliced_fixtures(), schema_text, repeated_clauses().map("".join)),
+@given(text=st.one_of(spliced_fixtures(), schema_text, repeated_clauses().map("".join),
+                      colon_spelled(repeated_clauses().map("".join)),
+                      colon_spelled(st.just(WHOLE_FIXTURES))),
        data=st.data())
 def test_loaded_text_imports_and_defines_alike(text, data):
     reg = WidgetRegistry()
@@ -88,3 +104,21 @@ def test_loaded_text_imports_and_defines_alike(text, data):
 def test_defined_registry_imports_and_defines_alike(case):
     reg, coords = case
     _assert_one_registry(reg, coords)
+
+
+def test_define_widget_of_a_double_colon_spelling_installs_an_equal_spec():
+    # every leading ':' is dropped, so a loaded spec holds no symbol that
+    # define_widget would read as another
+    reg = WidgetRegistry()
+    reg.load_schema("(locale ::Root :parent none)\n"
+                    "(widget ::W ::root :table ::T :getter ::person-name-from-fields"
+                    " :type ::date :generator ::gen-sid :heading (::html \"H\")"
+                    " :input ((::html ::identity (::length 1 9))) :output ((::html ::identity)))\n")
+    spec = reg.spec_at("w", "root")
+    assert (spec.outputs, spec.table, spec.getter) == ({"html": "identity"}, "t",
+                                                       "person-name-from-fields")
+    defined = WidgetRegistry()
+    defined.add_locale("root")
+    defined.define_widget(spec)
+    assert defined.spec_at("w", "root") == spec
+    assert defined.export_state() == reg.export_state()

@@ -227,7 +227,7 @@ def test_every_locale_is_found_by_its_own_key(adds):
     for child, parent in adds:
         try:
             t.add(child, parent)
-        except SchemaError:  # a duplicate, an unknown parent, or a spelling '::x'
+        except SchemaError:  # a duplicate or an unknown parent
             pass
     for locale in t.locales():
         assert normalize_symbol(locale) == locale
@@ -235,9 +235,12 @@ def test_every_locale_is_found_by_its_own_key(adds):
         assert t.ancestry(locale)[0] == locale
 
 
-def test_a_locale_spelled_with_two_colons_is_refused():
+def test_a_locale_spelled_with_two_colons_is_that_locale():
+    # every leading ':' is dropped, so '::x' and 'x' are one locale
     t = sample_tree()
-    for spelling in ("::x", "::Colorado"):
-        with pytest.raises(InvalidSpecError, match="begins with more than one ':'"):
-            t.add(spelling, "common")
-    assert ":colorado" not in t.locales() and len(t) == 8
+    t.add("::X", "::Common")
+    assert t.locales()[-1] == "x" and t.parent("x") == "common"
+    assert "::x" in t and t.ancestry("::x") == ["x", "common"]
+    with pytest.raises(DuplicateLocaleError, match="^locale 'colorado' is already defined$"):
+        t.add("::Colorado", "common")
+    assert len(t) == 9

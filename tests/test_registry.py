@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from widgetspace import (
-    UNINITIALIZED, Base, CorruptTableError, Database, IndexOutOfRangeError, InputBinding,
-    InvalidSpecError, LocaleTree, NamedRegistry, NO_HANDLER_MESSAGE, NO_STORAGE_MESSAGE,
-    PersonName, ResolutionError, ResolvedParts, SchemaError, SchemaSyntaxError,
+    UNINITIALIZED, Base, CorruptTableError, Database, DuplicateLocaleError, IndexOutOfRangeError,
+    InputBinding, InvalidSpecError, LocaleTree, NamedRegistry, NO_HANDLER_MESSAGE,
+    NO_STORAGE_MESSAGE, PersonName, ResolutionError, ResolvedParts, SchemaError, SchemaSyntaxError,
     SimpleDate, UnknownLocaleError,
     UnknownParentError, UnknownValidatorError, UnresolvedReferenceError, ValidationError,
     ValidatorContext, WidgetCoord, WidgetRegistry, WidgetSpec, WrongVariantError, accessors,
@@ -765,8 +765,8 @@ class TestOneWalk:
         failures = [
             (lambda: reg.resolve_formatter("W", "LEAF", "Q"),
              {"name": "w", "locale": "leaf", "direction": "output", "medium": "q"}),
-            (lambda: reg.resolve_parser("W", "Leaf", "::Q"),
-             {"name": "w", "locale": "leaf", "direction": "input", "medium": ":q"}),
+            (lambda: reg.resolve_parser("W", "::Leaf", "::Q"),
+             {"name": "w", "locale": "leaf", "direction": "input", "medium": "q"}),
             (lambda: reg.resolve_generator("W", ":Leaf"),
              {"name": "w", "locale": "leaf", "direction": "generator"}),
             (lambda: reg.resolve_storage("X", ":Leaf"),
@@ -1826,19 +1826,20 @@ class TestSlottedSpec:
 
 
 class TestDoubleColonSpellings:
-    """``normalize_symbol`` drops one leading ':', so ``::html`` reads as
-    ``:html`` while a later ``:html`` still reads as ``html``, in one build."""
+    """``normalize_symbol`` drops every leading ':', so ``::html``, ``:html``
+    and ``html`` read as one medium, in one build."""
 
     SCHEMA = ("(locale root :parent none)\n"
               "(widget w1 root :table t :output ((::html identity)))\n"
               "(widget w2 root :table t :output ((:html identity)))\n"
-              '(widget w3 root :table t :heading (::identity "x") :input ((m :identity required)))\n')
+              '(widget w3 root :table t :heading (::identity "x") :input ((m ::identity required)))\n')
 
     def _check(self, reg):
-        assert reg.spec_at("w1", "root").outputs == {":html": "identity"}
+        assert reg.spec_at("w1", "root").outputs == {"html": "identity"}
         assert reg.spec_at("w2", "root").outputs == {"html": "identity"}
         w3 = reg.spec_at("w3", "root")
-        assert (w3.headings, w3.inputs["m"].parser) == ({":identity": "x"}, "identity")
+        assert (w3.headings, w3.inputs["m"].parser) == ({"identity": "x"}, "identity")
+        assert '"::' not in json.dumps(reg.export_state())
 
     def test_load(self):
         reg = WidgetRegistry()
@@ -1853,7 +1854,7 @@ class TestDoubleColonSpellings:
              "outputs": {":html": "identity"}},
             {"name": "w3", "locale": "root", "max_index": 1, "table": "t",
              "headings": {"::identity": "x"},
-             "inputs": {"m": [":identity", ["base", "required", []]]}}]}
+             "inputs": {"m": ["::identity", ["base", "required", []]]}}]}
         reg = WidgetRegistry()
         reg.import_state(copy.deepcopy(state))
         self._check(reg)
@@ -1862,8 +1863,8 @@ class TestDoubleColonSpellings:
 
 class TestNormalizedOnce:
     """A symbol is normalized once, where it enters the program; a canonical
-    symbol the registry holds is never normalized again, so ``::x`` names one
-    thing whichever path reads it."""
+    symbol the registry holds is never normalized again, so ``::x`` names
+    ``x`` whichever path reads it."""
 
     def test_a_double_colon_medium_plan_memoizes_its_formatter_and_binding(
             self, tmp_path, monkeypatch):
@@ -1883,38 +1884,41 @@ class TestNormalizedOnce:
         for text in ("a", "b", "c"):
             assert reg.parse_and_set(db, at, text) == text
             assert reg.get_and_format(db, at) == text.upper()
-        plan = reg._snapshot[2][("w", "leaf", ":html")]
+            assert reg.get_and_format(db, WidgetCoord("w", "leaf", "html")) == text.upper()
+        plan = reg._snapshot[2][("w", "leaf", "html")]
         assert (plan[4], plan[8], plan[10]) == ("string-upcase", "identity", Base("required"))
         assert len(calls) == 1
 
-    def test_a_double_colon_locale_form_is_refused_at_the_form(self):
+    def test_a_double_colon_locale_form_declares_the_locale(self):
         reg = tiny_registry()
-        with pytest.raises(InvalidSpecError) as e:
-            reg.load_schema("(locale y :parent root)\n  (locale ::x :parent root)\n",
-                            filename="s.scm")
-        assert (e.value.filename, e.value.line, e.value.col) == ("s.scm", 2, 3)
-        assert str(e.value).endswith("locale symbol '::x' begins with more than one ':'")
-        assert "x" not in reg.locales
+        reg.load_schema("(locale y :parent root)\n  (locale ::X :parent ::root)\n",
+                        filename="s.scm")
+        assert reg.locales.locales()[-1] == "x" and reg.locales.parent("x") == "root"
+        with pytest.raises(DuplicateLocaleError) as e:
+            reg.load_schema("(locale ::y :parent root)\n", filename="t.scm")
+        assert (e.value.filename, e.value.line, e.value.col) == ("t.scm", 1, 1)
+        assert str(e.value).endswith("locale 'y' is already defined")
 
-    def test_a_double_colon_widget_locale_is_unknown_at_the_locale_node(self):
+    def test_a_double_colon_widget_locale_is_the_locale(self):
         reg = tiny_registry()
+        reg.load_schema("(locale x :parent root)\n(widget w ::x :table t)\n")
+        assert reg.spec_at("w", "x").locale == "x"
         with pytest.raises(UnknownLocaleError) as e:
-            reg.load_schema("(locale x :parent root)\n(widget w ::x :table t)\n",
-                            filename="s.scm")
-        assert (e.value.filename, e.value.line, e.value.col) == ("s.scm", 2, 11)
-        assert str(e.value).endswith("unknown locale ':x'")
+            reg.load_schema("(widget v ::ghost :table t)\n", filename="s.scm")
+        assert (e.value.filename, e.value.line, e.value.col) == ("s.scm", 1, 11)
+        assert str(e.value).endswith("unknown locale 'ghost'")
 
-    def test_define_widget_and_import_refuse_a_double_colon_locale(self):
+    def test_define_widget_and_import_read_a_double_colon_locale_as_the_locale(self):
         reg = tiny_registry()
-        with pytest.raises(UnknownLocaleError, match="^unknown locale ':mid'$"):
-            reg.define_widget(WidgetSpec(name="w", locale="::mid", table="t"))
+        reg.define_widget(WidgetSpec(name="w", locale="::mid", table="t"))
+        assert reg.spec_at("w", "mid") == WidgetSpec(name="w", locale="mid", table="t")
         state = reg.export_state()
-        state["widgets"] = [{"name": "w", "locale": "::mid", "max_index": 1, "table": "t"}]
-        with pytest.raises(UnknownLocaleError, match="^unknown locale ':mid'$"):
-            WidgetRegistry().import_state(state)
-        state = {"locales": [["root", None], ["::x", "root"]], "widgets": []}
-        with pytest.raises(InvalidSpecError, match="^locale symbol '::x' begins"):
-            WidgetRegistry().import_state(state)
+        state["widgets"][0]["locale"] = "::MID"
+        imported = WidgetRegistry()
+        imported.import_state(state)
+        assert imported.export_state() == reg.export_state()
+        imported.import_state({"locales": [["::x", "::root"]], "widgets": []})
+        assert imported.locales.parent("x") == "root"
 
 
 # -- the unshared import, kept as the reference for the shared one ---------------
@@ -2052,7 +2056,7 @@ def _edited_inputs(draw, inputs: dict) -> dict:
     pair = inputs[medium]
     bases = _bases_in(pair[1])
     # A ':' prefix is the spelling that only normalization makes valid, so it
-    # is drawn most often; normalization drops only one of two.
+    # is drawn most often; normalization drops every one of them.
     kind = draw(st.sampled_from(["case", "colon", "colons", "shout", "swap", "shape", "arity",
                                  "unknown"]))
     if kind in ("case", "colon", "colons", "shout"):
@@ -2114,12 +2118,12 @@ def _shared_import_cases(draw) -> dict:
     targets = sorted(set(draw(st.lists(st.integers(source, len(widgets) - 1),
                                        min_size=2, max_size=4))))
     colons = isinstance(edited, dict) and bool(edited) and draw(st.integers(0, 3)) == 0
-    if colons:  # a medium spelled '::m' in the repeats, which normalization reads as ':m'
+    if colons:  # a medium spelled '::m' in the repeats, which normalization reads as 'm'
         medium = draw(st.sampled_from(list(edited)))
         edited = {"::" + m if m == medium else m: p for m, p in edited.items()}
     for k in targets:
         widgets[k]["inputs"] = copy.deepcopy(edited)
-    if colons:  # and ':m' in the last, which normalization reads as 'm'
+    if colons:  # and ':m' in the last, another spelling of 'm'
         widgets[targets[-1]]["inputs"] = _one_colon_less(edited)
     if len(targets) > 1 and draw(st.booleans()):
         odd = widgets[draw(st.sampled_from(targets[1:]))]

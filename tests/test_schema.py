@@ -369,18 +369,20 @@ class TestWorkspaceRoundTrip:
         assert (exc.value.filename, exc.value.line) == ("s.scm", 3)
 
     def test_double_colon_symbols(self):
-        # normalization drops one leading ':', so '::html' loads as ':html'
-        registry, _ = load(PRELUDE + "(widget w mid :table t :type ::date"
+        # normalization drops every leading ':', so '::html' loads as 'html'
+        registry, _ = load(PRELUDE + "(widget w ::mid :table ::t :type ::date"
                            " :output ((::html identity)) :heading (::card \"C\")"
-                           " :input ((::html identity required)))\n"
+                           " :input ((::html ::identity required)))\n"
                            "(widget v root :table t :output ((:html identity)))")
         state = json.loads(json.dumps(registry.export_state()))
+        assert '"::' not in json.dumps(state)
         clone = WidgetRegistry()
         clone.import_state(state)
         assert clone.export_state() == registry.export_state()
         spec = clone.spec_at("w", "mid")
-        assert (spec.datatype, spec.outputs) == (":date", {":html": "identity"})
-        assert (list(spec.inputs), spec.headings) == ([":html"], {":card": "C"})
+        assert (spec.table, spec.datatype, spec.outputs) == ("t", "date", {"html": "identity"})
+        assert (list(spec.inputs), spec.headings) == (["html"], {"card": "C"})
+        assert spec.inputs["html"].parser == "identity"
         assert clone.spec_at("v", "root").outputs == {"html": "identity"}
 
     @settings(max_examples=300)

@@ -1034,7 +1034,7 @@ def test_repeated_clauses_load_like_the_tree_reader():
 
 
 def test_colon_spellings_load_like_the_tree_reader():
-    # normalization drops one leading ':', so '::x' and a later ':x' read differently
+    # normalization drops every leading ':', so '::x', a later ':x' and 'x' read alike
     for clause in REPEAT_CLAUSES:
         for word in ("default", "identity", "m1", "m2", "required"):
             if word not in clause:
@@ -1189,3 +1189,12 @@ def test_integers_convert_under_the_least_interpreter_limit(n):
         assert datum.loads(text) == n
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), st.text())
+def test_a_canonical_symbol_is_its_own_normalization(colons, text):
+    # every leading ':' is dropped, so no canonical spelling begins with one
+    canonical = normalize_symbol(":" * colons + text)
+    assert normalize_symbol(canonical) == canonical == normalize_symbol(text)
+    assert not canonical.startswith(":")

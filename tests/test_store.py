@@ -1026,6 +1026,134 @@ class TestTableLockStress:
         assert Database(tmp_path / "db").items("t") == db.items("t")
 
 
+class TestCommitRace:
+    """Threads commit to one table while another parses its live file: commits
+    to one database take turns and each writer writes its own temp file, so
+    every commit succeeds, every read finds a whole table, and a reopen reads
+    what was committed last."""
+
+    KEYS = 3000
+    ROUNDS = 30
+
+    def _base(self, root) -> dict:
+        base = {f"k{i:05d}": f"value {i}" for i in range(self.KEYS)}
+        Database(root).restore_text(store._render_table("t", base))
+        return base
+
+    def _race(self, root, base: dict, bodies):
+        """Run each of ``bodies`` in a thread, switching as often as the
+        interpreter allows, while one more parses ``root``'s ``t.tbl``."""
+        path = root / "t.tbl"
+        errors, torn = [], []
+        stop = threading.Event()
+        start = threading.Barrier(len(bodies) + 1, timeout=30)
+
+        def run(body):
+            def target():
+                try:
+                    start.wait()
+                    body()
+                except BaseException as e:  # reported by the assertion below
+                    errors.append(e)
+            return threading.Thread(target=target, daemon=True)
+
+        def read():
+            while not stop.is_set():
+                try:
+                    entries = store._parse_tables(store.read_text(path), path.name)["t"]
+                except Exception as e:
+                    torn.append(repr(e))
+                    continue
+                if not base.keys() <= entries.keys():
+                    torn.append(f"{len(entries)} entries")
+
+        writers = [run(body) for body in bodies]
+        reader = run(read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in writers + [reader]:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [reader])
+        assert errors == [] and torn == []
+        assert [p.name for p in root.iterdir() if ".tmp." in p.name] == []
+
+    def _commit(self, db, n):
+        for r in range(self.ROUNDS):
+            db.put("t", f"c{n}-{r}", r)
+            db.checkpoint()
+
+    def test_commits_and_restores_keep_the_file_whole(self, tmp_path):
+        root = tmp_path / "db"
+        base = self._base(root)
+        db = Database(root)
+        dump = db.dump_text()
+
+        def restore():
+            for _ in range(self.ROUNDS // 3):
+                db.restore_text(dump)
+
+        self._race(root, base, [lambda: self._commit(db, 0), lambda: self._commit(db, 1),
+                                restore])
+        assert Database(root).items("t") == db.items("t")
+
+    def test_a_restore_waits_for_the_checkpoint_it_overlaps(self, tmp_path, monkeypatch):
+        # the checkpoint pauses inside its write, holding the commit; gets do
+        # not wait for it, the restore does, so the restore's file is the last
+        root = tmp_path / "db"
+        base = self._base(root)
+        dump = Database(root).dump_text()
+        db = Database(root)
+        db.put("t", "c", 1)
+        writing, resume, restored = threading.Event(), threading.Event(), threading.Event()
+        real_write, got = db._write_file, []
+
+        def paused_write(filename, text):
+            if not writing.is_set():
+                writing.set()
+                resume.wait(timeout=30)
+            real_write(filename, text)
+
+        def restore():
+            db.restore_text(dump)
+            restored.set()
+
+        monkeypatch.setattr(db, "_write_file", paused_write)
+        threads = [threading.Thread(target=db.checkpoint, daemon=True)]
+        threads[0].start()
+        try:
+            assert writing.wait(timeout=30)
+            threads += [threading.Thread(target=restore, daemon=True),
+                        threading.Thread(target=lambda: got.append(db.get("t", "c")), daemon=True)]
+            threads[1].start()
+            threads[2].start()
+            threads[2].join(timeout=30)
+            assert not restored.wait(timeout=0.5)
+        finally:
+            resume.set()
+            for t in threads:
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [1] and restored.is_set()
+        assert Database(root).items("t") == db.items("t") == sorted(base.items())
+
+    def test_two_databases_on_one_root_write_whole_files(self, tmp_path):
+        # two databases share no commit lock, only the rule that each writer
+        # has its own temp file
+        root = tmp_path / "db"
+        base = self._base(root)
+        dbs = [Database(root), Database(root)]
+        self._race(root, base, [lambda: self._commit(dbs[0], 0),
+                                lambda: self._commit(dbs[1], 1)])
+        assert Database(root).items("t") in (dbs[0].items("t"), dbs[1].items("t"))
+
+
 class TestSlotOneStress:
     """Writes of slot 1 by ``put`` and of other slots by ``put_indexed`` race on
     keys that start as a stored single value: ``put_indexed`` makes that value
